@@ -93,7 +93,6 @@ def _cmd_poly(args) -> None:
 
 
 def _cmd_ort(args) -> None:
-    threads = args.threads or 1
     if args.graph and args.via == "eulerian":
         g = _load_graph(args.graph)
         ts = isotropic.ort_via_eulerian(g)
@@ -104,7 +103,7 @@ def _cmd_ort(args) -> None:
                 tuple((c, 2) for c in range(z.order))
             ts = orienting.orienting_from_seed(z, seed)
         else:
-            ts = orienting.orienting_transversals(z, threads=threads)
+            ts = orienting.orienting_transversals(z)
     _emit({"count": len(ts), "transversals": [_labels(t) for t in ts]})
 
 
@@ -188,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "polynomial evaluations, orienting transversals, and "
                     "excluded-minor classification.")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="cap on parallel workers")
+                        help="worker cap, at least 1; enumeration is serial, so "
+                             "output and speed are the same at any value")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("poly", help="polynomial computations")
@@ -252,6 +252,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise MalformedInput(f"--threads must be at least 1, got {args.threads}")
         args.func(args)
         return 0
     except MalformedInput as exc:

@@ -212,36 +212,87 @@ class GFMatrix:
 
 def rank_of_vectors(field: int, vectors: Iterable[tuple[int, int]]) -> int:
     """Rank of packed (lo, hi) vectors; GF(2) vectors carry hi == 0."""
-    if field == GF2:
-        table: dict[int, int] = {}
-        r = 0
-        for lo, _ in vectors:
-            v = lo
-            while v:
-                h = v.bit_length() - 1
-                b = table.get(h)
-                if b is None:
-                    table[h] = v
-                    r += 1
-                    break
-                v ^= b
-        return r
-    basis: dict[int, tuple[int, int]] = {}
-    r = 0
+    basis: list = []
     for lo, hi in vectors:
-        for p, (blo, bhi) in basis.items():
-            c = ((lo >> p) & 1) | (((hi >> p) & 1) << 1)
-            if c:
-                slo, shi = _scale_row(c, blo, bhi)
-                lo ^= slo
-                hi ^= shi
-        if lo | hi:
-            p = (lo | hi).bit_length() - 1
-            c = ((lo >> p) & 1) | (((hi >> p) & 1) << 1)
-            lo, hi = _scale_row(scalar_inverse(c), lo, hi)
-            basis[p] = (lo, hi)
-            r += 1
-    return r
+        if field == GF2:
+            # Each basis vector's pivot is its top bit and it is 0 at the
+            # pivots before it, so lo ^ b < lo exactly when lo has that
+            # pivot set, and one pass in insertion order clears them all.
+            for b in basis:
+                r = lo ^ b
+                if r < lo:
+                    lo = r
+            b = lo
+        else:
+            b = _reduce_gf4(basis, lo, hi)
+        if b:
+            basis.append(b)
+    return len(basis)
+
+
+def _reduce_gf4(basis, lo: int, hi: int) -> tuple[int, int, int] | None:
+    """Reduce (lo, hi) by a basis of (pivot, lo, hi) rows, each 1 at its
+    pivot and 0 at the pivots before it.  Returns the remainder scaled to 1
+    at its top position, with that position as its pivot, or None when the
+    vector lies in the span."""
+    for p, blo, bhi in basis:
+        c = ((lo >> p) & 1) | (((hi >> p) & 1) << 1)
+        if c:
+            slo, shi = _scale_row(c, blo, bhi)
+            lo ^= slo
+            hi ^= shi
+    if not lo | hi:
+        return None
+    p = (lo | hi).bit_length() - 1
+    c = ((lo >> p) & 1) | (((hi >> p) & 1) << 1)
+    return (p, *_scale_row(scalar_inverse(c), lo, hi))
+
+
+def nullity_histogram(field: int, levels: Sequence[Sequence],
+                      weights: Sequence[Sequence] | None = None) -> list:
+    """Nullity histogram of every way to pick one vector per level.
+
+    levels[i] lists the packed candidates of level i: ints over GF(2),
+    (lo, hi) pairs over GF(4).  A leaf picks one candidate per level; its
+    nullity is the level count minus the rank of the picked vectors.
+    hist[n] is the number of leaves of nullity n or, given weights[i][j]
+    for candidate j of level i, the sum of their weight products.
+    Zero-weight candidates are pruned, so hist[n] stays int 0 where no leaf
+    landed.
+
+    One depth-first walk carries the echelon basis of the prefix picked so
+    far, so each node reduces one vector instead of re-eliminating the
+    whole leaf.
+    """
+    if weights is None:
+        picks = [[(v, 1) for v in c] for c in levels]
+    else:
+        picks = [[(v, x) for v, x in zip(c, ws) if x] for c, ws in zip(levels, weights)]
+    hist = [0] * (len(picks) + 1)
+    last = len(picks) - 1
+    gf2 = field == GF2
+
+    def walk(i, basis, null, w):
+        for v, x in picks[i]:
+            if gf2:  # the reduction of rank_of_vectors, inlined
+                for b in basis:
+                    r = v ^ b
+                    if r < v:
+                        v = r
+            else:
+                v = _reduce_gf4(basis, *v)
+            if i == last:
+                hist[null if v else null + 1] += w * x
+            elif v:
+                walk(i + 1, basis + (v,), null, w * x)
+            else:
+                walk(i + 1, basis, null + 1, w * x)
+
+    if picks:
+        walk(0, (), 0, 1)
+    else:
+        hist[0] = 1
+    return hist
 
 
 def rank(m: GFMatrix) -> int:

@@ -10,7 +10,8 @@ rank oracle, so the two realizations are interchangeable.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from math import prod
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import fields
 from .bounds import MAX_CLASS_SIZE, ORDER_GENERAL, ORDER_ISO, check_order
@@ -305,6 +306,30 @@ class Multimatroid:
                     raise InternalInconsistency("non-transversal basis in a "
                                                 "nondegenerate multimatroid")
         return sorted(out)
+
+    def nullity_histogram(self, banned: Iterable[Element] = (),
+                          weights: Mapping[Element, object] | None = None) -> list:
+        """hist[n]: the number of transversals avoiding the banned elements
+        with nullity n or, given element weights, the sum of their weight
+        products.  A class emptied by the bans leaves every entry zero."""
+        bans = frozenset(banned)
+        cands = [[e for e in self.carrier.skew_class(c) if e not in bans]
+                 for c in range(self.order)]
+        if self._colvec is not None:
+            cv = self._colvec
+            gf2 = self._field == fields.GF2
+            return fields.nullity_histogram(
+                self._field, [[cv[e][0] if gf2 else cv[e] for e in es] for es in cands],
+                None if weights is None else [[weights[e] for e in es] for es in cands])
+        # Second path, for realizations without packed columns (circuit
+        # lists, matroids without a matrix): one rank-oracle call per leaf.
+        hist = [0] * (self.order + 1)
+        for t in product(*cands):
+            w = 1 if weights is None else prod(weights[e] for e in t)
+            if w:
+                s = frozenset(t)
+                hist[len(s) - self._rank(s)] += w
+        return hist
 
     def basis_transversals(self) -> list[tuple[Element, ...]]:
         """Transversals of nullity zero."""

@@ -9,10 +9,10 @@ set for set.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Iterable
 
 from .bounds import ORDER_EVALS, ORDER_ORT, check_order
@@ -20,27 +20,18 @@ from .errors import (Degenerate, NotBinaryTight3, NotOrienting, NotTight)
 from .multimatroids import (Element, Multimatroid, as_subtransversal,
                             cycle_space_avoiding, is_multimatroid, is_tight,
                             sum_subtransversals, tight_quick)
+from .polynomials import Polynomial
 
 _WEIGHT_SEED = 20260809
 
 
-def orienting_transversals(z: Multimatroid, order_bound: int = ORDER_ORT,
-                           threads: int = 1) -> list[tuple[Element, ...]]:
+def orienting_transversals(z: Multimatroid,
+                           order_bound: int = ORDER_ORT) -> list[tuple[Element, ...]]:
     """All transversals whose deletion is tight, in canonical order."""
     if not z.is_nondegenerate():
         raise Degenerate("orienting transversals need a nondegenerate multimatroid")
     check_order(z.order, order_bound, "orienting_transversals")
-    ts = list(z.carrier.transversals())
-
-    def orienting(t):
-        return tight_quick(z.delete(t))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(orienting, ts))
-    else:
-        flags = [orienting(t) for t in ts]
-    return [t for t, ok in zip(ts, flags) if ok]
+    return [t for t in z.carrier.transversals() if tight_quick(z.delete(t))]
 
 
 def disjoint_orienting(z: Multimatroid, t: Iterable[Element],
@@ -137,29 +128,17 @@ def _validate_binary_tight3(z: Multimatroid) -> None:
             raise NotBinaryTight3("circuit union with an odd number of skew pairs")
 
 
-def _transition_eval(z: Multimatroid, weights, y: Fraction,
-                     banned: frozenset = frozenset()) -> Fraction:
-    total = Fraction(0)
-    for t in z.carrier.transversals():
-        if banned and not banned.isdisjoint(t):
-            continue
-        w = Fraction(1)
-        for u in t:
-            w *= weights[u]
-            if not w:
-                break
-        if w:
-            total += w * y ** (len(t) - z._rank(frozenset(t)))
-    return total
+def _transition_eval(z: Multimatroid, weights, ys,
+                     banned: frozenset = frozenset()) -> list[Fraction]:
+    """The weighted transition polynomial of z without the banned elements,
+    built once and evaluated at each y."""
+    p = Polynomial(z.nullity_histogram(banned, weights))
+    return [Fraction(p(y)) for y in ys]
 
 
-def _q1_eval(z: Multimatroid, y, banned: frozenset = frozenset()) -> Fraction:
-    total = Fraction(0)
-    for t in z.carrier.transversals():
-        if banned and not banned.isdisjoint(t):
-            continue
-        total += Fraction(y) ** (len(t) - z._rank(frozenset(t)))
-    return total
+def _q1_eval(z: Multimatroid, ys, banned: frozenset = frozenset()) -> list[Fraction]:
+    """The unweighted case of _transition_eval."""
+    return _transition_eval(z, None, ys, banned)
 
 
 def evaluation_suite(z: Multimatroid, t: Iterable[Element],
@@ -181,50 +160,38 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element],
     rng = random.Random(rng_seed + 7 * ell)
     weights = {e: Fraction(rng.randint(1, 9), rng.randint(1, 4))
                for e in sorted(z.carrier.elements())}
+    halving_ys = [Fraction(2 * rng.randint(-12, 12)) for _ in range(5)]
+    at_2, at_4, *at_halving_ys = _transition_eval(
+        z, weights, [Fraction(2), Fraction(4)] + halving_ys)
+    q1_at_2, q1_at_4, q1_at_m4 = _q1_eval(z, (2, 4, -4))
 
     def class_sum(cls: int, excluded: frozenset) -> Fraction:
         return sum((weights[x] for x in z.carrier.skew_class(cls)
                     if x not in excluded), Fraction(0))
 
+    def class_product(excluded: frozenset) -> Fraction:
+        return prod((class_sum(cls, excluded) for cls in range(ell)), start=Fraction(1))
+
     # weighted power-of-two evaluations, one and two orienting layers deep
-    for level in (1, 2):
-        lhs = _transition_eval(z, weights, Fraction(2 ** level))
-        rhs = Fraction(0)
-        if level == 1:
-            for y1 in ort_all:
-                term = Fraction(1)
-                for cls in range(ell):
-                    term *= class_sum(cls, y1)
-                rhs += term
-        else:
-            for y1 in ort_all:
-                for y2 in ort_all:
-                    merged = y1 | y2
-                    term = Fraction(1)
-                    for cls in range(ell):
-                        term *= class_sum(cls, merged)
-                    rhs += term
+    layers = (ort_all, [y1 | y2 for y1 in ort_all for y2 in ort_all])
+    for level, lhs, merged in zip((1, 2), (at_2, at_4), layers):
+        rhs = sum((class_product(m) for m in merged), Fraction(0))
         ids.append(EvalIdentity(f"weighted_pow2_depth{level}", lhs, rhs,
                                 lhs == rhs))
 
     # the depth-one evaluation, reformulated per orienting transversal
-    lhs = _transition_eval(z, weights, Fraction(2))
-    rhs = Fraction(0)
-    for y1 in ort_all:
-        term = Fraction(1)
-        for (c, s) in y1:
-            term *= class_sum(c, frozenset([(c, s)]))
-        rhs += term
-    ids.append(EvalIdentity("weighted_at_2_per_class", lhs, rhs, lhs == rhs))
+    rhs = sum((prod((class_sum(c, frozenset([(c, s)])) for (c, s) in y1),
+                    start=Fraction(1)) for y1 in ort_all), Fraction(0))
+    ids.append(EvalIdentity("weighted_at_2_per_class", at_2, rhs, at_2 == rhs))
 
     # unweighted evaluation at 2
-    lhs = _q1_eval(z, 2)
+    lhs = q1_at_2
     rhs = Fraction(len(ort_all) * 2 ** ell)
     ids.append(EvalIdentity("q1_at_2", lhs, rhs, lhs == rhs))
 
     # deleted evaluation at 2 against intersection sizes
     tset = frozenset(tt)
-    lhs_del2 = _q1_eval(z, 2, banned=tset)
+    lhs_del2, lhs_delm2 = _q1_eval(z, (2, -2), banned=tset)
     rhs = sum((Fraction(2 ** len(y & tset)) for y in ort_all), Fraction(0))
     ids.append(EvalIdentity("q1_deleted_at_2_vs_meets", lhs_del2, rhs,
                             lhs_del2 == rhs))
@@ -253,7 +220,6 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element],
                             lhs_del2 == rhs5))
 
     n_t = ell - rank_t
-    lhs_delm2 = _q1_eval(z, -2, banned=tset)
     ids.append(EvalIdentity("odd_cofactor_times_2pow", lhs_del2,
                             Fraction(k * 2 ** n_t),
                             lhs_del2 == k * 2 ** n_t and k % 2 == 1,
@@ -269,23 +235,22 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element],
                             lhs_delm2 == rhs_res))
 
     # evaluation at 4 against pairwise intersections
-    lhs = _q1_eval(z, 4)
+    lhs = q1_at_4
     rhs = sum((Fraction(2 ** len(y1 & y2)) for y1 in ort_all for y2 in ort_all),
               Fraction(0))
     ids.append(EvalIdentity("q1_at_4_pairwise", lhs, rhs, lhs == rhs))
 
     # signed evaluation at -4 against orienting nullities
-    lhs = _q1_eval(z, -4)
+    lhs = q1_at_m4
     rhs = Fraction((-1) ** ell) * sum(
         (Fraction((-2) ** (ell - z._rank(y))) for y in ort_all), Fraction(0))
     ids.append(EvalIdentity("q1_at_minus4_signed", lhs, rhs, lhs == rhs))
 
     # halving decomposition at five random even integers
-    for _ in range(5):
-        y = Fraction(2 * rng.randint(-12, 12))
-        lhs = _transition_eval(z, weights, y)
-        rhs = sum((_transition_eval(z, weights, y / 2, banned=y1)
-                   for y1 in ort_all), Fraction(0))
+    halved = [_transition_eval(z, weights, [y / 2 for y in halving_ys], banned=y1)
+              for y1 in ort_all]
+    for i, (y, lhs) in enumerate(zip(halving_ys, at_halving_ys)):
+        rhs = sum((vals[i] for vals in halved), Fraction(0))
         ids.append(EvalIdentity(f"halving_at_{y.numerator}", lhs, rhs, lhs == rhs))
 
     return report

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping
 
 from .bounds import (ORDER_GENERAL, VERTEX_GLOBAL_INTERLACE, VERTEX_INTERLACE,
                      check_order, check_size)
 from .errors import (Degenerate, IncompleteWeights, MalformedInput,
                      NotSubtransversal)
+from .fields import GF2, nullity_histogram
 from .matroids import Matroid
 from .multimatroids import Element, Multimatroid, as_subtransversal, dual_pair
 
@@ -96,20 +98,16 @@ class Polynomial:
 
 
 def shifted_power_sum(counts: Mapping[int, object], shift: int) -> Polynomial:
-    """Expand a sum of c_n * (y + shift)^n into the standard basis."""
+    """Expand a sum of c_n * (y + shift)^n into the standard basis:
+    the y^k coefficient is the sum over n of c_n * C(n, k) * shift^(n-k)."""
     if not counts:
         return Polynomial.zero()
-    top = max(counts)
-    base = Polynomial((shift, 1))
-    power = Polynomial.one()
-    total = Polynomial.zero()
-    for n in range(top + 1):
-        c = counts.get(n, 0)
+    out = [0] * (max(counts) + 1)
+    for n, c in counts.items():
         if c:
-            total = total + power.scale(c)
-        if n < top:
-            power = power * base
-    return total
+            for k in range(n + 1):
+                out[k] += c * comb(n, k) * shift ** (n - k)
+    return Polynomial(out)
 
 
 # -- transition polynomials ---------------------------------------------------
@@ -118,52 +116,27 @@ def shifted_power_sum(counts: Mapping[int, object], shift: int) -> Polynomial:
 def q1(z: Multimatroid, order_bound: int = ORDER_GENERAL) -> Polynomial:
     """Transversal nullity generating polynomial (all weights one);
     integer coefficients, nonnegative, summing to the transversal count."""
-    check_order(z.order, order_bound, "q1")
-    counts: dict[int, int] = {}
-    for t in z.carrier.transversals():
-        n = len(t) - z._rank(frozenset(t))
-        counts[n] = counts.get(n, 0) + 1
-    out = [0] * (max(counts) + 1 if counts else 1)
-    if not counts:
-        out = [1]  # the empty multimatroid has the empty transversal
-    for n, c in counts.items():
-        out[n] = c
-    return Polynomial(out)
+    z._check_enum_bounds(order_bound, "q1")
+    return Polynomial(z.nullity_histogram())
 
 
 def q1_avoiding(z: Multimatroid, banned: Iterable[Element],
                 order_bound: int = ORDER_GENERAL) -> Polynomial:
     """q1 of the deletion of the banned elements, computed in place over the
     transversals that avoid them."""
-    check_order(z.order, order_bound, "q1_avoiding")
-    bans = frozenset(banned)
-    counts: dict[int, int] = {}
-    for t in z.carrier.transversals():
-        if not bans.isdisjoint(t):
-            continue
-        n = len(t) - z._rank(frozenset(t))
-        counts[n] = counts.get(n, 0) + 1
-    out = [0] * (max(counts) + 1) if counts else []
-    for n, c in counts.items():
-        out[n] = c
-    return Polynomial(out)
+    z._check_enum_bounds(order_bound, "q1_avoiding")
+    return Polynomial(z.nullity_histogram(banned))
 
 
 def transition(z: Multimatroid, weights: Mapping[Element, object],
                order_bound: int = ORDER_GENERAL) -> Polynomial:
     """Weighted transition polynomial with exact rational weights."""
-    check_order(z.order, order_bound, "transition")
+    z._check_enum_bounds(order_bound, "transition")
     for e in z.carrier.elements():
         if e not in weights:
             raise IncompleteWeights(f"missing weight for {e}")
-    coeffs: list = [0] * (z.order + 1)
-    for t in z.carrier.transversals():
-        w = Fraction(1)
-        for u in t:
-            w *= weights[u]
-        if w:
-            coeffs[len(t) - z._rank(frozenset(t))] += w
-    return Polynomial(coeffs)
+    return Polynomial(z.nullity_histogram(
+        weights={e: Fraction(1) * w for e, w in weights.items()}))
 
 
 def q1_expansion(z: Multimatroid, t: Iterable[Element], direction: str,
@@ -210,37 +183,36 @@ def tutte_diagonal(m: Matroid, x, order_bound: int = 10):
 # -- graph polynomials ----------------------------------------------------------
 
 
+def _toggle_histogram(g, xmasks: Iterable[int], toggled: bool) -> dict[int, int]:
+    """Nullity counts of the induced subgraphs on the vertex masks, over
+    every loop toggle of their vertices when toggled.  Each vertex v of a
+    mask is one level of the walk: its adjacency row, plus that row with the
+    loop at v flipped; once v's toggle is picked its row is final."""
+    counts = [0] * (g.n + 1)
+    for xmask in xmasks:
+        levels = []
+        for v in range(g.n):
+            if (xmask >> v) & 1:
+                row = g.adj_masks[v] & xmask
+                levels.append([row, row ^ (1 << v)] if toggled else [row])
+        for n, c in enumerate(nullity_histogram(GF2, levels)):
+            counts[n] += c
+    return dict(enumerate(counts))
+
+
 def interlace(g, bound: int = VERTEX_INTERLACE) -> Polynomial:
     """Induced-subgraph nullity polynomial in (y - 1)."""
     check_size(g.n, bound, "interlace")
-    counts: dict[int, int] = {}
-    for xmask in range(1 << g.n):
-        n = g.nullity_mask(xmask)
-        counts[n] = counts.get(n, 0) + 1
-    return shifted_power_sum(counts, -1)
+    return shifted_power_sum(_toggle_histogram(g, range(1 << g.n), False), -1)
 
 
 def global_interlace(g, bound: int = VERTEX_GLOBAL_INTERLACE) -> Polynomial:
     """Loop-toggled induced-subgraph nullity polynomial in (y - 2)."""
     check_size(g.n, bound, "global_interlace")
-    counts: dict[int, int] = {}
-    for xmask in range(1 << g.n):
-        toggle = xmask
-        while True:
-            n = g.nullity_mask(xmask, toggle)
-            counts[n] = counts.get(n, 0) + 1
-            if toggle == 0:
-                break
-            toggle = (toggle - 1) & xmask
-    return shifted_power_sum(counts, -2)
+    return shifted_power_sum(_toggle_histogram(g, range(1 << g.n), True), -2)
 
 
 def bracket(g, bound: int = VERTEX_INTERLACE) -> Polynomial:
     """Loop-toggle nullity polynomial over the full vertex set."""
     check_size(g.n, bound, "bracket")
-    counts: dict[int, int] = {}
-    full = (1 << g.n) - 1
-    for toggle in range(1 << g.n):
-        n = g.nullity_mask(full, toggle)
-        counts[n] = counts.get(n, 0) + 1
-    return shifted_power_sum(counts, 0)
+    return shifted_power_sum(_toggle_histogram(g, [(1 << g.n) - 1], True), 0)

@@ -62,18 +62,26 @@ def mm_to_dict(z: Multimatroid) -> dict:
 
 def _element(pair) -> tuple[int, int]:
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-            or not all(isinstance(v, int) for v in pair)):
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)):
         raise MalformedInput(f"bad element {pair!r}")
     return (pair[0], pair[1])
 
 
+def _count(v) -> int:
+    """int() of a JSON count; bools are not counts."""
+    if isinstance(v, bool):
+        raise ValueError(f"bool {v} is not a count")
+    return int(v)
+
+
 def mm_from_dict(d: dict) -> Multimatroid:
     try:
-        sizes = [int(s) for s in d["class_sizes"]]
+        sizes = [_count(s) for s in d["class_sizes"]]
         kind = d["kind"]
+        order = _count(d["order"]) if "order" in d else len(sizes)
     except (KeyError, TypeError, ValueError):
-        raise MalformedInput("mm object needs class_sizes and kind")
-    if "order" in d and int(d["order"]) != len(sizes):
+        raise MalformedInput("mm object needs integer order, class_sizes and kind")
+    if order != len(sizes):
         raise MalformedInput("order does not match class_sizes")
     carrier = Carrier(sizes)
     if kind == "circuits":

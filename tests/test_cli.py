@@ -243,3 +243,39 @@ def test_threads_flag(k2_file, capsys):
     code = main(["--threads", "2", "ort", "--graph", k2_file])
     out, _ = capsys.readouterr()
     assert code == 0 and json.loads(out)["count"] == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_is_malformed(k2_file, capsys, value):
+    code = main(["--threads", value, "ort", "--graph", k2_file])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("mmlab: ") and err.count("\n") == 1
+
+
+def _mm_file(tmp_path, obj) -> str:
+    p = tmp_path / "in.mm.json"
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+@pytest.mark.parametrize("obj", [
+    {"order": "x", "class_sizes": [2], "kind": "circuits", "circuits": []},
+    {"order": 2, "class_sizes": [True, 2], "kind": "circuits", "circuits": []},
+    {"order": 2, "class_sizes": [1, 2], "kind": "circuits",
+     "circuits": [[[True, False]]]},
+], ids=["order_not_int", "bool_class_size", "bool_element"])
+def test_mm_json_boundary_exit_1(tmp_path, capsys, obj):
+    code = main(["poly", "q1", "--mm", _mm_file(tmp_path, obj)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("mmlab: ") and err.count("\n") == 1
+
+
+def test_q1_rejects_class_size_above_bound(tmp_path, capsys):
+    obj = {"order": 2, "class_sizes": [5, 5], "kind": "circuits", "circuits": []}
+    code = main(["poly", "q1", "--mm", _mm_file(tmp_path, obj)])
+    out, _ = capsys.readouterr()
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["code"] == "TooLarge"

@@ -1,0 +1,185 @@
+"""Property tests for the prefix-echelon nullity walk.
+
+The walk (fields.nullity_histogram, reached through
+Multimatroid.nullity_histogram and the graph polynomials) is checked against
+per-leaf references: one full elimination per leaf, one rank-oracle nullity
+per transversal, and one Graph.nullity_mask per (vertex mask, loop toggle).
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (random_graph, random_inv_symmetric, random_standard_form,
+                      random_symmetric)
+from mmlab import catalog
+from mmlab.fields import GF2, GF4, nullity_histogram, rank_of_vectors
+from mmlab.isotropic import isotropic_multimatroid
+from mmlab.matroids import Matroid
+from mmlab.multimatroids import Carrier, Multimatroid, dual_pair
+from mmlab.polynomials import (Polynomial, bracket, global_interlace,
+                               interlace, q1, q1_avoiding, shifted_power_sum,
+                               transition)
+
+seeds = st.integers(0, 2 ** 32 - 1)
+KINDS = ("gf2", "gf4", "gf4_pair", "circuits", "matroid_circuits", "fixture")
+
+
+def build(kind: str, rng: random.Random, n: int) -> Multimatroid:
+    """GF(2) and GF(4) packed builds, and the two realizations without
+    packed columns (circuit lists, matroids given by circuits)."""
+    if kind == "gf4":
+        return isotropic_multimatroid(random_inv_symmetric(rng, n),
+                                      validate=False).multimatroid
+    if kind == "gf4_pair":
+        return dual_pair(random_standard_form(rng, GF4, n))
+    if kind == "fixture":
+        return catalog.fixture(rng.choice(catalog.FIXTURE_NAMES))
+    z = isotropic_multimatroid(random_symmetric(rng, GF2, n),
+                               validate=False).multimatroid
+    if kind == "circuits":
+        return Multimatroid(z.carrier, circuits=z.circuits(), validate=False)
+    if kind == "matroid_circuits":
+        m = z.sheltering_matroid
+        return Multimatroid(z.carrier, matroid=Matroid(m.ground, circuits=m.circuits(),
+                                                       validate=False))
+    return z
+
+
+def reference_histogram(z: Multimatroid, banned=(), weights=None) -> list:
+    hist = [0] * (z.order + 1)
+    for t in z.carrier.transversals():
+        if set(banned) & set(t):
+            continue
+        w = 1
+        for e in t:
+            w *= 1 if weights is None else weights[e]
+        if w:
+            hist[z.nullity(t)] += w
+    return hist
+
+
+def power_expand(counts: dict, shift: int) -> Polynomial:
+    """sum of c_n * (y + shift)^n by repeated polynomial multiplication."""
+    total = Polynomial.zero()
+    for n, c in counts.items():
+        power = Polynomial.one()
+        for _ in range(n):
+            power = power * Polynomial((shift, 1))
+        total = total + power.scale(c)
+    return total
+
+
+@given(st.sampled_from((GF2, GF4)), seeds, st.integers(0, 4), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_per_leaf_elimination(field, seed, depth, weighted):
+    rng = random.Random(seed)
+    pairs = [[(rng.getrandbits(4), rng.getrandbits(4) if field == GF4 else 0)
+              for _ in range(rng.randint(0, 3))] for _ in range(depth)]
+    levels = pairs if field == GF4 else [[lo for lo, _ in c] for c in pairs]
+    weights = ([[Fraction(rng.randint(-2, 2)) for _ in c] for c in levels]
+               if weighted else None)
+    want = [0] * (depth + 1)
+    for idx in product(*[range(len(c)) for c in levels]):
+        w = 1
+        for i, j in enumerate(idx):
+            w *= weights[i][j] if weighted else 1
+        if w:
+            picked = [pairs[i][j] for i, j in enumerate(idx)]
+            want[depth - rank_of_vectors(field, picked)] += w
+    assert nullity_histogram(field, levels, weights) == want
+
+
+@given(st.sampled_from(KINDS), seeds, st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_histogram_matches_per_transversal_nullity(kind, seed, n):
+    rng = random.Random(seed)
+    z = build(kind, rng, n)
+    assert z.nullity_histogram() == reference_histogram(z)
+    banned = [e for e in z.carrier.elements() if rng.random() < 0.3]
+    assert z.nullity_histogram(banned) == reference_histogram(z, banned)
+    weights = {e: Fraction(rng.randint(-2, 3), rng.randint(1, 4))
+               for e in z.carrier.elements()}
+    assert z.nullity_histogram(banned, weights) == \
+        reference_histogram(z, banned, weights)
+    assert q1(z) == Polynomial(reference_histogram(z))
+    assert q1_avoiding(z, banned) == Polynomial(reference_histogram(z, banned))
+
+
+@given(st.sampled_from(KINDS), seeds, st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_emptied_class_gives_zero(kind, seed, n):
+    rng = random.Random(seed)
+    z = build(kind, rng, n)
+    c = rng.randrange(z.order)
+    assert z.nullity_histogram(z.carrier.skew_class(c)) == [0] * (z.order + 1)
+    assert q1_avoiding(z, z.carrier.skew_class(c)) == Polynomial.zero()
+    w = {e: 1 for e in z.carrier.elements()}
+    assert z.nullity_histogram(z.carrier.skew_class(c), w) == [0] * (z.order + 1)
+
+
+def test_order_zero():
+    z = Multimatroid(Carrier(()), circuits=[])
+    assert z.nullity_histogram() == [1]
+    assert z.nullity_histogram(weights={}) == [1]
+    assert nullity_histogram(GF2, []) == [1]
+    assert nullity_histogram(GF4, [], []) == [1]
+
+
+@given(st.sampled_from(KINDS), seeds, st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_transition_zero_weights_and_coefficient_types(kind, seed, n):
+    rng = random.Random(seed)
+    z = build(kind, rng, n)
+    weights = {e: rng.choice((0, 0, 1, 2, Fraction(1, 3)))
+               for e in z.carrier.elements()}
+    p = transition(z, weights)
+    assert p == Polynomial(reference_histogram(z, weights=weights))
+    # leaves with a nonzero weight product, per nullity
+    landed = [0] * (z.order + 1)
+    for t in z.carrier.transversals():
+        if all(weights[e] for e in t):
+            landed[z.nullity(t)] += 1
+    for c, hits in zip(p.coeffs, landed):
+        if hits:
+            assert type(c) is Fraction
+        else:
+            assert type(c) is int and c == 0
+    if not any(landed):
+        assert p == Polynomial.zero()
+
+
+@given(seeds, st.integers(0, 6))
+@settings(max_examples=30, deadline=None)
+def test_graph_polynomials_match_nullity_mask_sums(seed, n):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, loops=True, p=rng.choice((0.25, 0.5, 0.75)))
+    full = (1 << n) - 1
+    plain: dict[int, int] = {}
+    toggled: dict[int, int] = {}
+    loops: dict[int, int] = {}
+    for xmask in range(1 << n):
+        k = g.nullity_mask(xmask)
+        plain[k] = plain.get(k, 0) + 1
+        for toggle in range(1 << n):
+            if toggle & ~xmask:
+                continue
+            k = g.nullity_mask(xmask, toggle)
+            toggled[k] = toggled.get(k, 0) + 1
+            if xmask == full:
+                loops[k] = loops.get(k, 0) + 1
+    assert interlace(g) == power_expand(plain, -1)
+    assert global_interlace(g) == power_expand(toggled, -2)
+    assert bracket(g) == power_expand(loops, 0)
+
+
+@given(st.dictionaries(st.integers(0, 7),
+                       st.integers(-9, 9) | st.fractions(max_denominator=5),
+                       max_size=6),
+       st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_shifted_power_sum_matches_repeated_multiplication(counts, shift):
+    assert shifted_power_sum(counts, shift) == power_expand(counts, shift)
