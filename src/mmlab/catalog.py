@@ -14,7 +14,7 @@ from .errors import (Degenerate, InternalInconsistency, MalformedInput,
                      NoBasis, NotClassUnion, NotTight, UnknownElement)
 from .fields import GF2, GF4, GFMatrix
 from .isotropic import IsotropicBuild, isotropic_multimatroid, pair_multimatroid
-from .matroids import Matroid
+from .matroids import Matroid, minimal_dependent_sets
 from .multimatroids import (Carrier, Element, Multimatroid,
                             as_subtransversal, dual_pair, is_tight,
                             isomorphic, same_rank_oracle, tight_quick)
@@ -115,7 +115,7 @@ def has_minor(z: Multimatroid, pattern: Multimatroid,
     """First subtransversal X (lexicographically) whose minor is isomorphic
     to the pattern, with the witness map from pattern elements into original
     elements of z; None when no minor matches."""
-    check_order(z.order, order_bound, "has_minor")
+    z._check_enum_bounds(order_bound, "has_minor")
     drop = z.order - pattern.order
     if drop < 0:
         return None
@@ -351,16 +351,11 @@ def tight_extension(z: Multimatroid,
             if null[joint] != n_s + 2:
                 return None
 
-    circuits: list[frozenset] = []
-    for code in sorted(null, key=lambda cd: sum(s >= 0 for s in cd)):
-        s = frozenset(elems_of(code))
-        if not s or null[code] == 0:
-            continue
-        if any(c <= s for c in circuits):
-            continue
-        if all(null[code[:c] + (-1,) + code[c + 1:]] == 0
-               for c, sl in enumerate(code) if sl >= 0):
-            circuits.append(s)
+    # nullity only grows along extensions (checked above), so the minimal
+    # sets of positive nullity are the circuits
+    by_set = {frozenset(elems_of(code)): n for code, n in null.items()}
+    circuits = minimal_dependent_sets(([s for s in by_set if len(s) == k]
+                                       for k in range(1, ell + 1)), lambda s: by_set[s] > 0)
     ext = Multimatroid(carrier, circuits=circuits, validate=False)
     third = [(c, 2) for c in range(ell)]
     if not tight_quick(ext) or not same_rank_oracle(ext.delete(third), z):

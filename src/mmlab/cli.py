@@ -180,8 +180,15 @@ def _cmd_extend(args) -> None:
     _emit({"extension": None if ext is None else serialize.mm_to_dict(ext)})
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are malformed input: exit 1 and one stderr line."""
+
+    def error(self, message):
+        raise MalformedInput(" ".join(message.split()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mmlab",
         description="Exact computations with multimatroids: transition "
                     "polynomial evaluations, orienting transversals, and "
@@ -250,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.threads < 1:
             raise MalformedInput(f"--threads must be at least 1, got {args.threads}")
         args.func(args)

@@ -124,6 +124,20 @@ class GFMatrix:
         return cls(field, rows, cols, lo, hi)
 
     @classmethod
+    def from_columns(cls, field: int, rows: int,
+                     columns: Sequence[tuple[int, int]]) -> "GFMatrix":
+        """The matrix with the given columns, packed over rows as (lo, hi)."""
+        lo = [0] * rows
+        hi = [0] * rows
+        for j, (clo, chi) in enumerate(columns):
+            for i in range(rows):
+                lo[i] |= ((clo >> i) & 1) << j
+                hi[i] |= ((chi >> i) & 1) << j
+        m = cls(field, rows, len(columns), lo, hi)
+        m._cols_packed = tuple(columns)
+        return m
+
+    @classmethod
     def zero(cls, field: int, rows: int, cols: int) -> "GFMatrix":
         return cls(field, rows, cols, [0] * rows, [0] * rows)
 
@@ -182,17 +196,6 @@ class GFMatrix:
                         [a ^ b for a, b in zip(self.row_lo, other.row_lo)],
                         [a ^ b for a, b in zip(self.row_hi, other.row_hi)])
 
-    def select_columns(self, indices: Sequence[int]) -> "GFMatrix":
-        packed = self.columns_packed()
-        lo = [0] * self.rows
-        hi = [0] * self.rows
-        for jj, j in enumerate(indices):
-            clo, chi = packed[j]
-            for i in range(self.rows):
-                lo[i] |= ((clo >> i) & 1) << jj
-                hi[i] |= ((chi >> i) & 1) << jj
-        return GFMatrix(self.field, self.rows, len(indices), lo, hi)
-
     def is_zero(self) -> bool:
         return not any(self.row_lo) and not any(self.row_hi)
 
@@ -212,6 +215,12 @@ class GFMatrix:
 
 def rank_of_vectors(field: int, vectors: Iterable[tuple[int, int]]) -> int:
     """Rank of packed (lo, hi) vectors; GF(2) vectors carry hi == 0."""
+    return len(_echelon(field, vectors))
+
+
+def _echelon(field: int, vectors: Iterable[tuple[int, int]]) -> list:
+    """Echelon basis of packed vectors, in insertion order: over GF(2) ints
+    with their top bit as pivot, over GF(4) the rows of _reduce_gf4."""
     basis: list = []
     for lo, hi in vectors:
         if field == GF2:
@@ -227,7 +236,7 @@ def rank_of_vectors(field: int, vectors: Iterable[tuple[int, int]]) -> int:
             b = _reduce_gf4(basis, lo, hi)
         if b:
             basis.append(b)
-    return len(basis)
+    return basis
 
 
 def _reduce_gf4(basis, lo: int, hi: int) -> tuple[int, int, int] | None:
@@ -246,6 +255,31 @@ def _reduce_gf4(basis, lo: int, hi: int) -> tuple[int, int, int] | None:
     p = (lo | hi).bit_length() - 1
     c = ((lo >> p) & 1) | (((hi >> p) & 1) << 1)
     return (p, *_scale_row(scalar_inverse(c), lo, hi))
+
+
+def contract_columns(field: int, contract: Iterable[tuple[int, int]],
+                     keep: Iterable[tuple[int, int]]) -> tuple[int, list]:
+    """Packed (lo, hi) columns of a contraction: the rank r of the
+    contracted columns, and the kept columns reduced modulo their echelon
+    basis with its r pivot rows, which the reduction leaves zero, dropped.
+    Over GF(4) a nonzero remainder is scaled to 1 at its top row."""
+    basis = _echelon(field, contract)
+    pivots = sorted((b.bit_length() - 1 if field == GF2 else b[0] for b in basis),
+                    reverse=True)
+    out = []
+    for lo, hi in keep:
+        if field == GF2:
+            for b in basis:  # the reduction of _echelon
+                r = lo ^ b
+                if r < lo:
+                    lo = r
+        else:
+            lo, hi = (_reduce_gf4(basis, lo, hi) or (0, 0, 0))[1:]
+        for p in pivots:  # highest first, so lower positions stay put
+            lo = (lo >> (p + 1) << p) | (lo & ((1 << p) - 1))
+            hi = (hi >> (p + 1) << p) | (hi & ((1 << p) - 1))
+        out.append((lo, hi))
+    return len(basis), out
 
 
 def nullity_histogram(field: int, levels: Sequence[Sequence],

@@ -8,7 +8,7 @@ fine because every circuit-list fixture here has at most 9 elements.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from . import fields
 from .bounds import CYCLE_SPACE_COLS, MATROID_ENUM_BOUND, check_size
@@ -18,6 +18,37 @@ from .errors import (GroundMismatch, InternalInconsistency, LabelCollision,
 from .fields import GFMatrix
 
 Label = Hashable
+
+
+def subsets_by_size(elems: Sequence) -> Iterator[Iterator[frozenset]]:
+    """The nonempty subsets of elems, one level per size."""
+    return (map(frozenset, combinations(elems, k)) for k in range(1, len(elems) + 1))
+
+
+def minimal_dependent_sets(levels: Iterable[Iterable[frozenset]],
+                           dependent) -> list[frozenset]:
+    """Brute-force minimal dependent sets: levels lists the candidate sets by
+    increasing size, and a candidate is kept when it contains no kept set
+    and dependent(candidate) holds."""
+    found: list[frozenset] = []
+    for level in levels:
+        for w in level:
+            if not any(c <= w for c in found) and dependent(w):
+                found.append(w)
+    return found
+
+
+def rank_from_circuits(circuits: Iterable[frozenset], xs: frozenset) -> int:
+    """Size of a largest subset of xs containing no circuit, by brute force."""
+    inside = [c for c in circuits if c <= xs]
+    if not inside:
+        return len(xs)
+    for size in range(len(xs) - 1, 0, -1):
+        for sub in combinations(xs, size):
+            w = frozenset(sub)
+            if not any(c <= w for c in inside):
+                return size
+    return 0
 
 
 class Matroid:
@@ -123,22 +154,9 @@ class Matroid:
             r = fields.rank_of_vectors(self._matrix.field,
                                        (packed[self._index[e]] for e in xs))
         else:
-            r = self._rank_circuits(xs)
+            r = rank_from_circuits(self._circuits, xs)
         self._rank_cache[xs] = r
         return r
-
-    def _rank_circuits(self, xs: frozenset) -> int:
-        relevant = [c for c in self._circuits if c <= xs]
-        if not relevant:
-            return len(xs)
-        elems = sorted(xs, key=self._key)
-        n = len(elems)
-        for size in range(n, -1, -1):
-            for sub in combinations(elems, size):
-                w = frozenset(sub)
-                if not any(c <= w for c in relevant):
-                    return size
-        return 0
 
     def nullity_of(self, x: Iterable[Label]) -> int:
         xs = self._check_subset(x)
@@ -156,15 +174,8 @@ class Matroid:
         check_size(self.size, bound, "circuits")
         if self._circuits is not None:
             return list(self._circuits)
-        found: list[frozenset] = []
-        elems = sorted(self.ground, key=self._key)
-        for size in range(1, self.size + 1):
-            for sub in combinations(elems, size):
-                w = frozenset(sub)
-                if any(c <= w for c in found):
-                    continue
-                if self.rank_of(w) < size:
-                    found.append(w)
+        found = minimal_dependent_sets(subsets_by_size(sorted(self.ground, key=self._key)),
+                                       lambda w: self.rank_of(w) < len(w))
         return sorted(found, key=lambda c: tuple(sorted(map(self._key, c))))
 
     def bases(self, bound: int = MATROID_ENUM_BOUND) -> list[frozenset]:
@@ -215,39 +226,23 @@ class Matroid:
                 raise NotStandardForm("no identity block; pivot first")
             basis_labels = [unit[i] for i in range(m.rows)]
             cobasis = [e for e in self.ground if e not in set(basis_labels)]
-            cob_index = {e: i for i, e in enumerate(cobasis)}
-            rows = len(cobasis)
-            entries = {e: [0] * rows for e in self.ground}
-            for f in cobasis:
-                entries[f][cob_index[f]] = 1
             packed = m.columns_packed()
+            cols = {f: (1 << j, 0) for j, f in enumerate(cobasis)}
             for i, b in enumerate(basis_labels):
-                for f in cobasis:
-                    lo, hi = packed[self._index[f]]
-                    # -A^T == A^T in characteristic 2
-                    entries[b][cob_index[f]] = ((lo >> i) & 1) | (((hi >> i) & 1) << 1)
-            cols = [entries[e] for e in self.ground]
-            mat = GFMatrix.from_entries(m.field,
-                                        [[cols[j][i] for j in range(self.size)]
-                                         for i in range(rows)],
-                                        cols=self.size)
-            return Matroid(self.ground, matrix=mat)
+                # row i of the cobasis block: -A^T == A^T in characteristic 2
+                lo = hi = 0
+                for j, f in enumerate(cobasis):
+                    flo, fhi = packed[self._index[f]]
+                    lo |= ((flo >> i) & 1) << j
+                    hi |= ((fhi >> i) & 1) << j
+                cols[b] = (lo, hi)
+            return Matroid(self.ground, matrix=GFMatrix.from_columns(
+                m.field, len(cobasis), [cols[e] for e in self.ground]))
         # circuit list: minimal sets whose complement does not span
         r = self.rank()
         gset = frozenset(self.ground)
-        elems = sorted(self.ground, key=self._key)
-
-        def co_independent(xs):
-            return self.rank_of(gset - xs) == r
-
-        circuits: list[frozenset] = []
-        for size in range(1, self.size + 1):
-            for sub in combinations(elems, size):
-                w = frozenset(sub)
-                if any(c <= w for c in circuits):
-                    continue
-                if not co_independent(w):
-                    circuits.append(w)
+        circuits = minimal_dependent_sets(subsets_by_size(sorted(self.ground, key=self._key)),
+                                          lambda w: self.rank_of(gset - w) != r)
         return Matroid(self.ground, circuits=circuits, validate=False)
 
     def minor(self, contract: Iterable[Label] = (), delete: Iterable[Label] = ()) -> "Matroid":
@@ -255,63 +250,16 @@ class Matroid:
         dele = self._check_subset(delete)
         if con & dele:
             raise OverlappingSets(f"contract and delete share {set(con & dele)}")
+        keep = [e for e in self.ground if e not in con and e not in dele]
         if self._matrix is not None:
-            return self._minor_matrix(con, dele)
-        keep = [e for e in self.ground if e not in con and e not in dele]
+            m, col = self._matrix, dict(zip(self.ground, self._matrix.columns_packed()))
+            r, cols = fields.contract_columns(m.field, [col[e] for e in self.ground if e in con],
+                                              [col[e] for e in keep])
+            return Matroid(keep, matrix=GFMatrix.from_columns(m.field, m.rows - r, cols))
         base = self.rank_of(con)
-
-        def rk(xs):
-            return self.rank_of(frozenset(xs) | con) - base
-
-        circuits: list[frozenset] = []
-        elems = sorted(keep, key=self._key)
-        for size in range(1, len(keep) + 1):
-            for sub in combinations(elems, size):
-                w = frozenset(sub)
-                if any(c <= w for c in circuits):
-                    continue
-                if rk(w) < size:
-                    circuits.append(w)
+        circuits = minimal_dependent_sets(subsets_by_size(sorted(keep, key=self._key)),
+                                          lambda w: self.rank_of(w | con) - base < len(w))
         return Matroid(keep, circuits=circuits, validate=False)
-
-    def _minor_matrix(self, con: frozenset, dele: frozenset) -> "Matroid":
-        m = self._matrix
-        lo = list(m.row_lo)
-        hi = list(m.row_hi)
-        used_rows: list[int] = []
-        # pivot a maximal independent part of the contraction set, greedily
-        # in ground order for determinism
-        for e in (x for x in self.ground if x in con):
-            j = self._index[e]
-            pivot = None
-            for i in range(m.rows):
-                if i in used_rows:
-                    continue
-                if ((lo[i] >> j) & 1) | ((hi[i] >> j) & 1):
-                    pivot = i
-                    break
-            if pivot is None:
-                continue  # dependent on already-contracted part: a loop there
-            c = ((lo[pivot] >> j) & 1) | (((hi[pivot] >> j) & 1) << 1)
-            if c != 1:
-                lo[pivot], hi[pivot] = fields._scale_row(fields.scalar_inverse(c),
-                                                         lo[pivot], hi[pivot])
-            for i in range(m.rows):
-                if i == pivot:
-                    continue
-                c = ((lo[i] >> j) & 1) | (((hi[i] >> j) & 1) << 1)
-                if c:
-                    slo, shi = fields._scale_row(c, lo[pivot], hi[pivot])
-                    lo[i] ^= slo
-                    hi[i] ^= shi
-            used_rows.append(pivot)
-        keep_rows = [i for i in range(m.rows) if i not in used_rows]
-        keep = [e for e in self.ground if e not in con and e not in dele]
-        keep_cols = [self._index[e] for e in keep]
-        entries = [[((lo[i] >> j) & 1) | ((((hi[i] >> j) & 1)) << 1) for j in keep_cols]
-                   for i in keep_rows]
-        mat = GFMatrix.from_entries(m.field, entries, cols=len(keep))
-        return Matroid(keep, matrix=mat)
 
     def direct_sum(self, other: "Matroid") -> "Matroid":
         overlap = set(self.ground) & set(other.ground)

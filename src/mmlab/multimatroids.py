@@ -17,7 +17,8 @@ from . import fields
 from .bounds import MAX_CLASS_SIZE, ORDER_GENERAL, ORDER_ISO, check_order
 from .errors import (GroundMismatch, InternalInconsistency, MalformedInput,
                      NotSubtransversal, NotTriple, TooLarge, UnknownElement)
-from .matroids import Matroid
+from .matroids import (Matroid, minimal_dependent_sets, rank_from_circuits,
+                       subsets_by_size)
 
 Element = tuple[int, int]
 
@@ -167,8 +168,7 @@ class Multimatroid:
             if set(matroid.ground) != set(carrier.elements()):
                 raise GroundMismatch("sheltering matroid must be grounded on the carrier")
             if matroid.is_represented:
-                packed = matroid.matrix.columns_packed()
-                self._colvec = {e: packed[i] for i, e in enumerate(matroid.ground)}
+                self._colvec = dict(zip(matroid.ground, matroid.matrix.columns_packed()))
                 self._field = matroid.matrix.field
         else:
             fam = tuple(sorted({frozenset(c) for c in circuits}, key=sorted))
@@ -237,16 +237,12 @@ class Multimatroid:
         return r
 
     def _rank_circuits(self, s: frozenset) -> int:
-        inside = [c for c in self._circuits if c <= s]
-        if not inside:
-            return len(s)
-        elems = sorted(s)
-        for size in range(len(elems), -1, -1):
-            for sub in combinations(elems, size):
-                w = frozenset(sub)
-                if not any(c <= w for c in inside):
-                    return size
-        return 0
+        return rank_from_circuits(self._circuits, s)
+
+    def closure_in_class(self, s: frozenset, c: int) -> list[Element]:
+        """The elements x of class c with r(s + x) = r(s)."""
+        base = self._rank(s)
+        return [x for x in self.carrier.skew_class(c) if self._rank(s | {x}) == base]
 
     def nullity(self, elems: Iterable[Element]) -> int:
         s = frozenset(as_subtransversal(self.carrier, elems))
@@ -267,17 +263,16 @@ class Multimatroid:
         self._check_enum_bounds(order_bound, "circuits")
         if self._circuits is not None:
             return list(self._circuits)
-        found: list[frozenset] = []
-        for size in range(1, self.order + 1):
-            for class_set in combinations(range(self.order), size):
-                for slots in product(*[range(self.carrier.class_sizes[c])
-                                       for c in class_set]):
-                    s = frozenset(zip(class_set, slots))
-                    if any(c <= s for c in found):
-                        continue
-                    if self._rank(s) < size:
-                        found.append(s)
+        found = minimal_dependent_sets(self._subtransversal_levels(range(self.order)),
+                                       lambda s: self._rank(s) < len(s))
         return sorted(found, key=sorted)
+
+    def _subtransversal_levels(self, classes: Sequence[int]):
+        """The nonempty subtransversals within the given classes, by size."""
+        sizes = self.carrier.class_sizes
+        return ((frozenset(zip(cs, slots)) for cs in combinations(classes, k)
+                 for slots in product(*[range(sizes[c]) for c in cs]))
+                for k in range(1, len(classes) + 1))
 
     def bases(self, order_bound: int = ORDER_GENERAL) -> list[tuple[Element, ...]]:
         """All maximal independent subtransversals, canonically ordered."""
@@ -352,6 +347,12 @@ class Multimatroid:
             new_c += 1
         return Carrier(sizes), emap
 
+    def _packed(self, carrier: Carrier, labels: list, rows: int,
+                cols: list) -> "Multimatroid":
+        """Sheltered multimatroid on packed columns over this field."""
+        mat = fields.GFMatrix.from_columns(self._field, rows, cols)
+        return Multimatroid(carrier, matroid=Matroid(labels, matrix=mat))
+
     def restrict(self, keep_elems: Iterable[Element]) -> "Multimatroid":
         """Restriction to a subset of the ground set; classes shrink and may
         vanish."""
@@ -360,16 +361,13 @@ class Multimatroid:
             if not self.carrier.contains(e):
                 raise UnknownElement(f"{e!r} is not a carrier element")
         carrier, emap = self._shrink(keep)
-        if self._matroid is not None:
+        if self._colvec is not None:
             old = sorted(keep)
-            if self._matroid.is_represented:
-                idx = {e: i for i, e in enumerate(self._matroid.ground)}
-                sub = self._matroid.matrix.select_columns([idx[e] for e in old])
-                m = Matroid([emap[e] for e in old], matrix=sub)
-            else:
-                restr = self._matroid.minor(delete=set(self._matroid.ground) - keep)
-                m = _relabel_matroid(restr, emap)
-            return Multimatroid(carrier, matroid=m)
+            return self._packed(carrier, [emap[e] for e in old],
+                                self._matroid.matrix.rows, [self._colvec[e] for e in old])
+        if self._matroid is not None:
+            restr = self._matroid.minor(delete=set(self._matroid.ground) - keep)
+            return Multimatroid(carrier, matroid=_relabel_matroid(restr, emap))
         circuits = [frozenset(emap[e] for e in c)
                     for c in self._circuits if c <= keep]
         return Multimatroid(carrier, circuits=circuits, validate=False)
@@ -393,24 +391,23 @@ class Multimatroid:
         carrier = Carrier(sizes)
         emap = {(c, s): (cmap[c], s) for c in kept_classes
                 for s in range(self.carrier.class_sizes[c])}
+        if self._colvec is not None:
+            ground, cv = self._matroid.ground, self._colvec
+            kept = [e for e in ground if e in emap]
+            r, cols = fields.contract_columns(self._field, [cv[e] for e in ground if e in xs],
+                                              [cv[e] for e in kept])
+            return self._packed(carrier, [emap[e] for e in kept],
+                                self._matroid.matrix.rows - r, cols)
         if self._matroid is not None:
             siblings = {(c, s) for c in touched
                         for s in range(self.carrier.class_sizes[c])} - xs
             contracted = self._matroid.minor(contract=xs, delete=siblings)
             return Multimatroid(carrier, matroid=_relabel_matroid(contracted, emap))
         base = self._rank(xs)
-        found: list[frozenset] = []
-        for size in range(1, carrier.order + 1):
-            for class_set in combinations(kept_classes, size):
-                for slots in product(*[range(self.carrier.class_sizes[c])
-                                       for c in class_set]):
-                    s = frozenset(zip(class_set, slots))
-                    img = frozenset(emap[e] for e in s)
-                    if any(c <= img for c in found):
-                        continue
-                    if self._rank(s | xs) - base < size:
-                        found.append(img)
-        return Multimatroid(carrier, circuits=found, validate=False)
+        found = minimal_dependent_sets(self._subtransversal_levels(kept_classes),
+                                       lambda s: self._rank(s | xs) - base < len(s))
+        return Multimatroid(carrier, circuits=[frozenset(emap[e] for e in c) for c in found],
+                            validate=False)
 
     def minor_class_map(self, x: Iterable[Element]) -> list[int]:
         """Original indices of the classes surviving the minor by x."""
@@ -423,11 +420,10 @@ class Multimatroid:
 
 
 def _relabel_matroid(m: Matroid, emap: dict) -> Matroid:
-    labels = [emap[e] for e in m.ground]
-    if m.is_represented:
-        return Matroid(labels, matrix=m.matrix)
-    return Matroid(labels, circuits=[frozenset(emap[e] for e in c)
-                                     for c in m.circuits()], validate=False)
+    """A matroid without a matrix, relabelled through emap."""
+    return Matroid([emap[e] for e in m.ground],
+                   circuits=[frozenset(emap[e] for e in c) for c in m.circuits()],
+                   validate=False)
 
 
 # -- validators ---------------------------------------------------------------
@@ -441,13 +437,10 @@ def is_multimatroid(z: Multimatroid, cross_check: bool = True):
     verifies through order-one minors (at most one circuit) and insists the
     two routes agree.
     """
-    check_order(z.order, ORDER_GENERAL, "is_multimatroid")
+    z._check_enum_bounds(ORDER_GENERAL, "is_multimatroid")
     verdict, witness = True, None
     for s, miss in z.carrier.near_transversals():
-        fs = frozenset(s)
-        base = z._rank(fs)
-        flat = [x for x in z.carrier.skew_class(miss)
-                if z._rank(fs | {x}) == base]
+        flat = z.closure_in_class(frozenset(s), miss)
         if len(flat) >= 2:
             verdict, witness = False, (s, flat[0], flat[1])
             break
@@ -470,14 +463,10 @@ def is_tight(z: Multimatroid, cross_check: bool = True):
     also verifies that every order-one minor has a circuit.  Degenerate
     multimatroids are allowed.
     """
-    check_order(z.order, ORDER_GENERAL, "is_tight")
+    z._check_enum_bounds(ORDER_GENERAL, "is_tight")
     verdict, witness = True, None
     for s, miss in z.carrier.near_transversals():
-        fs = frozenset(s)
-        base = z._rank(fs)
-        raising = [x for x in z.carrier.skew_class(miss)
-                   if z._rank(fs | {x}) == base]
-        if len(raising) != 1:
+        if len(z.closure_in_class(frozenset(s), miss)) != 1:
             verdict, witness = False, (s, miss)
             break
     if cross_check:
@@ -515,22 +504,14 @@ def free_sum(matroids: Sequence[Matroid], validate: bool = False) -> Multimatroi
     if all(m.is_represented for m in matroids) and \
             len({m.matrix.field for m in matroids}) == 1:
         field = matroids[0].matrix.field
-        total_rows = sum(m.matrix.rows for m in matroids)
         labels = [(c, s) for c in range(order) for s in range(k)]
-        col_of = {e: j for j, e in enumerate(labels)}
-        lo = [0] * total_rows
-        hi = [0] * total_rows
+        cols = {}
         row0 = 0
         for i, m in enumerate(matroids):
-            packed = m.matrix.columns_packed()
-            for pos, e in enumerate(m.ground):
-                j = col_of[(class_of[e], i)]
-                clo, chi = packed[pos]
-                for r in range(m.matrix.rows):
-                    lo[row0 + r] |= ((clo >> r) & 1) << j
-                    hi[row0 + r] |= ((chi >> r) & 1) << j
+            for e, (clo, chi) in zip(m.ground, m.matrix.columns_packed()):
+                cols[(class_of[e], i)] = (clo << row0, chi << row0)
             row0 += m.matrix.rows
-        mat = fields.GFMatrix(field, total_rows, len(labels), lo, hi)
+        mat = fields.GFMatrix.from_columns(field, row0, [cols[e] for e in labels])
         z = Multimatroid(carrier, matroid=Matroid(labels, matrix=mat))
     else:
         circuits = []
@@ -558,15 +539,8 @@ def transversal_slot(z: Multimatroid, slot: int) -> tuple[Element, ...]:
 
 def _span_within(z: Multimatroid, t: tuple[Element, ...]) -> set[frozenset]:
     """Symmetric-difference span of the circuits inside one transversal."""
-    circuits = []
-    elems = sorted(t)
-    for size in range(1, len(elems) + 1):
-        for sub in combinations(elems, size):
-            s = frozenset(sub)
-            if any(c <= s for c in circuits):
-                continue
-            if z._rank(s) < size:
-                circuits.append(s)
+    circuits = minimal_dependent_sets(subsets_by_size(sorted(t)),
+                                      lambda s: z._rank(s) < len(s))
     space = {frozenset()}
     for c in circuits:
         if c not in space:

@@ -23,10 +23,10 @@ def matrix_to_dict(m: GFMatrix) -> dict:
 
 def matrix_from_dict(d: dict) -> GFMatrix:
     try:
-        field = int(d["field"])
-        rows = int(d["rows"])
-        cols = int(d["cols"])
-        raw = d["entries"]
+        field = _count(d["field"])
+        rows = _count(d["rows"])
+        cols = _count(d["cols"])
+        raw = _list(d["entries"], "matrix entries")
     except (KeyError, TypeError, ValueError):
         raise MalformedInput("matrix object needs field/rows/cols/entries")
     if field not in (2, 4):
@@ -35,7 +35,7 @@ def matrix_from_dict(d: dict) -> GFMatrix:
         raise MalformedInput("matrix entry row count mismatch")
     entries = []
     for row in raw:
-        if len(row) != cols:
+        if len(_list(row, "a matrix row")) != cols:
             raise MalformedInput("matrix entry column count mismatch")
         entries.append([parse_symbol(str(t), field) for t in row])
     return GFMatrix.from_entries(field, entries, cols=cols)
@@ -67,11 +67,17 @@ def _element(pair) -> tuple[int, int]:
     return (pair[0], pair[1])
 
 
+def _list(v, what: str):
+    if not isinstance(v, (list, tuple)):
+        raise MalformedInput(f"{what} must be a list")
+    return v
+
+
 def _count(v) -> int:
-    """int() of a JSON count; bools are not counts."""
-    if isinstance(v, bool):
-        raise ValueError(f"bool {v} is not a count")
-    return int(v)
+    """A JSON count: a real int, never a bool, float or string."""
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not a count")
+    return v
 
 
 def mm_from_dict(d: dict) -> Multimatroid:
@@ -85,16 +91,14 @@ def mm_from_dict(d: dict) -> Multimatroid:
         raise MalformedInput("order does not match class_sizes")
     carrier = Carrier(sizes)
     if kind == "circuits":
-        raw = d.get("circuits")
-        if raw is None:
-            raise MalformedInput("circuits kind needs a circuits list")
-        circuits = [frozenset(_element(p) for p in circ) for circ in raw]
+        circuits = [frozenset(_element(p) for p in _list(circ, "a circuit"))
+                    for circ in _list(d.get("circuits"), "circuits")]
         return Multimatroid(carrier, circuits=circuits)
     if kind == "sheltered":
         if "matrix" not in d or "columns" not in d:
             raise MalformedInput("sheltered kind needs matrix and columns")
         mat = matrix_from_dict(d["matrix"])
-        columns = [_element(p) for p in d["columns"]]
+        columns = [_element(p) for p in _list(d["columns"], "columns")]
         if len(columns) != mat.cols:
             raise MalformedInput("columns list does not match matrix width")
         return Multimatroid(carrier, matroid=Matroid(columns, matrix=mat))

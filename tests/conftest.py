@@ -7,9 +7,11 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from mmlab import catalog
 from mmlab.fields import GF2, GF4, GFMatrix, scalar_add, scalar_mul
-from mmlab.isotropic import Graph
+from mmlab.isotropic import Graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
+from mmlab.multimatroids import Multimatroid, dual_pair
 
 
 def make_rng(seed: int) -> random.Random:
@@ -73,6 +75,30 @@ def random_inv_symmetric(rng: random.Random, n: int) -> GFMatrix:
             entries[i][j] = v
             entries[j][i] = conjugate(v)
     return GFMatrix.from_entries(GF4, entries, cols=n)
+
+
+KINDS = ("gf2", "gf4", "gf4_pair", "circuits", "matroid_circuits", "fixture")
+
+
+def build(kind: str, rng: random.Random, n: int) -> Multimatroid:
+    """GF(2) and GF(4) packed builds, and the two realizations without
+    packed columns (circuit lists, matroids given by circuits)."""
+    if kind == "gf4":
+        return isotropic_multimatroid(random_inv_symmetric(rng, n),
+                                      validate=False).multimatroid
+    if kind == "gf4_pair":
+        return dual_pair(random_standard_form(rng, GF4, n))
+    if kind == "fixture":
+        return catalog.fixture(rng.choice(catalog.FIXTURE_NAMES))
+    z = isotropic_multimatroid(random_symmetric(rng, GF2, n),
+                               validate=False).multimatroid
+    if kind == "circuits":
+        return Multimatroid(z.carrier, circuits=z.circuits(), validate=False)
+    if kind == "matroid_circuits":
+        m = z.sheltering_matroid
+        return Multimatroid(z.carrier, matroid=Matroid(m.ground, circuits=m.circuits(),
+                                                       validate=False))
+    return z
 
 
 # -- independent oracles ---------------------------------------------------------

@@ -264,7 +264,13 @@ def _mm_file(tmp_path, obj) -> str:
     {"order": 2, "class_sizes": [True, 2], "kind": "circuits", "circuits": []},
     {"order": 2, "class_sizes": [1, 2], "kind": "circuits",
      "circuits": [[[True, False]]]},
-], ids=["order_not_int", "bool_class_size", "bool_element"])
+    {"order": 2, "class_sizes": [2.7, "2"], "kind": "circuits", "circuits": []},
+    {"order": 2.0, "class_sizes": [2, 2], "kind": "circuits", "circuits": []},
+    {"order": 1, "class_sizes": [2], "kind": "sheltered", "columns": [[0, 0], [0, 1]],
+     "matrix": {"field": 2, "rows": 1.0, "cols": 2, "entries": [["1", "0"]]}},
+    {"order": 1, "class_sizes": [2], "kind": "circuits", "circuits": 3},
+], ids=["order_not_int", "bool_class_size", "bool_element", "float_string_class_size",
+        "float_order", "float_matrix_rows", "circuits_not_a_list"])
 def test_mm_json_boundary_exit_1(tmp_path, capsys, obj):
     code = main(["poly", "q1", "--mm", _mm_file(tmp_path, obj)])
     out, err = capsys.readouterr()
@@ -279,3 +285,39 @@ def test_q1_rejects_class_size_above_bound(tmp_path, capsys):
     assert code == 2
     assert out.count("\n") == 1
     assert json.loads(out)["error"]["code"] == "TooLarge"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ort"], ["ort", "--via", "fast"], ["tight"], ["minors", "--pattern", "h33"],
+], ids=["ort", "ort_fast", "tight", "minors"])
+def test_enumerations_reject_class_size_above_bound(tmp_path, capsys, argv):
+    # `tight` printed a witness with a slot past "d" here and crashed
+    obj = {"order": 3, "class_sizes": [3, 4, 5], "kind": "circuits",
+           "circuits": [[[0, 2], [1, 3], [2, 4]], [[0, 1]]]}
+    code = main(argv + ["--mm", _mm_file(tmp_path, obj)])
+    out, _ = capsys.readouterr()
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["code"] == "TooLarge"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ort", "--via", "nope", "--graph", "{k2}"],
+    ["bogus"],
+    ["ort", "--graph", "{k2}", "--threads", "2"],
+    ["--threads", "x", "catalog", "list"],
+    [],
+], ids=["unknown_choice", "unknown_verb", "misplaced_threads", "threads_not_int",
+        "no_verb"])
+def test_usage_errors_exit_1(k2_file, capsys, argv):
+    code = main([k2_file if a == "{k2}" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("mmlab: ") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out, _ = capsys.readouterr()
+    assert exc.value.code == 0 and out.startswith("usage: mmlab")

@@ -1,0 +1,130 @@
+"""Property tests for the routes that read the parent's rank oracle.
+
+orienting_transversals tests each transversal's deletion through closures
+under z's own rank oracle, and packed minors and restrictions are built
+straight from the parent's columns.  Each is checked against a labelled
+reference that builds the deletion, or against the circuit-list route.
+"""
+
+import random
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import build, random_standard_form
+from mmlab.fields import GF2, GF4
+from mmlab.matroids import Matroid
+from mmlab.multimatroids import (Multimatroid, dual_pair, free_sum,
+                                 same_rank_oracle, tight_quick)
+from mmlab.orienting import _deletion_tightness, orienting_transversals
+
+seeds = st.integers(0, 2 ** 32 - 1)
+ORT_KINDS = ("gf2", "gf4", "gf4_pair", "gf2_pair", "free4", "mixed", "circuits",
+             "matroid_circuits", "fixture")
+
+
+def build_any(kind: str, rng: random.Random, n: int) -> Multimatroid:
+    """Class sizes 2 (pairs), 3 (isotropic builds, fixtures), 4 (free sums
+    of four matroids) and 2-4 mixed (restrictions of those)."""
+    if kind == "gf2_pair":
+        return dual_pair(random_standard_form(rng, GF2, n))
+    if kind in ("free4", "mixed"):
+        n = min(n, 3)  # 4^n transversals, each with a deletion in the reference
+        field = rng.choice((GF2, GF4))
+        z = free_sum([random_standard_form(rng, field, n) for _ in range(4)])
+        if kind == "free4":
+            return z
+        keep = [e for c in range(n)
+                for e in rng.sample(z.carrier.skew_class(c), rng.randint(2, 4))]
+        return z.restrict(keep)
+    return build(kind, rng, n)
+
+
+def reference_orienting(z: Multimatroid) -> list:
+    """Labelled reference: build each deletion and test its tightness."""
+    return [t for t in z.carrier.transversals() if tight_quick(z.delete(t))]
+
+
+@given(st.sampled_from(ORT_KINDS), seeds, st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_orienting_matches_deletion_reference(kind, seed, n):
+    z = build_any(kind, random.Random(seed), n)
+    assert orienting_transversals(z) == reference_orienting(z)
+
+
+@given(st.sampled_from(ORT_KINDS), seeds, st.integers(0, 4))
+@settings(max_examples=25, deadline=None)
+def test_deletion_test_on_degenerate_carriers(kind, seed, n):
+    """Classes of size one vanish with the deleted transversal."""
+    rng = random.Random(seed)
+    z = build_any(kind, rng, n)
+    keep = [e for c in range(z.order)
+            for e in rng.sample(z.carrier.skew_class(c),
+                                rng.randint(1, z.carrier.class_sizes[c]))]
+    z = z.restrict(keep)
+    test = _deletion_tightness(z)
+    for t in z.carrier.transversals():
+        assert test(t) == tight_quick(z.delete(t)), t
+
+
+def circuit_rebuild(z: Multimatroid) -> Multimatroid:
+    return Multimatroid(z.carrier, circuits=z.circuits(), validate=False)
+
+
+def random_subtransversal(rng: random.Random, z: Multimatroid, circuits) -> tuple:
+    """Half the time a circuit padded with further classes, so that the
+    contraction set is dependent whenever z has a circuit."""
+    picks = {}
+    if circuits and rng.random() < 0.5:
+        picks = dict(rng.choice(circuits))
+    for c in range(z.order):
+        if c not in picks and rng.random() < 0.3:
+            picks[c] = rng.randrange(z.carrier.class_sizes[c])
+    return tuple(sorted(picks.items()))
+
+
+@given(st.sampled_from(("gf2", "gf4", "gf4_pair", "free4", "mixed")), seeds,
+       st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_packed_minor_and_restrict_match_circuit_lists(kind, seed, n):
+    rng = random.Random(seed)
+    z = build_any(kind, rng, n)
+    zc = circuit_rebuild(z)
+    circuits = zc.circuit_family
+    for _ in range(3):
+        x = random_subtransversal(rng, z, circuits)
+        zx = z.minor(x)
+        assert zx.sheltering_matroid.is_represented
+        assert zx.sheltering_matroid.matrix.rows == \
+            z.sheltering_matroid.matrix.rows - z.rank(x)
+        assert same_rank_oracle(zx, zc.minor(x))
+        keep = [e for e in z.carrier.elements() if rng.random() < 0.7]
+        zr = z.restrict(keep)
+        assert zr.sheltering_matroid.is_represented
+        assert same_rank_oracle(zr, zc.restrict(keep))
+
+
+@given(st.sampled_from((GF2, GF4)), seeds, st.integers(0, 7))
+@settings(max_examples=40, deadline=None)
+def test_matroid_minor_rows_dual_and_standard_form(field, seed, n):
+    rng = random.Random(seed)
+    m = random_standard_form(rng, field, n)
+    ground = list(m.ground)
+    dep = [frozenset(c) for c in m.circuits()]
+    con = set(rng.choice(dep)) if dep and rng.random() < 0.5 else set()
+    con |= {e for e in ground if rng.random() < 0.3}
+    dele = {e for e in ground if e not in con and rng.random() < 0.3}
+    mm = m.minor(contract=con, delete=dele)
+    assert mm.matrix.rows == m.matrix.rows - m.rank_of(con)
+    by_circuits = Matroid(m.ground, circuits=m.circuits(), validate=False)
+    assert mm.same_matroid(by_circuits.minor(contract=con, delete=dele))
+    std = mm.standard_form()
+    assert std.matrix.rows == mm.rank()
+    assert std.same_matroid(mm)
+    dual = std.dual()
+    r = mm.rank()
+    for b in product((0, 1), repeat=mm.size):
+        sub = frozenset(e for e, bit in zip(mm.ground, b) if bit)
+        if len(sub) == r and mm.is_independent(sub):
+            assert dual.is_independent(frozenset(mm.ground) - sub)

@@ -13,42 +13,14 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_graph, random_inv_symmetric, random_standard_form,
-                      random_symmetric)
-from mmlab import catalog
+from conftest import KINDS, build, random_graph
 from mmlab.fields import GF2, GF4, nullity_histogram, rank_of_vectors
-from mmlab.isotropic import isotropic_multimatroid
-from mmlab.matroids import Matroid
-from mmlab.multimatroids import Carrier, Multimatroid, dual_pair
+from mmlab.multimatroids import Carrier, Multimatroid
 from mmlab.polynomials import (Polynomial, bracket, global_interlace,
                                interlace, q1, q1_avoiding, shifted_power_sum,
                                transition)
 
 seeds = st.integers(0, 2 ** 32 - 1)
-KINDS = ("gf2", "gf4", "gf4_pair", "circuits", "matroid_circuits", "fixture")
-
-
-def build(kind: str, rng: random.Random, n: int) -> Multimatroid:
-    """GF(2) and GF(4) packed builds, and the two realizations without
-    packed columns (circuit lists, matroids given by circuits)."""
-    if kind == "gf4":
-        return isotropic_multimatroid(random_inv_symmetric(rng, n),
-                                      validate=False).multimatroid
-    if kind == "gf4_pair":
-        return dual_pair(random_standard_form(rng, GF4, n))
-    if kind == "fixture":
-        return catalog.fixture(rng.choice(catalog.FIXTURE_NAMES))
-    z = isotropic_multimatroid(random_symmetric(rng, GF2, n),
-                               validate=False).multimatroid
-    if kind == "circuits":
-        return Multimatroid(z.carrier, circuits=z.circuits(), validate=False)
-    if kind == "matroid_circuits":
-        m = z.sheltering_matroid
-        return Multimatroid(z.carrier, matroid=Matroid(m.ground, circuits=m.circuits(),
-                                                       validate=False))
-    return z
-
-
 def reference_histogram(z: Multimatroid, banned=(), weights=None) -> list:
     hist = [0] * (z.order + 1)
     for t in z.carrier.transversals():
