@@ -186,6 +186,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise MalformedInput(" ".join(message.split()))
 
+    def _parse_optional(self, arg_string):
+        # a negative rational such as -1/2 is a value, never an option
+        if _RATIONAL.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

@@ -18,8 +18,8 @@ from .errors import (ConstructionMismatch, HasLoops, InternalInconsistency,
                      MalformedInput, NotInvSymmetric, NotSymmetric)
 from .fields import GF2, GF4, GFMatrix
 from .matroids import Matroid
-from .multimatroids import (Carrier, Element, Multimatroid, dual_pair,
-                            is_multimatroid, is_tight, same_rank_oracle)
+from .multimatroids import (Carrier, Element, Multimatroid, dual_pair, is_tight,
+                            same_rank_oracle)
 
 
 class Graph:
@@ -224,11 +224,8 @@ def _build_from_blocks(a: GFMatrix, block_slots, source: GFMatrix,
     build = IsotropicBuild(source=source, matrix=a, matroid=matroid,
                            multimatroid=z, block_slots=tuple(block_slots),
                            swapped_classes=swapped, graph=graph)
-    if validate:
-        ok_mm, _ = is_multimatroid(z)
-        ok_tight, _ = is_tight(z)
-        if not ok_mm or not ok_tight:
-            raise InternalInconsistency("isotropic build failed validation")
+    if validate and not is_tight(z)[0]:  # tight implies the multimatroid exclusion
+        raise InternalInconsistency("isotropic build failed validation")
     return build
 
 

@@ -1,10 +1,12 @@
 """Carriers, subtransversals and multimatroids.
 
 Elements are (class_index, slot) pairs, canonically ordered lexicographically.
-A multimatroid is a carrier plus one of two realizations: sheltered by an
-ordinary matroid whose ground set is exactly the element set, or an explicit
-family of circuit subtransversals.  Every algorithm goes through the single
-rank oracle, so the two realizations are interchangeable.
+A multimatroid is a carrier plus one of two realizations: sheltered by a
+represented matroid whose ground set is exactly the element set (kept as
+packed columns), or an explicit family of circuit subtransversals.  A
+sheltering matroid given by circuits is kept as its subtransversal circuits.
+Every algorithm goes through the single rank oracle, so the two realizations
+are interchangeable.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import fields
-from .bounds import MAX_CLASS_SIZE, ORDER_GENERAL, ORDER_ISO, check_order
+from .bounds import (MAX_CLASS_SIZE, ORDER_CYCLE_SPACE, ORDER_GENERAL, ORDER_ISO,
+                     ORDER_ORT, check_order)
 from .errors import (GroundMismatch, InternalInconsistency, MalformedInput,
                      NotSubtransversal, NotTriple, TooLarge, UnknownElement)
 from .matroids import (Matroid, minimal_dependent_sets, rank_from_circuits,
@@ -157,7 +160,7 @@ class Multimatroid:
     def __init__(self, carrier: Carrier, matroid: Matroid | None = None,
                  circuits: Iterable[frozenset] | None = None, validate: bool = True):
         self.carrier = carrier
-        self._matroid = matroid
+        self._matroid = None
         self._circuits = None
         self._rank_cache: dict[frozenset, int] = {}
         self._colvec = None
@@ -168,17 +171,23 @@ class Multimatroid:
             if set(matroid.ground) != set(carrier.elements()):
                 raise GroundMismatch("sheltering matroid must be grounded on the carrier")
             if matroid.is_represented:
+                self._matroid = matroid
                 self._colvec = dict(zip(matroid.ground, matroid.matrix.columns_packed()))
                 self._field = matroid.matrix.field
-        else:
-            fam = tuple(sorted({frozenset(c) for c in circuits}, key=sorted))
-            for c in fam:
-                if not c:
-                    raise MalformedInput("empty circuit")
-                as_subtransversal(carrier, c)
-            self._circuits = fam
-            if validate:
-                self._validate_semi_axioms()
+                return
+            # No matrix: the given circuits lying in subtransversals fix the
+            # rank of every subtransversal, so they become the circuit list.
+            circuits = [c for c in matroid.circuits(bound=matroid.size)
+                        if not carrier.classes_with_pair(c)]
+            validate = False
+        fam = tuple(sorted({frozenset(c) for c in circuits}, key=sorted))
+        for c in fam:
+            if not c:
+                raise MalformedInput("empty circuit")
+            as_subtransversal(carrier, c)
+        self._circuits = fam
+        if validate:
+            self._validate_semi_axioms()
 
     def _validate_semi_axioms(self):
         """Per-transversal circuit axioms, via compatible pairs: antichain
@@ -229,8 +238,6 @@ class Multimatroid:
         if self._colvec is not None:
             cv = self._colvec
             r = fields.rank_of_vectors(self._field, (cv[e] for e in s))
-        elif self._matroid is not None:
-            r = self._matroid.rank_of(s)
         else:
             r = self._rank_circuits(s)
         self._rank_cache[s] = r
@@ -316,8 +323,8 @@ class Multimatroid:
             return fields.nullity_histogram(
                 self._field, [[cv[e][0] if gf2 else cv[e] for e in es] for es in cands],
                 None if weights is None else [[weights[e] for e in es] for es in cands])
-        # Second path, for realizations without packed columns (circuit
-        # lists, matroids without a matrix): one rank-oracle call per leaf.
+        # Second path, for circuit-list realizations (including matroids
+        # given by circuits): one rank-oracle call per leaf.
         hist = [0] * (self.order + 1)
         for t in product(*cands):
             w = 1 if weights is None else prod(weights[e] for e in t)
@@ -365,9 +372,6 @@ class Multimatroid:
             old = sorted(keep)
             return self._packed(carrier, [emap[e] for e in old],
                                 self._matroid.matrix.rows, [self._colvec[e] for e in old])
-        if self._matroid is not None:
-            restr = self._matroid.minor(delete=set(self._matroid.ground) - keep)
-            return Multimatroid(carrier, matroid=_relabel_matroid(restr, emap))
         circuits = [frozenset(emap[e] for e in c)
                     for c in self._circuits if c <= keep]
         return Multimatroid(carrier, circuits=circuits, validate=False)
@@ -398,11 +402,6 @@ class Multimatroid:
                                               [cv[e] for e in kept])
             return self._packed(carrier, [emap[e] for e in kept],
                                 self._matroid.matrix.rows - r, cols)
-        if self._matroid is not None:
-            siblings = {(c, s) for c in touched
-                        for s in range(self.carrier.class_sizes[c])} - xs
-            contracted = self._matroid.minor(contract=xs, delete=siblings)
-            return Multimatroid(carrier, matroid=_relabel_matroid(contracted, emap))
         base = self._rank(xs)
         found = minimal_dependent_sets(self._subtransversal_levels(kept_classes),
                                        lambda s: self._rank(s | xs) - base < len(s))
@@ -419,65 +418,52 @@ class Multimatroid:
         return f"Multimatroid({self.carrier!r}, {self.kind})"
 
 
-def _relabel_matroid(m: Matroid, emap: dict) -> Matroid:
-    """A matroid without a matrix, relabelled through emap."""
-    return Matroid([emap[e] for e in m.ground],
-                   circuits=[frozenset(emap[e] for e in c) for c in m.circuits()],
-                   validate=False)
-
-
 # -- validators ---------------------------------------------------------------
+
+
+def _near_transversal_flats(z: Multimatroid, op: str, cross_check: bool):
+    """Yield (S, missing_class, closure) for every near-transversal S in
+    canonical order, where the closure lists the elements x of the missing
+    class with r(S + x) = r(S).  With cross_check, the loops of the
+    order-one minor by S, a second route through contraction, must be
+    exactly the closure at every S."""
+    z._check_enum_bounds(ORDER_GENERAL, op)
+    for s, miss in z.carrier.near_transversals():
+        flat = z.closure_in_class(frozenset(s), miss)
+        if cross_check:
+            loops = [(miss, x) for c in z.minor(s).circuits() for _, x in c]
+            if loops != flat:
+                raise InternalInconsistency(f"{op}: the order-one minor by {list(s)} "
+                                            "disagrees with the closure")
+        yield s, miss, flat
 
 
 def is_multimatroid(z: Multimatroid, cross_check: bool = True):
     """Check the defining exclusion (at most one element of a missing class
     may change the nullity of a near-transversal).
 
-    Returns (True, None) or (False, (S, x1, x2)).  With cross_check, also
-    verifies through order-one minors (at most one circuit) and insists the
-    two routes agree.
+    Returns (True, None) or (False, (S, x1, x2)).  With cross_check, every
+    near-transversal scanned is also checked through its order-one minor.
     """
-    z._check_enum_bounds(ORDER_GENERAL, "is_multimatroid")
-    verdict, witness = True, None
-    for s, miss in z.carrier.near_transversals():
-        flat = z.closure_in_class(frozenset(s), miss)
+    for s, _miss, flat in _near_transversal_flats(z, "is_multimatroid", cross_check):
         if len(flat) >= 2:
-            verdict, witness = False, (s, flat[0], flat[1])
-            break
-    if cross_check:
-        alt = True
-        for s, _miss in z.carrier.near_transversals():
-            if len(z.minor(s).circuits()) > 1:
-                alt = False
-                break
-        if alt != verdict:
-            raise InternalInconsistency("multimatroid validators disagree")
-    return verdict, witness
+            return False, (s, flat[0], flat[1])
+    return True, None
 
 
 def is_tight(z: Multimatroid, cross_check: bool = True):
     """Check tightness: every near-transversal has exactly one element of its
-    missing class that raises nullity.
+    missing class that raises nullity.  Tightness implies the exclusion
+    checked by is_multimatroid.
 
     Returns (True, None) or (False, (S, missing_class)).  With cross_check,
-    also verifies that every order-one minor has a circuit.  Degenerate
-    multimatroids are allowed.
+    every near-transversal scanned is also checked through its order-one
+    minor.  Degenerate multimatroids are allowed.
     """
-    z._check_enum_bounds(ORDER_GENERAL, "is_tight")
-    verdict, witness = True, None
-    for s, miss in z.carrier.near_transversals():
-        if len(z.closure_in_class(frozenset(s), miss)) != 1:
-            verdict, witness = False, (s, miss)
-            break
-    if cross_check:
-        alt = True
-        for s, _miss in z.carrier.near_transversals():
-            if not z.minor(s).circuits():
-                alt = False
-                break
-        if alt != verdict:
-            raise InternalInconsistency("tightness validators disagree")
-    return verdict, witness
+    for s, miss, flat in _near_transversal_flats(z, "is_tight", cross_check):
+        if len(flat) != 1:
+            return False, (s, miss)
+    return True, None
 
 
 def tight_quick(z: Multimatroid) -> bool:
@@ -548,7 +534,7 @@ def _span_within(z: Multimatroid, t: tuple[Element, ...]) -> set[frozenset]:
     return space
 
 
-def cycle_space(z: Multimatroid, order_bound: int = 6) -> list[frozenset]:
+def cycle_space(z: Multimatroid, order_bound: int = ORDER_CYCLE_SPACE) -> list[frozenset]:
     """Union over all transversals of the per-transversal cycle spaces."""
     check_order(z.order, order_bound, "cycle_space")
     out: set[frozenset] = set()
@@ -558,7 +544,7 @@ def cycle_space(z: Multimatroid, order_bound: int = 6) -> list[frozenset]:
 
 
 def cycle_space_avoiding(z: Multimatroid, avoid: Iterable[Element],
-                         order_bound: int = 7) -> list[frozenset]:
+                         order_bound: int = ORDER_ORT) -> list[frozenset]:
     """Cycle space of the deletion of `avoid`, in the original labels."""
     check_order(z.order, order_bound, "cycle_space_avoiding")
     banned = set(avoid)

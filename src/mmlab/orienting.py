@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import prod
 from typing import Iterable
@@ -153,12 +154,9 @@ class EvalReport:
 def _validate_binary_tight3(z: Multimatroid) -> None:
     if not z.carrier.is_uniform(3):
         raise NotBinaryTight3("carrier must have class size 3 throughout")
-    ok, _ = is_multimatroid(z)
-    if not ok:
-        raise NotBinaryTight3("not a multimatroid")
-    ok, _ = is_tight(z)
-    if not ok:
-        raise NotBinaryTight3("not tight")
+    if not is_tight(z)[0]:  # tightness implies the multimatroid exclusion
+        raise NotBinaryTight3("not tight" if is_multimatroid(z)[0]
+                              else "not a multimatroid")
     circuits = z.circuits()
     for c1, c2 in combinations(circuits, 2):
         if len(z.carrier.classes_with_pair(c1 | c2)) % 2:
@@ -206,6 +204,7 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element],
         return sum((weights[x] for x in z.carrier.skew_class(cls)
                     if x not in excluded), Fraction(0))
 
+    @cache  # the unions y1 | y2 repeat
     def class_product(excluded: frozenset) -> Fraction:
         return prod((class_sum(cls, excluded) for cls in range(ell)), start=Fraction(1))
 

@@ -49,7 +49,7 @@ def mm_to_dict(z: Multimatroid) -> dict:
         "class_sizes": list(z.carrier.class_sizes),
     }
     m = z.sheltering_matroid
-    if m is not None and m.is_represented:
+    if m is not None:
         base["kind"] = "sheltered"
         base["matrix"] = matrix_to_dict(m.matrix)
         base["columns"] = [[c, s] for (c, s) in m.ground]

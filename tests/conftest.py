@@ -2,16 +2,29 @@
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
+import mmlab
 from mmlab import catalog
 from mmlab.fields import GF2, GF4, GFMatrix, scalar_add, scalar_mul
 from mmlab.isotropic import Graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import Multimatroid, dual_pair
+
+
+@pytest.fixture(autouse=True, scope="session")
+def mmlab_importable_in_subprocesses():
+    """`python -m mmlab` subprocesses import the package this suite imports,
+    also when pytest found it through the `pythonpath` setting alone."""
+    src = str(Path(mmlab.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 def make_rng(seed: int) -> random.Random:

@@ -160,6 +160,15 @@ def test_tutte_verb(u24_file, capsys):
     assert code == 0 and json.loads(out) == "37/4"
 
 
+def test_tutte_negative_rational_as_separate_value(u24_file, capsys):
+    code = main(["tutte", "--matroid", u24_file, "--x=-1/2", "--y=-2/3"])
+    want, _ = capsys.readouterr()
+    assert code == 0
+    code = main(["tutte", "--matroid", u24_file, "--x", "-1/2", "--y", "-2/3"])
+    out, err = capsys.readouterr()
+    assert code == 0 and out == want and err == ""
+
+
 def test_tutte_rejects_floats(u24_file, capsys):
     code = main(["tutte", "--matroid", u24_file, "--x", "0.5", "--y", "1"])
     out, err = capsys.readouterr()

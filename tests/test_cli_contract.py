@@ -8,6 +8,7 @@ and no exception escapes main().
 """
 
 import contextlib
+import copy
 import io
 import json
 import random
@@ -73,9 +74,15 @@ def mutate_json(rng: random.Random, node):
         node[i] = mutate_json(rng, node[i])
         return node
     if isinstance(node, dict) and rng.random() < 0.3:
-        node[rng.choice(["order", "kind", "extra"])] = rng.choice(JUNK)
+        node[rng.choice(["order", "kind", "extra"])] = junk(rng)
         return node
-    return rng.choice(JUNK)
+    return junk(rng)
+
+
+def junk(rng: random.Random):
+    """A fresh copy of a JUNK entry: a later mutation edits lists and dicts in
+    place, and a shared entry would carry that edit into the next example."""
+    return copy.deepcopy(rng.choice(JUNK))
 
 
 def mutate_text(rng: random.Random, text: str) -> str:

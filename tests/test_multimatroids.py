@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, random_standard_form
-from mmlab import catalog
-from mmlab.errors import (GroundMismatch, NotSubtransversal, NotTriple,
-                          TooLarge, UnknownElement)
+from mmlab import catalog, serialize
+from mmlab.errors import (GroundMismatch, InternalInconsistency,
+                          NotSubtransversal, NotTriple, TooLarge, UnknownElement)
 from mmlab.fields import GF2, GFMatrix
 from mmlab.isotropic import Graph, from_graph
 from mmlab.matroids import Matroid
@@ -378,6 +378,45 @@ def test_realizations_are_interchangeable(rng):
         z = dual_pair(random_standard_form(rng, GF2, rng.randint(1, 4)))
         rebuilt = Multimatroid(z.carrier, circuits=z.circuits())
         assert same_rank_oracle(z, rebuilt)
+
+
+def test_matroid_given_by_circuits_is_kept_as_circuit_list(rng):
+    for _ in range(4):
+        z = from_graph(random_graph(rng, 3, loops=True), validate=False).multimatroid
+        m = z.sheltering_matroid
+        by_matroid = Multimatroid(z.carrier, matroid=Matroid(
+            m.ground, circuits=m.circuits(), validate=False))
+        listed = Multimatroid(z.carrier, circuits=z.circuits())
+        assert by_matroid.kind == "circuits" and by_matroid.sheltering_matroid is None
+        assert by_matroid.circuit_family == listed.circuit_family
+        assert same_rank_oracle(by_matroid, listed)
+        assert same_rank_oracle(by_matroid, z)
+        assert serialize.mm_to_dict(by_matroid) == serialize.mm_to_dict(listed)
+
+
+def test_validators_cross_check_each_near_transversal(monkeypatch):
+    # one extra loop in a single order-one minor leaves the tightness
+    # verdicts of the two routes equal, but not their closures
+    z = from_graph(Graph(2, [(0, 1)])).multimatroid
+    assert is_tight(z)[0] and is_multimatroid(z)[0]
+    target = frozenset({(1, 0)})
+    original = Multimatroid.minor
+
+    def minor(self, x):
+        m = original(self, x)
+        if frozenset(x) != target:
+            return m
+        loops = m.circuits()
+        extra = next(frozenset({e}) for e in m.carrier.elements()
+                     if frozenset({e}) not in loops)
+        return Multimatroid(m.carrier, circuits=loops + [extra], validate=False)
+
+    monkeypatch.setattr(Multimatroid, "minor", minor)
+    with pytest.raises(InternalInconsistency):
+        is_tight(z)
+    with pytest.raises(InternalInconsistency):
+        is_multimatroid(z)
+    assert is_tight(z, cross_check=False) == (True, None)
 
 
 def test_enumeration_bounds():

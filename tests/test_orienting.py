@@ -9,9 +9,9 @@ from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, cycle_space_within,
                                  dual_pair, free_sum, is_tight,
                                  sum_subtransversals, transversal_slot)
-from mmlab.orienting import (disjoint_orienting, evaluation_suite,
-                             is_orienting, orienting_from_seed,
-                             orienting_transversals)
+from mmlab.orienting import (_validate_binary_tight3, disjoint_orienting,
+                             evaluation_suite, is_orienting,
+                             orienting_from_seed, orienting_transversals)
 from mmlab.polynomials import q1
 
 
@@ -214,6 +214,32 @@ def test_eval_suite_rejects_non_binary():
         evaluation_suite(catalog.fixture("h33"), ((0, 0), (1, 0), (2, 0)))
     with pytest.raises(NotBinaryTight3):
         evaluation_suite(catalog.fixture("s4"), ((0, 0), (1, 0), (2, 0), (3, 0)))
+
+
+def test_eval_suite_names_the_failed_condition():
+    carrier = Carrier.uniform(2, 3)
+    t = ((0, 0), (1, 0))
+    two_loops = Multimatroid(carrier, circuits=[frozenset({(0, 0)}),
+                                                frozenset({(0, 1)})])
+    with pytest.raises(NotBinaryTight3, match="not a multimatroid"):
+        evaluation_suite(two_loops, t)
+    free = Multimatroid(carrier, circuits=[])
+    with pytest.raises(NotBinaryTight3, match="not tight"):
+        evaluation_suite(free, t)
+
+
+def test_validation_builds_one_minor_per_near_transversal(monkeypatch):
+    z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
+    built = []
+    original = Multimatroid.minor
+
+    def minor(self, x):
+        built.append(frozenset(x))
+        return original(self, x)
+
+    monkeypatch.setattr(Multimatroid, "minor", minor)
+    _validate_binary_tight3(z)
+    assert len(built) == len(set(built)) == len(list(z.carrier.near_transversals())) == 27
 
 
 def test_eval_suite_report_dict():
