@@ -1,8 +1,10 @@
 """Enumeration bounds.
 
 Every exponential enumeration is guarded by a hard bound; exceeding it raises
-TooLarge rather than truncating.  The MMLAB_MAX_ORDER environment variable
-replaces the per-operation *order* bounds (class-count bounds) when set.
+TooLarge rather than truncating.  The bounds are the constants below, and no
+operation takes a bound argument.  The MMLAB_MAX_ORDER environment variable
+is the only override: when set, it replaces the per-operation *order* bounds
+(class-count bounds).
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import os
 from .errors import TooLarge
 
 MAX_CLASS_SIZE = 4
+ISO_CLASS_SIZE = 3
 MATROID_ENUM_BOUND = 16
+TUTTE_DIAGONAL_SIZE = 10
 CYCLE_SPACE_COLS = 24
 
 ORDER_GENERAL = 8

@@ -5,6 +5,7 @@ parity counts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from typing import Iterable
 
@@ -16,8 +17,8 @@ from .fields import GF2, GF4, GFMatrix
 from .isotropic import IsotropicBuild, isotropic_multimatroid, pair_multimatroid
 from .matroids import Matroid, minimal_dependent_sets
 from .multimatroids import (Carrier, Element, Multimatroid,
-                            as_subtransversal, dual_pair, is_tight,
-                            isomorphic, same_rank_oracle, tight_quick)
+                            as_subtransversal, dual_pair, is_tight, isomorphic,
+                            odd_skew_pair, same_rank_oracle, tight_quick)
 
 _A = 0
 _B = 1
@@ -69,6 +70,7 @@ def fixture_s5() -> Multimatroid:
     return _two_carrier_circuits(4, circuits)
 
 
+@cache  # the classifier's minor pattern; a build is never mutated
 def fixture_h33() -> IsotropicBuild:
     a = GFMatrix.from_entries(GF4, [[0, 1, 2], [1, 0, 1], [3, 1, 0]])
     return isotropic_multimatroid(a)
@@ -110,12 +112,11 @@ def fixture(name: str) -> Multimatroid:
 # -- minor scanning ---------------------------------------------------------------
 
 
-def has_minor(z: Multimatroid, pattern: Multimatroid,
-              order_bound: int = ORDER_MINOR_SCAN):
+def has_minor(z: Multimatroid, pattern: Multimatroid):
     """First subtransversal X (lexicographically) whose minor is isomorphic
     to the pattern, with the witness map from pattern elements into original
     elements of z; None when no minor matches."""
-    z._check_enum_bounds(order_bound, "has_minor")
+    z._check_enum_bounds(ORDER_MINOR_SCAN, "has_minor")
     drop = z.order - pattern.order
     if drop < 0:
         return None
@@ -147,8 +148,7 @@ class StrongBinaryCertificate:
         return pair_multimatroid(self.matrix, self.basis)
 
 
-def is_strongly_binary(z: Multimatroid,
-                       order_bound: int = ORDER_STRONGLY_BINARY):
+def is_strongly_binary(z: Multimatroid):
     """Reconstruct the symmetric GF(2) matrix of a pair representation, or
     report that none exists.
 
@@ -160,7 +160,7 @@ def is_strongly_binary(z: Multimatroid,
         raise Degenerate("strong binarity needs a nondegenerate multimatroid")
     if not z.carrier.is_uniform(2):
         raise MalformedInput("strong binarity is defined for class size 2")
-    check_order(z.order, order_bound, "is_strongly_binary")
+    check_order(z.order, ORDER_STRONGLY_BINARY, "is_strongly_binary")
     n = z.order
     basis = None
     for t in z.carrier.transversals():
@@ -221,13 +221,12 @@ class ClassifyReport:
         return out
 
 
-def classify_binary_tight3(z: Multimatroid,
-                           order_bound: int = ORDER_CLASSIFY) -> ClassifyReport:
+def classify_binary_tight3(z: Multimatroid) -> ClassifyReport:
     """Three independent binarity tests on a tight 3-matroid, demanded to be
     unanimous: strong binarity of one transversal deletion, absence of the
     order-3 quaternary excluded minor, and skew-pair parity of circuit
     unions."""
-    check_order(z.order, order_bound, "classify_binary_tight3")
+    check_order(z.order, ORDER_CLASSIFY, "classify_binary_tight3")
     if not z.carrier.is_uniform(3):
         raise MalformedInput("classification needs class size 3 throughout")
     ok, _ = is_tight(z)
@@ -237,16 +236,8 @@ def classify_binary_tight3(z: Multimatroid,
     t = tuple((c, 0) for c in range(z.order))
     cert = is_strongly_binary(z.delete(t))
 
-    h33 = fixture_h33().multimatroid
-    witness = has_minor(z, h33)
-
-    parity = None
-    circuits = z.circuits()
-    for c1, c2 in combinations(circuits, 2):
-        pairs = len(z.carrier.classes_with_pair(c1 | c2))
-        if pairs % 2:
-            parity = (c1, c2, pairs)
-            break
+    witness = has_minor(z, fixture_h33().multimatroid)
+    parity = odd_skew_pair(z)
 
     votes = [cert is not None, witness is None, parity is None]
     if len(set(votes)) != 1:
@@ -258,8 +249,7 @@ def classify_binary_tight3(z: Multimatroid,
 # -- tight extension search -------------------------------------------------------
 
 
-def tight_extension(z: Multimatroid,
-                    order_bound: int = ORDER_EXTENSION) -> Multimatroid | None:
+def tight_extension(z: Multimatroid) -> Multimatroid | None:
     """Search for the tight 3-matroid whose third-slot deletion equals the
     given nondegenerate 2-matroid.
 
@@ -277,7 +267,7 @@ def tight_extension(z: Multimatroid,
         raise Degenerate("tight extension needs a nondegenerate multimatroid")
     if not z.carrier.is_uniform(2):
         raise MalformedInput("tight extension lifts a 2-matroid")
-    check_order(z.order, order_bound, "tight_extension")
+    check_order(z.order, ORDER_EXTENSION, "tight_extension")
     ell = z.order
     carrier = Carrier.uniform(ell, 3)
 

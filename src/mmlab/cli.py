@@ -18,8 +18,8 @@ from fractions import Fraction
 from . import catalog, isotropic, orienting, polynomials, serialize
 from .errors import MalformedInput, MMLabError
 from .matroids import Matroid
-from .multimatroids import (Multimatroid, element_label, is_multimatroid,
-                            is_tight, parse_element_label)
+from .multimatroids import (Multimatroid, element_label, near_transversal_scan,
+                            parse_element_label)
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -119,18 +119,17 @@ def _cmd_evals(args) -> None:
 
 def _cmd_tight(args) -> None:
     z = _mm_from_args(args)
-    ok_mm, wit_mm = is_multimatroid(z)
-    out = {"multimatroid": ok_mm}
-    if not ok_mm:
-        s, x1, x2 = wit_mm
+    excess, loose = near_transversal_scan(z, "is_multimatroid")
+    out = {"multimatroid": excess is None}
+    if excess is not None:
+        s, x1, x2 = excess
         out["witness"] = {"subtransversal": _labels(s),
                           "elements": [element_label(x1), element_label(x2)]}
         out["tight"] = None
     else:
-        ok_t, wit_t = is_tight(z)
-        out["tight"] = ok_t
-        if not ok_t:
-            s, miss = wit_t
+        out["tight"] = loose is None
+        if loose is not None:
+            s, miss = loose
             out["witness"] = {"subtransversal": _labels(s),
                               "missing_class": miss + 1}
     _emit(out)

@@ -167,9 +167,6 @@ class GFMatrix:
             self._cols_packed = tuple(packed)
         return self._cols_packed
 
-    def column(self, j: int) -> tuple[int, int]:
-        return self.columns_packed()[j]
-
     def transpose(self) -> "GFMatrix":
         cols = self.columns_packed()
         return GFMatrix(self.field, self.cols, self.rows,
@@ -195,9 +192,6 @@ class GFMatrix:
         return GFMatrix(self.field, self.rows, self.cols,
                         [a ^ b for a, b in zip(self.row_lo, other.row_lo)],
                         [a ^ b for a, b in zip(self.row_hi, other.row_hi)])
-
-    def is_zero(self) -> bool:
-        return not any(self.row_lo) and not any(self.row_hi)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GFMatrix)

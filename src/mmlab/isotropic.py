@@ -51,17 +51,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in set(self.edges)
 
-    def toggle_loops(self, verts: Iterable[int]) -> "Graph":
-        vs = set(verts)
-        edges = set(self.edges)
-        for v in vs:
-            loop = (v, v)
-            if loop in edges:
-                edges.remove(loop)
-            else:
-                edges.add(loop)
-        return Graph(self.n, edges)
-
     def adjacency_matrix(self) -> GFMatrix:
         return GFMatrix(GF2, self.n, self.n, self._adj)
 
@@ -126,11 +115,11 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def eulerian_subsets(g: Graph, bound: int = VERTEX_EULERIAN) -> list[frozenset]:
+def eulerian_subsets(g: Graph) -> list[frozenset]:
     """All vertex sets inducing a subgraph with every degree even."""
     if not g.is_simple():
         raise HasLoops("Eulerian subsets need a loopless graph")
-    check_size(g.n, bound, "eulerian_subsets")
+    check_size(g.n, VERTEX_EULERIAN, "eulerian_subsets")
     adj = g.adj_masks
     out = []
     for mask in range(1 << g.n):
@@ -327,12 +316,12 @@ def bicycle_dimension(m: Matroid) -> int:
     return build.multimatroid.nullity(build.block_transversal(3))
 
 
-def ort_via_eulerian(g: Graph, bound: int = VERTEX_ORT_EULERIAN) -> list[tuple[Element, ...]]:
+def ort_via_eulerian(g: Graph) -> list[tuple[Element, ...]]:
     """Orienting transversals of the graph build, assembled from Eulerian
     induced subgraphs and neighborhood parities."""
     if not g.is_simple():
         raise HasLoops("needs a loopless graph")
-    check_size(g.n, bound, "ort_via_eulerian")
+    check_size(g.n, VERTEX_ORT_EULERIAN, "ort_via_eulerian")
     out = []
     for x in eulerian_subsets(g):
         odd, even = neighborhood_parity(g, x)

@@ -169,17 +169,17 @@ class Matroid:
         xs = self._check_subset(x)
         return self.rank_of(xs) == len(xs)
 
-    def circuits(self, bound: int = MATROID_ENUM_BOUND) -> list[frozenset]:
+    def circuits(self) -> list[frozenset]:
         """All minimal dependent subsets, lexicographically sorted."""
-        check_size(self.size, bound, "circuits")
+        check_size(self.size, MATROID_ENUM_BOUND, "circuits")
         if self._circuits is not None:
             return list(self._circuits)
         found = minimal_dependent_sets(subsets_by_size(sorted(self.ground, key=self._key)),
                                        lambda w: self.rank_of(w) < len(w))
         return sorted(found, key=lambda c: tuple(sorted(map(self._key, c))))
 
-    def bases(self, bound: int = MATROID_ENUM_BOUND) -> list[frozenset]:
-        check_size(self.size, bound, "bases")
+    def bases(self) -> list[frozenset]:
+        check_size(self.size, MATROID_ENUM_BOUND, "bases")
         r = self.rank()
         elems = sorted(self.ground, key=self._key)
         return [frozenset(sub) for sub in combinations(elems, r)
@@ -321,10 +321,10 @@ class Matroid:
                         shrunk = True
             rest -= circ
 
-    def tutte(self, x, y, bound: int = MATROID_ENUM_BOUND):
+    def tutte(self, x, y):
         """Deletion-contraction evaluation of the two-variable rank polynomial
         at (x, y); loops contribute y, coloops x."""
-        check_size(self.size, bound, "tutte")
+        check_size(self.size, MATROID_ENUM_BOUND, "tutte")
         memo: dict[tuple[frozenset, frozenset], object] = {}
 
         def rank_minor(con: frozenset, xs: frozenset) -> int:

@@ -16,8 +16,8 @@ from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import fields
-from .bounds import (MAX_CLASS_SIZE, ORDER_CYCLE_SPACE, ORDER_GENERAL, ORDER_ISO,
-                     ORDER_ORT, check_order)
+from .bounds import (ISO_CLASS_SIZE, MAX_CLASS_SIZE, ORDER_CYCLE_SPACE,
+                     ORDER_GENERAL, ORDER_ISO, ORDER_ORT, check_order)
 from .errors import (GroundMismatch, InternalInconsistency, MalformedInput,
                      NotSubtransversal, NotTriple, TooLarge, UnknownElement)
 from .matroids import (Matroid, minimal_dependent_sets, rank_from_circuits,
@@ -177,7 +177,7 @@ class Multimatroid:
                 return
             # No matrix: the given circuits lying in subtransversals fix the
             # rank of every subtransversal, so they become the circuit list.
-            circuits = [c for c in matroid.circuits(bound=matroid.size)
+            circuits = [c for c in matroid._circuits
                         if not carrier.classes_with_pair(c)]
             validate = False
         fam = tuple(sorted({frozenset(c) for c in circuits}, key=sorted))
@@ -260,14 +260,14 @@ class Multimatroid:
 
     # -- enumeration ---------------------------------------------------------
 
-    def _check_enum_bounds(self, order_bound: int, op: str) -> None:
-        check_order(self.order, order_bound, op)
+    def _check_enum_bounds(self, default: int, op: str) -> None:
+        check_order(self.order, default, op)
         if self.carrier.class_sizes and max(self.carrier.class_sizes) > MAX_CLASS_SIZE:
             raise TooLarge(f"{op}: class size exceeds {MAX_CLASS_SIZE}")
 
-    def circuits(self, order_bound: int = ORDER_GENERAL) -> list[frozenset]:
+    def circuits(self) -> list[frozenset]:
         """All minimal dependent subtransversals, lexicographically sorted."""
-        self._check_enum_bounds(order_bound, "circuits")
+        self._check_enum_bounds(ORDER_GENERAL, "circuits")
         if self._circuits is not None:
             return list(self._circuits)
         found = minimal_dependent_sets(self._subtransversal_levels(range(self.order)),
@@ -281,9 +281,9 @@ class Multimatroid:
                  for slots in product(*[range(sizes[c]) for c in cs]))
                 for k in range(1, len(classes) + 1))
 
-    def bases(self, order_bound: int = ORDER_GENERAL) -> list[tuple[Element, ...]]:
+    def bases(self) -> list[tuple[Element, ...]]:
         """All maximal independent subtransversals, canonically ordered."""
-        self._check_enum_bounds(order_bound, "bases")
+        self._check_enum_bounds(ORDER_GENERAL, "bases")
         out = []
         for s in self.carrier.subtransversals():
             fs = frozenset(s)
@@ -438,6 +438,21 @@ def _near_transversal_flats(z: Multimatroid, op: str, cross_check: bool):
         yield s, miss, flat
 
 
+def near_transversal_scan(z: Multimatroid, op: str, cross_check: bool = True):
+    """Both validators from one scan: (exclusion witness (S, x1, x2),
+    tightness witness (S, missing_class)), each None when its check passes.
+    The scan stops at the first closure of two or more elements, where the
+    exclusion fails; the tightness witness is the first near-transversal
+    whose closure is not exactly one element."""
+    loose = None
+    for s, miss, flat in _near_transversal_flats(z, op, cross_check):
+        if len(flat) >= 2:
+            return (s, flat[0], flat[1]), loose or (s, miss)
+        if not flat and loose is None:
+            loose = (s, miss)
+    return None, loose
+
+
 def is_multimatroid(z: Multimatroid, cross_check: bool = True):
     """Check the defining exclusion (at most one element of a missing class
     may change the nullity of a near-transversal).
@@ -445,10 +460,8 @@ def is_multimatroid(z: Multimatroid, cross_check: bool = True):
     Returns (True, None) or (False, (S, x1, x2)).  With cross_check, every
     near-transversal scanned is also checked through its order-one minor.
     """
-    for s, _miss, flat in _near_transversal_flats(z, "is_multimatroid", cross_check):
-        if len(flat) >= 2:
-            return False, (s, flat[0], flat[1])
-    return True, None
+    witness = near_transversal_scan(z, "is_multimatroid", cross_check)[0]
+    return witness is None, witness
 
 
 def is_tight(z: Multimatroid, cross_check: bool = True):
@@ -469,6 +482,17 @@ def is_tight(z: Multimatroid, cross_check: bool = True):
 def tight_quick(z: Multimatroid) -> bool:
     """Single-route tightness test for enumeration loops."""
     return is_tight(z, cross_check=False)[0]
+
+
+def odd_skew_pair(z: Multimatroid):
+    """The first two circuits whose union has an odd number of skew pairs
+    (classes it meets twice), with that number; None when every union is
+    even."""
+    for c1, c2 in combinations(z.circuits(), 2):
+        pairs = len(z.carrier.classes_with_pair(c1 | c2))
+        if pairs % 2:
+            return c1, c2, pairs
+    return None
 
 
 # -- free sums and matroid pairs ----------------------------------------------
@@ -534,19 +558,18 @@ def _span_within(z: Multimatroid, t: tuple[Element, ...]) -> set[frozenset]:
     return space
 
 
-def cycle_space(z: Multimatroid, order_bound: int = ORDER_CYCLE_SPACE) -> list[frozenset]:
+def cycle_space(z: Multimatroid) -> list[frozenset]:
     """Union over all transversals of the per-transversal cycle spaces."""
-    check_order(z.order, order_bound, "cycle_space")
+    check_order(z.order, ORDER_CYCLE_SPACE, "cycle_space")
     out: set[frozenset] = set()
     for t in z.carrier.transversals():
         out |= _span_within(z, t)
     return sorted(out, key=lambda c: (len(c), sorted(c)))
 
 
-def cycle_space_avoiding(z: Multimatroid, avoid: Iterable[Element],
-                         order_bound: int = ORDER_ORT) -> list[frozenset]:
+def cycle_space_avoiding(z: Multimatroid, avoid: Iterable[Element]) -> list[frozenset]:
     """Cycle space of the deletion of `avoid`, in the original labels."""
-    check_order(z.order, order_bound, "cycle_space_avoiding")
+    check_order(z.order, ORDER_ORT, "cycle_space_avoiding")
     banned = set(avoid)
     out: set[frozenset] = set()
     for t in z.carrier.transversals():
@@ -577,15 +600,14 @@ def same_rank_oracle(z1: Multimatroid, z2: Multimatroid) -> bool:
     return True
 
 
-def isomorphic(z1: Multimatroid, z2: Multimatroid,
-               order_bound: int = ORDER_ISO):
+def isomorphic(z1: Multimatroid, z2: Multimatroid):
     """Search for an isomorphism (class permutation plus per-class slot
     bijections) carrying circuits onto circuits; returns the element map or
     None."""
-    check_order(max(z1.order, z2.order), order_bound, "isomorphic")
+    check_order(max(z1.order, z2.order), ORDER_ISO, "isomorphic")
     sizes = z1.carrier.class_sizes + z2.carrier.class_sizes
-    if sizes and max(sizes) > 3:
-        raise TooLarge("isomorphism search handles class sizes up to 3")
+    if sizes and max(sizes) > ISO_CLASS_SIZE:
+        raise TooLarge(f"isomorphism search handles class sizes up to {ISO_CLASS_SIZE}")
     if z1.order != z2.order:
         return None
     if sorted(z1.carrier.class_sizes) != sorted(z2.carrier.class_sizes):

@@ -21,19 +21,19 @@ from typing import Iterable
 from .bounds import ORDER_EVALS, ORDER_ORT, check_order
 from .errors import (Degenerate, NotBinaryTight3, NotOrienting, NotTight)
 from .multimatroids import (Element, Multimatroid, as_subtransversal,
-                            cycle_space_avoiding, is_multimatroid, is_tight,
+                            cycle_space_avoiding, element_label,
+                            near_transversal_scan, odd_skew_pair,
                             sum_subtransversals, tight_quick)
 from .polynomials import Polynomial
 
 _WEIGHT_SEED = 20260809
 
 
-def orienting_transversals(z: Multimatroid,
-                           order_bound: int = ORDER_ORT) -> list[tuple[Element, ...]]:
+def orienting_transversals(z: Multimatroid) -> list[tuple[Element, ...]]:
     """All transversals whose deletion is tight, in canonical order."""
     if not z.is_nondegenerate():
         raise Degenerate("orienting transversals need a nondegenerate multimatroid")
-    z._check_enum_bounds(order_bound, "orienting_transversals")
+    z._check_enum_bounds(ORDER_ORT, "orienting_transversals")
     deletion_tight = _deletion_tightness(z)
     return [t for t in z.carrier.transversals() if deletion_tight(t)]
 
@@ -72,12 +72,10 @@ def _deletion_tightness(z: Multimatroid):
     return deletion_tight
 
 
-def disjoint_orienting(z: Multimatroid, t: Iterable[Element],
-                       order_bound: int = ORDER_ORT) -> list[tuple[Element, ...]]:
+def disjoint_orienting(z: Multimatroid, t: Iterable[Element]) -> list[tuple[Element, ...]]:
     """Orienting transversals avoiding the given transversal."""
     tt = set(as_subtransversal(z.carrier, t))
-    return [y for y in orienting_transversals(z, order_bound)
-            if tt.isdisjoint(y)]
+    return [y for y in orienting_transversals(z) if tt.isdisjoint(y)]
 
 
 def is_orienting(z: Multimatroid, t: Iterable[Element]) -> bool:
@@ -92,17 +90,16 @@ def is_orienting(z: Multimatroid, t: Iterable[Element]) -> bool:
     return all(len(tt & c) != 1 for c in z.circuits())
 
 
-def orienting_from_seed(z: Multimatroid, seed: Iterable[Element],
-                        order_bound: int = ORDER_ORT) -> list[tuple[Element, ...]]:
+def orienting_from_seed(z: Multimatroid, seed: Iterable[Element]) -> list[tuple[Element, ...]]:
     """Coset route: seed plus each cycle of the deletion of the seed, under
     the triple-carrier sum."""
-    z._check_enum_bounds(order_bound, "orienting_from_seed")
+    z._check_enum_bounds(ORDER_ORT, "orienting_from_seed")
     t0 = as_subtransversal(z.carrier, seed)
     if len(t0) != z.order:
         raise NotOrienting("seed must be a transversal")
     if not _deletion_tightness(z)(t0):
         raise NotOrienting("seed transversal is not orienting")
-    cs = cycle_space_avoiding(z, t0, order_bound)
+    cs = cycle_space_avoiding(z, t0)
     return sorted(sum_subtransversals(z.carrier, t0, c) for c in cs)
 
 
@@ -137,7 +134,7 @@ class EvalReport:
 
         out = {
             "order": self.order,
-            "transversal": [f"{c + 1}{'abcd'[s]}" for c, s in self.transversal],
+            "transversal": [element_label(e) for e in self.transversal],
             "ort_count": self.ort_count,
             "pass": self.passed,
             "identities": [],
@@ -154,13 +151,11 @@ class EvalReport:
 def _validate_binary_tight3(z: Multimatroid) -> None:
     if not z.carrier.is_uniform(3):
         raise NotBinaryTight3("carrier must have class size 3 throughout")
-    if not is_tight(z)[0]:  # tightness implies the multimatroid exclusion
-        raise NotBinaryTight3("not tight" if is_multimatroid(z)[0]
-                              else "not a multimatroid")
-    circuits = z.circuits()
-    for c1, c2 in combinations(circuits, 2):
-        if len(z.carrier.classes_with_pair(c1 | c2)) % 2:
-            raise NotBinaryTight3("circuit union with an odd number of skew pairs")
+    excess, loose = near_transversal_scan(z, "is_tight")
+    if loose is not None:
+        raise NotBinaryTight3("not tight" if excess is None else "not a multimatroid")
+    if odd_skew_pair(z) is not None:
+        raise NotBinaryTight3("circuit union with an odd number of skew pairs")
 
 
 def _transition_eval(z: Multimatroid, weights, ys,
@@ -176,12 +171,10 @@ def _q1_eval(z: Multimatroid, ys, banned: frozenset = frozenset()) -> list[Fract
     return _transition_eval(z, None, ys, banned)
 
 
-def evaluation_suite(z: Multimatroid, t: Iterable[Element],
-                     order_bound: int = ORDER_EVALS,
-                     rng_seed: int = _WEIGHT_SEED) -> EvalReport:
+def evaluation_suite(z: Multimatroid, t: Iterable[Element]) -> EvalReport:
     """Exact cross-checks of the transversal-sum evaluations against the
     orienting-transversal side, on a validated binary tight 3-matroid."""
-    check_order(z.order, order_bound, "evaluation_suite")
+    check_order(z.order, ORDER_EVALS, "evaluation_suite")
     _validate_binary_tight3(z)
     tt = as_subtransversal(z.carrier, t)
     if len(tt) != z.order:
@@ -192,7 +185,7 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element],
     report = EvalReport(order=ell, transversal=tt, ort_count=len(ort_all))
     ids = report.identities
 
-    rng = random.Random(rng_seed + 7 * ell)
+    rng = random.Random(_WEIGHT_SEED + 7 * ell)
     weights = {e: Fraction(rng.randint(1, 9), rng.randint(1, 4))
                for e in sorted(z.carrier.elements())}
     halving_ys = [Fraction(2 * rng.randint(-12, 12)) for _ in range(5)]
@@ -233,22 +226,13 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element],
                             lhs_del2 == rhs))
 
     # minor expansion of the same value, and the odd cofactor
-    ort_minor_count: dict[frozenset, int] = {frozenset(): len(ort_all)}
-
-    def ort_count_of_minor(f: frozenset) -> int:
-        hit = ort_minor_count.get(f)
-        if hit is None:
-            hit = len(orienting_transversals(z.minor(f)))
-            ort_minor_count[f] = hit
-        return hit
-
     rank_t = z._rank(tset)
     rhs5 = Fraction(0)
     k = 0
     for size in range(ell + 1):
         for sub in combinations(tt, size):
             f = frozenset(sub)
-            cnt = ort_count_of_minor(f)
+            cnt = len(orienting_transversals(z.minor(f))) if f else len(ort_all)
             rf = z._rank(f)
             rhs5 += Fraction((-1) ** size * cnt * 2 ** (ell - rf))
             k += (-1) ** size * cnt * 2 ** (rank_t - rf)

@@ -14,8 +14,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping
 
-from .bounds import (ORDER_GENERAL, VERTEX_GLOBAL_INTERLACE, VERTEX_INTERLACE,
-                     check_order, check_size)
+from .bounds import (ORDER_GENERAL, TUTTE_DIAGONAL_SIZE, VERTEX_GLOBAL_INTERLACE,
+                     VERTEX_INTERLACE, check_order, check_size)
 from .errors import (Degenerate, IncompleteWeights, MalformedInput,
                      NotSubtransversal)
 from .fields import GF2, nullity_histogram
@@ -113,25 +113,23 @@ def shifted_power_sum(counts: Mapping[int, object], shift: int) -> Polynomial:
 # -- transition polynomials ---------------------------------------------------
 
 
-def q1(z: Multimatroid, order_bound: int = ORDER_GENERAL) -> Polynomial:
+def q1(z: Multimatroid) -> Polynomial:
     """Transversal nullity generating polynomial (all weights one);
     integer coefficients, nonnegative, summing to the transversal count."""
-    z._check_enum_bounds(order_bound, "q1")
+    z._check_enum_bounds(ORDER_GENERAL, "q1")
     return Polynomial(z.nullity_histogram())
 
 
-def q1_avoiding(z: Multimatroid, banned: Iterable[Element],
-                order_bound: int = ORDER_GENERAL) -> Polynomial:
+def q1_avoiding(z: Multimatroid, banned: Iterable[Element]) -> Polynomial:
     """q1 of the deletion of the banned elements, computed in place over the
     transversals that avoid them."""
-    z._check_enum_bounds(order_bound, "q1_avoiding")
+    z._check_enum_bounds(ORDER_GENERAL, "q1_avoiding")
     return Polynomial(z.nullity_histogram(banned))
 
 
-def transition(z: Multimatroid, weights: Mapping[Element, object],
-               order_bound: int = ORDER_GENERAL) -> Polynomial:
+def transition(z: Multimatroid, weights: Mapping[Element, object]) -> Polynomial:
     """Weighted transition polynomial with exact rational weights."""
-    z._check_enum_bounds(order_bound, "transition")
+    z._check_enum_bounds(ORDER_GENERAL, "transition")
     for e in z.carrier.elements():
         if e not in weights:
             raise IncompleteWeights(f"missing weight for {e}")
@@ -139,8 +137,7 @@ def transition(z: Multimatroid, weights: Mapping[Element, object],
         weights={e: Fraction(1) * w for e, w in weights.items()}))
 
 
-def q1_expansion(z: Multimatroid, t: Iterable[Element], direction: str,
-                 order_bound: int = ORDER_GENERAL) -> Polynomial:
+def q1_expansion(z: Multimatroid, t: Iterable[Element], direction: str) -> Polynomial:
     """Subset expansions of the transversal-sum polynomial over one
     transversal.
 
@@ -148,7 +145,7 @@ def q1_expansion(z: Multimatroid, t: Iterable[Element], direction: str,
     deletion of t; direction "plus" evaluates the unsigned expansion equal
     to q1 of z itself.
     """
-    check_order(z.order, order_bound, "q1_expansion")
+    check_order(z.order, ORDER_GENERAL, "q1_expansion")
     if not z.is_nondegenerate():
         raise Degenerate("expansion needs a nondegenerate multimatroid")
     tt = as_subtransversal(z.carrier, t)
@@ -173,9 +170,9 @@ def q1_expansion(z: Multimatroid, t: Iterable[Element], direction: str,
     return total
 
 
-def tutte_diagonal(m: Matroid, x, order_bound: int = 10):
+def tutte_diagonal(m: Matroid, x):
     """Diagonal Tutte value computed through the paired 2-matroid."""
-    check_size(m.size, order_bound, "tutte_diagonal")
+    check_size(m.size, TUTTE_DIAGONAL_SIZE, "tutte_diagonal")
     z = dual_pair(m)
     return q1(z)(Fraction(x) - 1)
 
@@ -200,19 +197,19 @@ def _toggle_histogram(g, xmasks: Iterable[int], toggled: bool) -> dict[int, int]
     return dict(enumerate(counts))
 
 
-def interlace(g, bound: int = VERTEX_INTERLACE) -> Polynomial:
+def interlace(g) -> Polynomial:
     """Induced-subgraph nullity polynomial in (y - 1)."""
-    check_size(g.n, bound, "interlace")
+    check_size(g.n, VERTEX_INTERLACE, "interlace")
     return shifted_power_sum(_toggle_histogram(g, range(1 << g.n), False), -1)
 
 
-def global_interlace(g, bound: int = VERTEX_GLOBAL_INTERLACE) -> Polynomial:
+def global_interlace(g) -> Polynomial:
     """Loop-toggled induced-subgraph nullity polynomial in (y - 2)."""
-    check_size(g.n, bound, "global_interlace")
+    check_size(g.n, VERTEX_GLOBAL_INTERLACE, "global_interlace")
     return shifted_power_sum(_toggle_histogram(g, range(1 << g.n), True), -2)
 
 
-def bracket(g, bound: int = VERTEX_INTERLACE) -> Polynomial:
+def bracket(g) -> Polynomial:
     """Loop-toggle nullity polynomial over the full vertex set."""
-    check_size(g.n, bound, "bracket")
+    check_size(g.n, VERTEX_INTERLACE, "bracket")
     return shifted_power_sum(_toggle_histogram(g, [(1 << g.n) - 1], True), 0)

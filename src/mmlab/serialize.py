@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bounds import ORDER_GENERAL
 from .errors import MalformedInput
 from .fields import GFMatrix, parse_symbol, symbol
 from .matroids import Matroid
@@ -56,7 +55,7 @@ def mm_to_dict(z: Multimatroid) -> dict:
         return base
     base["kind"] = "circuits"
     base["circuits"] = [[[c, s] for (c, s) in sorted(circ)]
-                        for circ in z.circuits(order_bound=ORDER_GENERAL)]
+                        for circ in z.circuits()]
     return base
 
 

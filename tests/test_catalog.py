@@ -375,3 +375,18 @@ def test_bases_within_class_extension_counts(rng):
         Carrier.uniform(1, 2),
         matroid=Matroid([(0, 0), (0, 1)], matrix=GFMatrix.identity(GF2, 2)))
     assert catalog.bases_within_class_extension(free2, ((0, 0),), 0) == 2
+
+
+def test_classify_runs_one_tightness_scan(monkeypatch):
+    from mmlab import multimatroids
+    z = catalog.fixture("h33")
+    ops = []
+    original = multimatroids._near_transversal_flats
+
+    def scan(z, op, cross_check):
+        ops.append(op)
+        return original(z, op, cross_check)
+
+    monkeypatch.setattr(multimatroids, "_near_transversal_flats", scan)
+    assert catalog.classify_binary_tight3(z).binary is False
+    assert ops == ["is_tight"]

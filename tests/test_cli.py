@@ -116,6 +116,21 @@ def test_tight_witness(capsys, monkeypatch):
     assert "witness" in data
 
 
+def test_tight_builds_one_minor_per_near_transversal(h33_file, capsys, monkeypatch):
+    from mmlab.multimatroids import Multimatroid
+    built = []
+    original = Multimatroid.minor
+
+    def minor(self, x):
+        built.append(frozenset(x))
+        return original(self, x)
+
+    monkeypatch.setattr(Multimatroid, "minor", minor)
+    assert main(["tight", "--mm", h33_file]) == 0
+    assert json.loads(capsys.readouterr()[0]) == {"multimatroid": True, "tight": True}
+    assert len(built) == len(set(built)) == 27
+
+
 def test_minors_verb(capsys, monkeypatch):
     dump = json.dumps(serialize.mm_to_dict(catalog.fixture("z-u24-3")))
     code, out, _ = run_cli(["minors", "--mm", "-", "--pattern", "h33"],

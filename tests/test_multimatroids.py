@@ -1,8 +1,13 @@
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, random_standard_form
+import mmlab
 from mmlab import catalog, serialize
 from mmlab.errors import (GroundMismatch, InternalInconsistency,
                           NotSubtransversal, NotTriple, TooLarge, UnknownElement)
@@ -425,3 +430,46 @@ def test_enumeration_bounds():
         big.circuits()
     with pytest.raises(TooLarge):
         is_tight(big)
+
+
+def test_sheltering_by_circuits_beyond_the_enumeration_bound():
+    # 18 elements: more than a matroid's circuits() may enumerate, but the
+    # given circuit family is read as is
+    carrier = Carrier.uniform(9, 2)
+    circuits = [{(0, 0), (1, 0), (2, 0)}, {(3, 1), (4, 1)}, {(5, 0), (5, 1)}]
+    z = Multimatroid(carrier, matroid=Matroid.from_circuits(carrier.elements(), circuits))
+    assert carrier.ground_size == 18
+    assert z.kind == "circuits"
+    assert z.circuit_family == (frozenset(circuits[0]), frozenset(circuits[1]))
+    assert z.rank(circuits[0]) == 2
+
+
+def _public_callables(mod):
+    for name, obj in vars(mod).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # class/static methods
+                if inspect.isfunction(member) and (attr == "__init__"
+                                                   or not attr.startswith("_")):
+                    yield f"{name}.{attr}", member
+        elif callable(obj):
+            yield name, obj
+
+
+def test_no_public_callable_takes_a_bound_or_seed():
+    """Bounds are the constants in mmlab.bounds, overridden only by
+    MMLAB_MAX_ORDER, and the evaluation report's seed is fixed."""
+    offenders, seen = [], 0
+    for info in pkgutil.iter_modules(mmlab.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"mmlab.{info.name}")
+        for qual, fn in _public_callables(mod):
+            seen += 1
+            params = set(inspect.signature(fn).parameters)
+            if params & {"order_bound", "bound", "rng_seed"}:
+                offenders.append(f"{mod.__name__}.{qual}")
+    assert seen > 100
+    assert offenders == []
