@@ -120,11 +120,7 @@ def has_minor(z: Multimatroid, pattern: Multimatroid):
     drop = z.order - pattern.order
     if drop < 0:
         return None
-    candidates = []
-    for class_set in combinations(range(z.order), drop):
-        for slots in product(*[range(z.carrier.class_sizes[c]) for c in class_set]):
-            candidates.append(tuple(zip(class_set, slots)))
-    for x in sorted(candidates):
+    for x in sorted(s for s in z.carrier.subtransversals() if len(s) == drop):
         zx = z.minor(x)
         if zx.carrier != pattern.carrier:
             continue

@@ -261,10 +261,8 @@ def pair_multimatroid(a: GFMatrix, basis_transversal=None) -> Multimatroid:
     """
     if a.rows != a.cols:
         raise MalformedInput("matrix must be square")
-    if a.field == GF2 and not _is_symmetric(a):
-        raise NotSymmetric("GF(2) source must be symmetric")
-    if a.field == GF4 and not _is_symmetric(a):
-        raise NotSymmetric("GF(4) source must be symmetric")
+    if not _is_symmetric(a):
+        raise NotSymmetric(f"GF({a.field}) source must be symmetric")
     n = a.rows
     if basis_transversal is None:
         basis_transversal = tuple((v, 0) for v in range(n))
@@ -338,13 +336,7 @@ def graph_nullity_bridge(g: Graph, t: Iterable[Element],
         build = from_graph(g, validate=False)
     tt = tuple(sorted(t))
     x1, x2, x3 = build.vertex_split(tt)
-    xmask = 0
-    for v in x2 | x3:
-        xmask |= 1 << v
-    tmask = 0
-    for v in x3:
-        tmask |= 1 << v
-    graph_side = g.nullity_mask(xmask, tmask)
+    graph_side = g.adjacency_nullity(x2 | x3, x3)
     mm_side = build.multimatroid.nullity(tt)
     if graph_side != mm_side:
         raise InternalInconsistency(

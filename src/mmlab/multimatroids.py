@@ -2,16 +2,18 @@
 
 Elements are (class_index, slot) pairs, canonically ordered lexicographically.
 A multimatroid is a carrier plus one of two realizations: sheltered by a
-represented matroid whose ground set is exactly the element set (kept as
-packed columns), or an explicit family of circuit subtransversals.  A
-sheltering matroid given by circuits is kept as its subtransversal circuits.
-Every algorithm goes through the single rank oracle, so the two realizations
-are interchangeable.
+represented matroid whose ground set is exactly the element set, or an
+explicit family of circuit subtransversals.  A sheltered multimatroid keeps
+only its field, row count and packed columns; minors and restrictions are
+built straight from those, and the sheltering matroid is rebuilt from them on
+demand.  A sheltering matroid given by circuits is kept as its subtransversal
+circuits.  Every algorithm goes through the single rank oracle, so the two
+realizations are interchangeable.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -154,26 +156,23 @@ def sum_subtransversals(carrier: Carrier, x: Iterable[Element],
 class Multimatroid:
     """A carrier plus a rank oracle, realized as sheltered or circuit-list."""
 
-    __slots__ = ("carrier", "_matroid", "_circuits", "_rank_cache",
-                 "_colvec", "_field")
+    __slots__ = ("carrier", "_circuits", "_rank_cache", "_field", "_rows", "_colvec")
 
     def __init__(self, carrier: Carrier, matroid: Matroid | None = None,
                  circuits: Iterable[frozenset] | None = None, validate: bool = True):
         self.carrier = carrier
-        self._matroid = None
         self._circuits = None
         self._rank_cache: dict[frozenset, int] = {}
-        self._colvec = None
-        self._field = None
+        self._field = self._rows = self._colvec = None
         if (matroid is None) == (circuits is None):
             raise MalformedInput("exactly one of matroid/circuits required")
         if matroid is not None:
             if set(matroid.ground) != set(carrier.elements()):
                 raise GroundMismatch("sheltering matroid must be grounded on the carrier")
             if matroid.is_represented:
-                self._matroid = matroid
-                self._colvec = dict(zip(matroid.ground, matroid.matrix.columns_packed()))
-                self._field = matroid.matrix.field
+                mat = matroid.matrix
+                self._field, self._rows = mat.field, mat.rows
+                self._colvec = dict(zip(matroid.ground, mat.columns_packed()))
                 return
             # No matrix: the given circuits lying in subtransversals fix the
             # rank of every subtransversal, so they become the circuit list.
@@ -188,6 +187,16 @@ class Multimatroid:
         self._circuits = fam
         if validate:
             self._validate_semi_axioms()
+
+    @classmethod
+    def _sheltered(cls, carrier: Carrier, field: int, rows: int,
+                   colvec: dict[Element, tuple[int, int]]) -> "Multimatroid":
+        """Sheltered multimatroid on packed columns over `rows` rows, keyed
+        by exactly the carrier's elements in ground order."""
+        z = cls.__new__(cls)
+        z.carrier, z._circuits, z._rank_cache = carrier, None, {}
+        z._field, z._rows, z._colvec = field, rows, colvec
+        return z
 
     def _validate_semi_axioms(self):
         """Per-transversal circuit axioms, via compatible pairs: antichain
@@ -208,11 +217,16 @@ class Multimatroid:
 
     @property
     def kind(self) -> str:
-        return "sheltered" if self._matroid is not None else "circuits"
+        return "sheltered" if self._colvec is not None else "circuits"
 
     @property
     def sheltering_matroid(self) -> Matroid | None:
-        return self._matroid
+        """The represented matroid on the packed columns, rebuilt on each
+        access; None for a circuit-list realization."""
+        if self._colvec is None:
+            return None
+        mat = fields.GFMatrix.from_columns(self._field, self._rows, list(self._colvec.values()))
+        return Matroid(list(self._colvec), matrix=mat)
 
     @property
     def circuit_family(self) -> tuple[frozenset, ...] | None:
@@ -354,12 +368,6 @@ class Multimatroid:
             new_c += 1
         return Carrier(sizes), emap
 
-    def _packed(self, carrier: Carrier, labels: list, rows: int,
-                cols: list) -> "Multimatroid":
-        """Sheltered multimatroid on packed columns over this field."""
-        mat = fields.GFMatrix.from_columns(self._field, rows, cols)
-        return Multimatroid(carrier, matroid=Matroid(labels, matrix=mat))
-
     def restrict(self, keep_elems: Iterable[Element]) -> "Multimatroid":
         """Restriction to a subset of the ground set; classes shrink and may
         vanish."""
@@ -369,9 +377,8 @@ class Multimatroid:
                 raise UnknownElement(f"{e!r} is not a carrier element")
         carrier, emap = self._shrink(keep)
         if self._colvec is not None:
-            old = sorted(keep)
-            return self._packed(carrier, [emap[e] for e in old],
-                                self._matroid.matrix.rows, [self._colvec[e] for e in old])
+            return self._sheltered(carrier, self._field, self._rows,
+                                   {emap[e]: self._colvec[e] for e in sorted(keep)})
         circuits = [frozenset(emap[e] for e in c)
                     for c in self._circuits if c <= keep]
         return Multimatroid(carrier, circuits=circuits, validate=False)
@@ -396,12 +403,12 @@ class Multimatroid:
         emap = {(c, s): (cmap[c], s) for c in kept_classes
                 for s in range(self.carrier.class_sizes[c])}
         if self._colvec is not None:
-            ground, cv = self._matroid.ground, self._colvec
-            kept = [e for e in ground if e in emap]
-            r, cols = fields.contract_columns(self._field, [cv[e] for e in ground if e in xs],
+            cv = self._colvec
+            kept = [e for e in cv if e in emap]
+            r, cols = fields.contract_columns(self._field, [cv[e] for e in cv if e in xs],
                                               [cv[e] for e in kept])
-            return self._packed(carrier, [emap[e] for e in kept],
-                                self._matroid.matrix.rows - r, cols)
+            return self._sheltered(carrier, self._field, self._rows - r,
+                                   dict(zip((emap[e] for e in kept), cols)))
         base = self._rank(xs)
         found = minimal_dependent_sets(self._subtransversal_levels(kept_classes),
                                        lambda s: self._rank(s | xs) - base < len(s))
@@ -498,7 +505,7 @@ def odd_skew_pair(z: Multimatroid):
 # -- free sums and matroid pairs ----------------------------------------------
 
 
-def free_sum(matroids: Sequence[Matroid], validate: bool = False) -> Multimatroid:
+def free_sum(matroids: Sequence[Matroid]) -> Multimatroid:
     """The semi-multimatroid sheltered by the direct sum of the relabeled
     matroids; slot i holds copy i of the common ground set."""
     if not matroids:
@@ -507,29 +514,23 @@ def free_sum(matroids: Sequence[Matroid], validate: bool = False) -> Multimatroi
     for m in matroids[1:]:
         if set(m.ground) != set(common):
             raise GroundMismatch("matroids must share a ground set")
-    k = len(matroids)
-    order = len(common)
-    carrier = Carrier.uniform(order, k)
+    carrier = Carrier.uniform(len(common), len(matroids))
     class_of = {e: c for c, e in enumerate(common)}
     if all(m.is_represented for m in matroids) and \
             len({m.matrix.field for m in matroids}) == 1:
-        field = matroids[0].matrix.field
-        labels = [(c, s) for c in range(order) for s in range(k)]
         cols = {}
         row0 = 0
         for i, m in enumerate(matroids):
             for e, (clo, chi) in zip(m.ground, m.matrix.columns_packed()):
                 cols[(class_of[e], i)] = (clo << row0, chi << row0)
             row0 += m.matrix.rows
-        mat = fields.GFMatrix.from_columns(field, row0, [cols[e] for e in labels])
-        z = Multimatroid(carrier, matroid=Matroid(labels, matrix=mat))
-    else:
-        circuits = []
-        for i, m in enumerate(matroids):
-            for c in m.circuits():
-                circuits.append(frozenset((class_of[e], i) for e in c))
-        z = Multimatroid(carrier, circuits=circuits, validate=validate)
-    return z
+        return Multimatroid._sheltered(carrier, matroids[0].matrix.field, row0,
+                                       {e: cols[e] for e in carrier.elements()})
+    circuits = []
+    for i, m in enumerate(matroids):
+        for c in m.circuits():
+            circuits.append(frozenset((class_of[e], i) for e in c))
+    return Multimatroid(carrier, circuits=circuits, validate=False)
 
 
 def dual_pair(m: Matroid) -> Multimatroid:
@@ -653,7 +654,7 @@ def isomorphic(z1: Multimatroid, z2: Multimatroid):
         for c2 in range(n):
             if used[c2] or inv2[c2] != inv1[c1]:
                 continue
-            for perm in _permutations(k):
+            for perm in permutations(range(k)):
                 ok = True
                 for s in range(k):
                     if einv1[(c1, s)] != einv2[(c2, perm[s])]:
@@ -674,8 +675,3 @@ def isomorphic(z1: Multimatroid, z2: Multimatroid):
     if assign(0, set()):
         return dict(emap)
     return None
-
-
-def _permutations(k: int):
-    from itertools import permutations as _p
-    return list(_p(range(k)))

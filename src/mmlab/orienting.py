@@ -25,6 +25,7 @@ from .multimatroids import (Element, Multimatroid, as_subtransversal,
                             near_transversal_scan, odd_skew_pair,
                             sum_subtransversals, tight_quick)
 from .polynomials import Polynomial
+from .serialize import fraction_str
 
 _WEIGHT_SEED = 20260809
 
@@ -127,11 +128,6 @@ class EvalReport:
         return all(i.passed for i in self.identities)
 
     def to_dict(self) -> dict:
-        def num(x):
-            if isinstance(x, Fraction) and x.denominator == 1:
-                return str(x.numerator)
-            return str(x)
-
         out = {
             "order": self.order,
             "transversal": [element_label(e) for e in self.transversal],
@@ -140,7 +136,7 @@ class EvalReport:
             "identities": [],
         }
         for i in self.identities:
-            rec = {"name": i.name, "lhs": num(i.lhs), "rhs": num(i.rhs),
+            rec = {"name": i.name, "lhs": fraction_str(i.lhs), "rhs": fraction_str(i.rhs),
                    "pass": i.passed}
             if i.odd_factor is not None:
                 rec["odd_factor"] = str(i.odd_factor)

@@ -105,13 +105,7 @@ def mm_from_dict(d: dict) -> Multimatroid:
 
 
 def poly_to_dict(p: Polynomial) -> dict:
-    coeffs = []
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            coeffs.append(str(c.numerator) if c.denominator == 1 else str(c))
-        else:
-            coeffs.append(str(c))
-    return {"var": "y", "coeffs": coeffs}
+    return {"var": "y", "coeffs": [fraction_str(c) for c in p.coeffs]}
 
 
 def fraction_str(x) -> str:

@@ -259,3 +259,17 @@ def binary_sheltering_exists(z) -> bool:
 @pytest.fixture
 def rng():
     return make_rng(0xC0FFEE)
+
+
+@pytest.fixture
+def matroids_built(monkeypatch):
+    """A list that gains one entry per Matroid constructed from now on."""
+    built = []
+    original = Matroid.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matroid, "__init__", init)
+    return built

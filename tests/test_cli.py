@@ -131,6 +131,12 @@ def test_tight_builds_one_minor_per_near_transversal(h33_file, capsys, monkeypat
     assert len(built) == len(set(built)) == 27
 
 
+def test_tight_builds_only_the_parsed_matroid(h33_file, capsys, matroids_built):
+    assert main(["tight", "--mm", h33_file]) == 0
+    assert json.loads(capsys.readouterr()[0]) == {"multimatroid": True, "tight": True}
+    assert len(matroids_built) == 1
+
+
 def test_minors_verb(capsys, monkeypatch):
     dump = json.dumps(serialize.mm_to_dict(catalog.fixture("z-u24-3")))
     code, out, _ = run_cli(["minors", "--mm", "-", "--pattern", "h33"],

@@ -88,6 +88,13 @@ def test_symmetry_validation():
         isotropic_multimatroid(GFMatrix.zero(GF2, 2, 3))
 
 
+@pytest.mark.parametrize("field, entries", [(GF2, [[0, 1], [0, 0]]),
+                                            (GF4, [[0, 2], [3, 0]])])
+def test_pair_multimatroid_names_the_field_of_an_asymmetric_source(field, entries):
+    with pytest.raises(NotSymmetric, match=rf"^GF\({field}\) source must be symmetric$"):
+        pair_multimatroid(GFMatrix.from_entries(field, entries))
+
+
 def test_gf4_diagonal_normalization():
     # an inv-symmetric matrix with ones on the diagonal
     a = GFMatrix.from_entries(GF4, [[1, 2], [3, 0]])

@@ -275,6 +275,10 @@ def test_free_sum_multimatroid_iff_orthogonal(rng):
         assert ok == m1.orthogonal(m2)
 
 
+def test_free_sum_takes_only_the_matroids():
+    assert list(inspect.signature(free_sum).parameters) == ["matroids"]
+
+
 def test_pair_minor_matches_matroid_deletion_and_contraction(rng):
     for _ in range(8):
         m = random_standard_form(rng, GF2, rng.randint(2, 5))
@@ -422,6 +426,15 @@ def test_validators_cross_check_each_near_transversal(monkeypatch):
     with pytest.raises(InternalInconsistency):
         is_multimatroid(z)
     assert is_tight(z, cross_check=False) == (True, None)
+
+
+def test_cross_checked_scan_builds_no_matroid(matroids_built):
+    # the 27 order-one minors of the cross-check are packed columns only
+    z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
+    matroids_built.clear()
+    assert is_tight(z) == (True, None)
+    assert matroids_built == []
+    assert not hasattr(z, "_matroid")
 
 
 def test_enumeration_bounds():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build, random_standard_form
-from mmlab.fields import GF2, GF4
+from mmlab.fields import GF2, GF4, GFMatrix
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Multimatroid, dual_pair, free_sum,
                                  same_rank_oracle, tight_quick)
@@ -103,6 +103,37 @@ def test_packed_minor_and_restrict_match_circuit_lists(kind, seed, n):
         zr = z.restrict(keep)
         assert zr.sheltering_matroid.is_represented
         assert same_rank_oracle(zr, zc.restrict(keep))
+
+
+@given(st.sampled_from(("gf2", "gf4", "gf4_pair", "free4", "mixed")), seeds,
+       st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_packed_minor_and_restrict_shelter_the_matroid_minor(kind, seed, n):
+    """A packed minor is sheltered, label for label and matrix for matrix,
+    by the relabelled minor of the parent's sheltering matroid.  A
+    restriction keeps the parent's columns unscaled (Matroid.minor scales
+    GF(4) columns) and lists them in label order.  This fixes the .mm.json
+    bytes of both."""
+    rng = random.Random(seed)
+    z = build_any(kind, rng, n)
+    m = z.sheltering_matroid
+    col = dict(zip(m.ground, m.matrix.columns_packed()))
+    circuits = z.circuits()
+    for _ in range(3):
+        x = random_subtransversal(rng, z, circuits)
+        touched = {c for c, _ in x}
+        ref = m.minor(contract=x, delete=[e for e in z.carrier.elements()
+                                          if e[0] in touched and e not in x])
+        survivors = z.minor_class_map(x)
+        zx = z.minor(x).sheltering_matroid
+        assert zx.ground == tuple((survivors.index(c), s) for c, s in ref.ground)
+        assert zx.matrix == ref.matrix
+        emap = z.deletion_map(e for e in z.carrier.elements() if rng.random() < 0.3)
+        kept = sorted(emap)
+        zr = z.restrict(kept).sheltering_matroid
+        assert zr.ground == tuple(emap[e] for e in kept)
+        assert zr.matrix == GFMatrix.from_columns(m.matrix.field, m.matrix.rows,
+                                                  [col[e] for e in kept])
 
 
 @given(st.sampled_from((GF2, GF4)), seeds, st.integers(0, 7))
