@@ -74,7 +74,7 @@ def _mm_from_args(args) -> Multimatroid:
     raise MalformedInput("need --mm or --graph")
 
 
-def _parse_transversal(z: Multimatroid, text: str):
+def _parse_transversal(text: str):
     elems = [parse_element_label(tok) for tok in text.split(",") if tok.strip()]
     return tuple(sorted(elems))
 
@@ -99,7 +99,7 @@ def _cmd_ort(args) -> None:
     else:
         z = _mm_from_args(args)
         if args.via == "fast":
-            seed = _parse_transversal(z, args.seed) if args.seed else \
+            seed = _parse_transversal(args.seed) if args.seed else \
                 tuple((c, 2) for c in range(z.order))
             ts = orienting.orienting_from_seed(z, seed)
         else:
@@ -110,7 +110,7 @@ def _cmd_ort(args) -> None:
 def _cmd_evals(args) -> None:
     z = _mm_from_args(args)
     if args.transversal:
-        t = _parse_transversal(z, args.transversal)
+        t = _parse_transversal(args.transversal)
     else:
         t = tuple((c, 0) for c in range(z.order))
     report = orienting.evaluation_suite(z, t)

@@ -156,7 +156,8 @@ def sum_subtransversals(carrier: Carrier, x: Iterable[Element],
 class Multimatroid:
     """A carrier plus a rank oracle, realized as sheltered or circuit-list."""
 
-    __slots__ = ("carrier", "_circuits", "_rank_cache", "_field", "_rows", "_colvec")
+    __slots__ = ("carrier", "_circuits", "_rank_cache", "_field", "_rows", "_colvec",
+                 "_tight")
 
     def __init__(self, carrier: Carrier, matroid: Matroid | None = None,
                  circuits: Iterable[frozenset] | None = None, validate: bool = True):
@@ -164,6 +165,7 @@ class Multimatroid:
         self._circuits = None
         self._rank_cache: dict[frozenset, int] = {}
         self._field = self._rows = self._colvec = None
+        self._tight = None  # is_tight's cross-checked (ok, witness), once run
         if (matroid is None) == (circuits is None):
             raise MalformedInput("exactly one of matroid/circuits required")
         if matroid is not None:
@@ -196,6 +198,7 @@ class Multimatroid:
         z = cls.__new__(cls)
         z.carrier, z._circuits, z._rank_cache = carrier, None, {}
         z._field, z._rows, z._colvec = field, rows, colvec
+        z._tight = None
         return z
 
     def _validate_semi_axioms(self):
@@ -428,17 +431,32 @@ class Multimatroid:
 # -- validators ---------------------------------------------------------------
 
 
+def _order_one_minor_loops(z: Multimatroid, s: tuple[Element, ...],
+                           miss: int) -> list[Element]:
+    """The loops of the order-one minor by the near-transversal S, as
+    elements of its missing class.  Packed realizations contract the columns
+    of S (their echelon basis, pivot rows dropped) and read the columns that
+    reduce to zero; circuit-list realizations build the minor and list its
+    circuits."""
+    if z._colvec is not None:
+        cv = z._colvec
+        cls = z.carrier.skew_class(miss)
+        _, cols = fields.contract_columns(z._field, [cv[e] for e in s], [cv[x] for x in cls])
+        return [x for x, col in zip(cls, cols) if col == (0, 0)]
+    return [(miss, x) for c in z.minor(s).circuits() for _, x in c]
+
+
 def _near_transversal_flats(z: Multimatroid, op: str, cross_check: bool):
     """Yield (S, missing_class, closure) for every near-transversal S in
     canonical order, where the closure lists the elements x of the missing
     class with r(S + x) = r(S).  With cross_check, the loops of the
-    order-one minor by S, a second route through contraction, must be
-    exactly the closure at every S."""
+    order-one minor by S, a second route through contraction that compares
+    no ranks, must be exactly the closure at every S."""
     z._check_enum_bounds(ORDER_GENERAL, op)
     for s, miss in z.carrier.near_transversals():
         flat = z.closure_in_class(frozenset(s), miss)
         if cross_check:
-            loops = [(miss, x) for c in z.minor(s).circuits() for _, x in c]
+            loops = _order_one_minor_loops(z, s, miss)
             if loops != flat:
                 raise InternalInconsistency(f"{op}: the order-one minor by {list(s)} "
                                             "disagrees with the closure")
@@ -465,7 +483,9 @@ def is_multimatroid(z: Multimatroid, cross_check: bool = True):
     may change the nullity of a near-transversal).
 
     Returns (True, None) or (False, (S, x1, x2)).  With cross_check, every
-    near-transversal scanned is also checked through its order-one minor.
+    near-transversal scanned is also checked against the loops of its
+    order-one minor: read from a contraction of the packed columns, or from
+    the built minor's circuits on a circuit-list realization.
     """
     witness = near_transversal_scan(z, "is_multimatroid", cross_check)[0]
     return witness is None, witness
@@ -477,13 +497,23 @@ def is_tight(z: Multimatroid, cross_check: bool = True):
     checked by is_multimatroid.
 
     Returns (True, None) or (False, (S, missing_class)).  With cross_check,
-    every near-transversal scanned is also checked through its order-one
-    minor.  Degenerate multimatroids are allowed.
+    every near-transversal scanned is also checked against the loops of its
+    order-one minor, as in is_multimatroid, and the verdict is kept on z:
+    later calls return it after the bound check, without a scan.  A scan
+    that raises, or one without cross_check, keeps nothing.  Degenerate
+    multimatroids are allowed.
     """
+    z._check_enum_bounds(ORDER_GENERAL, "is_tight")
+    if z._tight is not None:
+        return z._tight
+    verdict = True, None
     for s, miss, flat in _near_transversal_flats(z, "is_tight", cross_check):
         if len(flat) != 1:
-            return False, (s, miss)
-    return True, None
+            verdict = False, (s, miss)
+            break
+    if cross_check:
+        z._tight = verdict
+    return verdict
 
 
 def tight_quick(z: Multimatroid) -> bool:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mmlab
-from mmlab import catalog
+from mmlab import catalog, multimatroids
 from mmlab.fields import GF2, GF4, GFMatrix, scalar_add, scalar_mul
 from mmlab.isotropic import Graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
@@ -273,3 +273,24 @@ def matroids_built(monkeypatch):
 
     monkeypatch.setattr(Matroid, "__init__", init)
     return built
+
+
+@pytest.fixture
+def cross_check_calls(monkeypatch):
+    """Two lists that gain, from now on, one entry per order-one minor's
+    loops read by the validator cross-check (its near-transversal S) and
+    one per Multimatroid.minor built (its subtransversal)."""
+    loops_at, minors = [], []
+    read_loops, minor = multimatroids._order_one_minor_loops, Multimatroid.minor
+
+    def counted_loops(z, s, miss):
+        loops_at.append(frozenset(s))
+        return read_loops(z, s, miss)
+
+    def counted_minor(self, x):
+        minors.append(frozenset(x))
+        return minor(self, x)
+
+    monkeypatch.setattr(multimatroids, "_order_one_minor_loops", counted_loops)
+    monkeypatch.setattr(Multimatroid, "minor", counted_minor)
+    return loops_at, minors

@@ -10,7 +10,7 @@ from mmlab import catalog, serialize
 from mmlab.errors import (Degenerate, MalformedInput, NotClassUnion,
                           NotTight)
 from mmlab.fields import GF2, GF4, GFMatrix
-from mmlab.isotropic import from_graph, pair_multimatroid
+from mmlab.isotropic import from_graph, isotropic_multimatroid, pair_multimatroid
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, dual_pair, is_tight,
                                  isomorphic, same_rank_oracle)
@@ -378,8 +378,11 @@ def test_bases_within_class_extension_counts(rng):
 
 
 def test_classify_runs_one_tightness_scan(monkeypatch):
+    # an unvalidated build is scanned once; the cached h33, validated when
+    # it was built, answers from its stored verdict
     from mmlab import multimatroids
-    z = catalog.fixture("h33")
+    h33 = catalog.fixture("h33")
+    z = isotropic_multimatroid(catalog.fixture_h33().source, validate=False).multimatroid
     ops = []
     original = multimatroids._near_transversal_flats
 
@@ -390,3 +393,6 @@ def test_classify_runs_one_tightness_scan(monkeypatch):
     monkeypatch.setattr(multimatroids, "_near_transversal_flats", scan)
     assert catalog.classify_binary_tight3(z).binary is False
     assert ops == ["is_tight"]
+    ops.clear()
+    assert catalog.classify_binary_tight3(h33).binary is False
+    assert ops == []

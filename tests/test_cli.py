@@ -116,19 +116,14 @@ def test_tight_witness(capsys, monkeypatch):
     assert "witness" in data
 
 
-def test_tight_builds_one_minor_per_near_transversal(h33_file, capsys, monkeypatch):
-    from mmlab.multimatroids import Multimatroid
-    built = []
-    original = Multimatroid.minor
-
-    def minor(self, x):
-        built.append(frozenset(x))
-        return original(self, x)
-
-    monkeypatch.setattr(Multimatroid, "minor", minor)
+def test_tight_builds_one_minor_per_near_transversal(h33_file, capsys, cross_check_calls):
+    # one order-one minor per near-transversal, its loops read from a
+    # contraction of the packed columns: no Multimatroid is built
+    loops_at, minors = cross_check_calls
     assert main(["tight", "--mm", h33_file]) == 0
     assert json.loads(capsys.readouterr()[0]) == {"multimatroid": True, "tight": True}
-    assert len(built) == len(set(built)) == 27
+    assert len(loops_at) == len(set(loops_at)) == 27
+    assert minors == []
 
 
 def test_tight_builds_only_the_parsed_matroid(h33_file, capsys, matroids_built):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_graph, random_standard_form
 import mmlab
-from mmlab import catalog, serialize
+from mmlab import catalog, multimatroids, serialize
 from mmlab.errors import (GroundMismatch, InternalInconsistency,
                           NotSubtransversal, NotTriple, TooLarge, UnknownElement)
 from mmlab.fields import GF2, GFMatrix
@@ -19,7 +19,7 @@ from mmlab.multimatroids import (Carrier, Multimatroid, as_subtransversal,
                                  element_label, free_sum, is_multimatroid,
                                  is_tight, isomorphic, parse_element_label,
                                  same_rank_oracle, sum_subtransversals,
-                                 transversal_slot)
+                                 tight_quick, transversal_slot)
 
 
 def free_mm(sizes):
@@ -404,25 +404,24 @@ def test_matroid_given_by_circuits_is_kept_as_circuit_list(rng):
 
 
 def test_validators_cross_check_each_near_transversal(monkeypatch):
-    # one extra loop in a single order-one minor leaves the tightness
-    # verdicts of the two routes equal, but not their closures
-    z = from_graph(Graph(2, [(0, 1)])).multimatroid
-    assert is_tight(z)[0] and is_multimatroid(z)[0]
-    target = frozenset({(1, 0)})
-    original = Multimatroid.minor
+    # one extra loop at a single near-transversal leaves the tightness
+    # verdicts of the two routes equal, but not their closures; z is built
+    # unvalidated, so that no stored verdict answers
+    z = from_graph(Graph(2, [(0, 1)]), validate=False).multimatroid
+    assert is_multimatroid(z)[0]
+    target = ((1, 0),)
+    original = multimatroids._order_one_minor_loops
 
-    def minor(self, x):
-        m = original(self, x)
-        if frozenset(x) != target:
-            return m
-        loops = m.circuits()
-        extra = next(frozenset({e}) for e in m.carrier.elements()
-                     if frozenset({e}) not in loops)
-        return Multimatroid(m.carrier, circuits=loops + [extra], validate=False)
+    def loops(z, s, miss):
+        found = original(z, s, miss)
+        if s != target:
+            return found
+        return found + [next(x for x in z.carrier.skew_class(miss) if x not in found)]
 
-    monkeypatch.setattr(Multimatroid, "minor", minor)
-    with pytest.raises(InternalInconsistency):
-        is_tight(z)
+    monkeypatch.setattr(multimatroids, "_order_one_minor_loops", loops)
+    for _ in range(2):  # a failed scan stores no verdict
+        with pytest.raises(InternalInconsistency):
+            is_tight(z)
     with pytest.raises(InternalInconsistency):
         is_multimatroid(z)
     assert is_tight(z, cross_check=False) == (True, None)
@@ -443,6 +442,48 @@ def test_enumeration_bounds():
         big.circuits()
     with pytest.raises(TooLarge):
         is_tight(big)
+
+
+def test_stored_verdict_keeps_the_bound_check(monkeypatch):
+    z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid  # validated
+    assert z._tight == (True, None)
+    monkeypatch.setenv("MMLAB_MAX_ORDER", "2")
+    with pytest.raises(TooLarge, match=r"^is_tight: order 3 exceeds bound 2$"):
+        is_tight(z)
+    monkeypatch.setenv("MMLAB_MAX_ORDER", "many")
+    with pytest.raises(TooLarge, match=r"^MMLAB_MAX_ORDER is not an integer: 'many'$"):
+        is_tight(z)
+    monkeypatch.delenv("MMLAB_MAX_ORDER")
+    assert is_tight(z) == (True, None)
+
+
+def test_unchecked_scans_store_no_verdict():
+    z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
+    assert tight_quick(z) and is_tight(z, cross_check=False) == (True, None)
+    assert z._tight is None
+    assert is_tight(z) == (True, None)
+    assert z._tight == (True, None)
+
+
+def test_derived_multimatroids_start_without_a_verdict():
+    z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid
+    assert z._tight == (True, None)
+    m = z.sheltering_matroid
+    derived = [z.minor([(0, 0)]), z.restrict([e for e in z.carrier.elements() if e != (1, 2)]),
+               z.delete(transversal_slot(z, 0)), free_sum([m, m]),
+               Multimatroid(z.carrier, matroid=m),
+               Multimatroid(z.carrier, circuits=z.circuits(), validate=False).minor([(0, 0)])]
+    assert [d._tight for d in derived] == [None] * len(derived)
+
+
+def test_non_tight_witnesses_are_stored_unchanged():
+    z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
+    packed = z.restrict([e for e in z.carrier.elements() if e != (1, 2)])
+    by_circuits = catalog.fixture("s1")
+    for y, witness in ((packed, (((0, 0), (2, 2)), 1)),
+                       (by_circuits, (((1, 0), (2, 0)), 0))):
+        assert is_tight(y, cross_check=False) == (False, witness)
+        assert is_tight(y) == is_tight(y) == y._tight == (False, witness)
 
 
 def test_sheltering_by_circuits_beyond_the_enumeration_bound():

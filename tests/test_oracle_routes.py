@@ -1,9 +1,11 @@
 """Property tests for the routes that read the parent's rank oracle.
 
 orienting_transversals tests each transversal's deletion through closures
-under z's own rank oracle, and packed minors and restrictions are built
-straight from the parent's columns.  Each is checked against a labelled
-reference that builds the deletion, or against the circuit-list route.
+under z's own rank oracle, packed minors and restrictions are built
+straight from the parent's columns, and the validator reads the loops of
+each order-one minor from a contraction.  Each is checked against a
+labelled reference that builds the deletion or the minor, or against the
+circuit-list route.
 """
 
 import random
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 from conftest import build, random_standard_form
 from mmlab.fields import GF2, GF4, GFMatrix
 from mmlab.matroids import Matroid
-from mmlab.multimatroids import (Multimatroid, dual_pair, free_sum,
-                                 same_rank_oracle, tight_quick)
+from mmlab.multimatroids import (Multimatroid, _order_one_minor_loops, dual_pair,
+                                 free_sum, same_rank_oracle, tight_quick)
 from mmlab.orienting import _deletion_tightness, orienting_transversals
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -66,6 +68,24 @@ def test_deletion_test_on_degenerate_carriers(kind, seed, n):
     test = _deletion_tightness(z)
     for t in z.carrier.transversals():
         assert test(t) == tight_quick(z.delete(t)), t
+
+
+@given(st.sampled_from(ORT_KINDS), seeds, st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_order_one_minor_loops_match_minor_and_closure(kind, seed, n):
+    """The validator's contraction route, on class sizes 1-4 through a
+    restriction half the time, against the loops of the built minor and
+    the rank-comparison closure."""
+    rng = random.Random(seed)
+    z = build_any(kind, rng, n)
+    if rng.random() < 0.5:
+        z = z.restrict([e for c in range(z.order)
+                        for e in rng.sample(z.carrier.skew_class(c),
+                                            rng.randint(1, z.carrier.class_sizes[c]))])
+    for s, miss in z.carrier.near_transversals():
+        loops = _order_one_minor_loops(z, s, miss)
+        assert loops == [(miss, x) for c in z.minor(s).circuits() for _, x in c], (s, miss)
+        assert loops == z.closure_in_class(frozenset(s), miss), (s, miss)
 
 
 def circuit_rebuild(z: Multimatroid) -> Multimatroid:

@@ -228,18 +228,14 @@ def test_eval_suite_names_the_failed_condition():
         evaluation_suite(free, t)
 
 
-def test_validation_builds_one_minor_per_near_transversal(monkeypatch):
+def test_validation_builds_one_minor_per_near_transversal(cross_check_calls):
+    # one order-one minor per near-transversal, its loops read from a
+    # contraction of the packed columns: no Multimatroid is built
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
-    built = []
-    original = Multimatroid.minor
-
-    def minor(self, x):
-        built.append(frozenset(x))
-        return original(self, x)
-
-    monkeypatch.setattr(Multimatroid, "minor", minor)
+    loops_at, minors = cross_check_calls
     _validate_binary_tight3(z)
-    assert len(built) == len(set(built)) == len(list(z.carrier.near_transversals())) == 27
+    assert len(loops_at) == len(set(loops_at)) == len(list(z.carrier.near_transversals())) == 27
+    assert minors == []
 
 
 def test_eval_suite_report_dict():
