@@ -323,6 +323,48 @@ def nullity_histogram(field: int, levels: Sequence[Sequence],
     return hist
 
 
+def span_masks(field: int, levels: Sequence[Sequence], targets: Sequence) -> list[int]:
+    """For every way to pick one vector per level, in product order, the
+    bit mask of the targets in the span of the picked vectors: bit j is set
+    when targets[j] is.  Vectors are packed as in nullity_histogram; with
+    no levels there is one leaf, whose span is zero.
+
+    One depth-first walk carries the echelon basis of the prefix, as
+    nullity_histogram's does, and reduces the targets at each leaf.
+    """
+    masks: list[int] = []
+    depth = len(levels)
+    gf2 = field == GF2
+
+    def walk(i, basis):
+        if i == depth:
+            mask = 0
+            for j, v in enumerate(targets):
+                if gf2:  # the reduction of rank_of_vectors, inlined
+                    for b in basis:
+                        r = v ^ b
+                        if r < v:
+                            v = r
+                else:
+                    v = _reduce_gf4(basis, *v)
+                if not v:
+                    mask |= 1 << j
+            masks.append(mask)
+            return
+        for v in levels[i]:
+            if gf2:
+                for b in basis:
+                    r = v ^ b
+                    if r < v:
+                        v = r
+            else:
+                v = _reduce_gf4(basis, *v)
+            walk(i + 1, basis + (v,) if v else basis)
+
+    walk(0, ())
+    return masks
+
+
 def rank(m: GFMatrix) -> int:
     return rank_of_vectors(m.field, zip(m.row_lo, m.row_hi))
 

@@ -3,9 +3,15 @@
 A transversal is orienting when deleting it leaves a tight multimatroid.
 Brute-force enumeration tests that definition on every transversal and is
 the semantic ground truth; it builds no deletion, but reads closures of
-near-transversals under the multimatroid's own rank oracle, each computed
-once.  The coset construction over one seed transversal is the accelerated
-route, and the two must agree set for set.
+near-transversals in the multimatroid itself: on packed realizations from
+one echelon walk per missing class (fields.span_masks), on circuit-list
+ones from the rank oracle (closure_in_class).  The coset construction over
+one seed transversal is the accelerated route, and the two must agree set
+for set.
+
+The evaluation suite scales its rational weights to integers by their
+common denominator, so its sums are exact ints and only the reported sides
+are Fractions.
 """
 
 from __future__ import annotations
@@ -15,13 +21,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import prod
-from typing import Iterable
+from math import lcm, prod
+from typing import Iterable, Mapping
 
+from . import fields
 from .bounds import ORDER_EVALS, ORDER_ORT, check_order
 from .errors import (Degenerate, NotBinaryTight3, NotOrienting, NotTight)
 from .multimatroids import (Element, Multimatroid, as_subtransversal,
-                            cycle_space_avoiding, element_label,
+                            cycle_space_avoiding, element_label, is_tight,
                             near_transversal_scan, odd_skew_pair,
                             sum_subtransversals, tight_quick)
 from .polynomials import Polynomial
@@ -39,34 +46,55 @@ def orienting_transversals(z: Multimatroid) -> list[tuple[Element, ...]]:
     return [t for t in z.carrier.transversals() if deletion_tight(t)]
 
 
+def _closure_masks(z: Multimatroid, miss: int, classes: list[int]) -> list[int]:
+    """For every pick S of one element per listed class, in product order,
+    the bit mask of the slots of class miss in the closure of S.  Packed
+    realizations read all of them from one walk of fields.span_masks;
+    circuit-list realizations ask closure_in_class at each S."""
+    sizes = z.carrier.class_sizes
+    if z._colvec is not None:
+        cv = z._colvec
+        gf2 = z._field == fields.GF2
+        cols = [[cv[e][0] if gf2 else cv[e] for e in z.carrier.skew_class(c)]
+                for c in (*classes, miss)]
+        return fields.span_masks(z._field, cols[:-1], cols[-1])
+    return [sum(1 << x for _, x in z.closure_in_class(frozenset(zip(classes, picks)), miss))
+            for picks in product(*[range(sizes[c]) for c in classes])]
+
+
 def _deletion_tightness(z: Multimatroid):
     """A test of whether deleting a transversal T leaves z tight.  Deletion
     is restriction, so z - T is tight exactly when every near-transversal S
     of z avoiding T has exactly one element of its missing class, other than
-    T's own, in the closure of S; classes of size one vanish with T.  Each
-    closure is computed once and kept as the bit set of the slots of T that
-    pass, so a test is lookups only."""
+    T's own, in the closure of S; classes of size one vanish with T.  The
+    closures for one missing class come from one _closure_masks call, made
+    when the class is first tested, and are kept as the bit sets of the
+    slots of T that pass, so a test is lookups only."""
     sizes = z.carrier.class_sizes
     live = [c for c in range(z.order) if sizes[c] > 1]
     others = {miss: [c for c in live if c != miss] for miss in live}
     avoid = [[[x for x in range(k) if x != s] for s in range(k)] for k in sizes]
-    allowed: dict[int, dict] = {miss: {} for miss in live}
+    allowed: dict[int, dict] = {}
 
-    def ok_slots(miss: int, picks: tuple) -> int:
-        flat = z.closure_in_class(frozenset(zip(others[miss], picks)), miss)
-        return sum(1 << t for t in range(sizes[miss])
-                   if len(flat) - ((miss, t) in flat) == 1)
+    def ok_table(miss: int) -> dict:
+        # T's slot t passes when the closure less t has one element: the
+        # closure is one element other than t, or t and one other.
+        full = (1 << sizes[miss]) - 1
+        oks = []
+        for m in _closure_masks(z, miss, others[miss]):
+            n = m.bit_count()
+            oks.append(full & ~m if n == 1 else m if n == 2 else 0)
+        return dict(zip(product(*[range(sizes[c]) for c in others[miss]]), oks))
 
     def deletion_tight(t) -> bool:
         slots = [s for _, s in t]
         for miss in live:
-            table = allowed[miss]
+            table = allowed.get(miss)
+            if table is None:
+                table = allowed[miss] = ok_table(miss)
             bit = 1 << slots[miss]
             for picks in product(*[avoid[c][slots[c]] for c in others[miss]]):
-                ok = table.get(picks)
-                if ok is None:
-                    ok = table[picks] = ok_slots(miss, picks)
-                if not ok & bit:
+                if not table[picks] & bit:
                     return False
         return True
 
@@ -145,31 +173,47 @@ class EvalReport:
 
 
 def _validate_binary_tight3(z: Multimatroid) -> None:
+    """Raise NotBinaryTight3 unless z is a binary tight 3-matroid.  A
+    verdict that is_tight keeps on z answers without a scan; only a z that
+    is not tight is scanned again, to tell "not tight" from "not a
+    multimatroid"."""
     if not z.carrier.is_uniform(3):
         raise NotBinaryTight3("carrier must have class size 3 throughout")
-    excess, loose = near_transversal_scan(z, "is_tight")
-    if loose is not None:
+    if not is_tight(z)[0]:
+        excess, _ = near_transversal_scan(z, "is_tight")
         raise NotBinaryTight3("not tight" if excess is None else "not a multimatroid")
     if odd_skew_pair(z) is not None:
         raise NotBinaryTight3("circuit union with an odd number of skew pairs")
 
 
+def _scaled_weights(weights: Mapping[Element, Fraction]) -> tuple[int, dict]:
+    """(L, integer weights): L is the lcm of the weight denominators and
+    each weight is scaled by L, so a product of k weights is scaled by L^k."""
+    scale = lcm(*(w.denominator for w in weights.values()))
+    return scale, {e: w.numerator * (scale // w.denominator) for e, w in weights.items()}
+
+
 def _transition_eval(z: Multimatroid, weights, ys,
-                     banned: frozenset = frozenset()) -> list[Fraction]:
+                     banned: frozenset = frozenset()) -> list:
     """The weighted transition polynomial of z without the banned elements,
-    built once and evaluated at each y."""
+    built once and evaluated at each y; int weights and ys give ints."""
     p = Polynomial(z.nullity_histogram(banned, weights))
-    return [Fraction(p(y)) for y in ys]
+    return [p(y) for y in ys]
 
 
-def _q1_eval(z: Multimatroid, ys, banned: frozenset = frozenset()) -> list[Fraction]:
+def _q1_eval(z: Multimatroid, ys, banned: frozenset = frozenset()) -> list:
     """The unweighted case of _transition_eval."""
     return _transition_eval(z, None, ys, banned)
 
 
 def evaluation_suite(z: Multimatroid, t: Iterable[Element]) -> EvalReport:
     """Exact cross-checks of the transversal-sum evaluations against the
-    orienting-transversal side, on a validated binary tight 3-matroid."""
+    orienting-transversal side, on a validated binary tight 3-matroid.
+
+    The weights are rationals, scaled to integers by their common
+    denominator L: every weighted sum is a sum of products of one weight
+    per class, so both of its sides are ints scaled by L^order, and only the
+    reported lhs and rhs are Fractions."""
     check_order(z.order, ORDER_EVALS, "evaluation_suite")
     _validate_binary_tight3(z)
     tt = as_subtransversal(z.carrier, t)
@@ -181,92 +225,83 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element]) -> EvalReport:
     report = EvalReport(order=ell, transversal=tt, ort_count=len(ort_all))
     ids = report.identities
 
+    def check(name: str, lhs: int, rhs: int, scale: int = 1) -> None:
+        ids.append(EvalIdentity(name, Fraction(lhs, scale), Fraction(rhs, scale),
+                                lhs == rhs))
+
     rng = random.Random(_WEIGHT_SEED + 7 * ell)
-    weights = {e: Fraction(rng.randint(1, 9), rng.randint(1, 4))
-               for e in sorted(z.carrier.elements())}
-    halving_ys = [Fraction(2 * rng.randint(-12, 12)) for _ in range(5)]
-    at_2, at_4, *at_halving_ys = _transition_eval(
-        z, weights, [Fraction(2), Fraction(4)] + halving_ys)
+    lcd, weights = _scaled_weights(
+        {e: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+         for e in sorted(z.carrier.elements())})
+    scale = lcd ** ell
+    halving_ys = [2 * rng.randint(-12, 12) for _ in range(5)]
+    at_2, at_4, *at_halving_ys = _transition_eval(z, weights, [2, 4] + halving_ys)
     q1_at_2, q1_at_4, q1_at_m4 = _q1_eval(z, (2, 4, -4))
 
-    def class_sum(cls: int, excluded: frozenset) -> Fraction:
-        return sum((weights[x] for x in z.carrier.skew_class(cls)
-                    if x not in excluded), Fraction(0))
+    def class_sum(cls: int, excluded: frozenset) -> int:
+        return sum(weights[x] for x in z.carrier.skew_class(cls) if x not in excluded)
 
     @cache  # the unions y1 | y2 repeat
-    def class_product(excluded: frozenset) -> Fraction:
-        return prod((class_sum(cls, excluded) for cls in range(ell)), start=Fraction(1))
+    def class_product(excluded: frozenset) -> int:
+        return prod(class_sum(cls, excluded) for cls in range(ell))
 
     # weighted power-of-two evaluations, one and two orienting layers deep
     layers = (ort_all, [y1 | y2 for y1 in ort_all for y2 in ort_all])
     for level, lhs, merged in zip((1, 2), (at_2, at_4), layers):
-        rhs = sum((class_product(m) for m in merged), Fraction(0))
-        ids.append(EvalIdentity(f"weighted_pow2_depth{level}", lhs, rhs,
-                                lhs == rhs))
+        check(f"weighted_pow2_depth{level}", lhs,
+              sum(class_product(m) for m in merged), scale)
 
     # the depth-one evaluation, reformulated per orienting transversal
-    rhs = sum((prod((class_sum(c, frozenset([(c, s)])) for (c, s) in y1),
-                    start=Fraction(1)) for y1 in ort_all), Fraction(0))
-    ids.append(EvalIdentity("weighted_at_2_per_class", at_2, rhs, at_2 == rhs))
+    check("weighted_at_2_per_class", at_2,
+          sum(prod(class_sum(c, frozenset([(c, s)])) for (c, s) in y1) for y1 in ort_all),
+          scale)
 
     # unweighted evaluation at 2
-    lhs = q1_at_2
-    rhs = Fraction(len(ort_all) * 2 ** ell)
-    ids.append(EvalIdentity("q1_at_2", lhs, rhs, lhs == rhs))
+    check("q1_at_2", q1_at_2, len(ort_all) * 2 ** ell)
 
     # deleted evaluation at 2 against intersection sizes
     tset = frozenset(tt)
     lhs_del2, lhs_delm2 = _q1_eval(z, (2, -2), banned=tset)
-    rhs = sum((Fraction(2 ** len(y & tset)) for y in ort_all), Fraction(0))
-    ids.append(EvalIdentity("q1_deleted_at_2_vs_meets", lhs_del2, rhs,
-                            lhs_del2 == rhs))
+    check("q1_deleted_at_2_vs_meets", lhs_del2, sum(2 ** len(y & tset) for y in ort_all))
 
     # minor expansion of the same value, and the odd cofactor
     rank_t = z._rank(tset)
-    rhs5 = Fraction(0)
+    rhs5 = 0
     k = 0
     for size in range(ell + 1):
         for sub in combinations(tt, size):
             f = frozenset(sub)
             cnt = len(orienting_transversals(z.minor(f))) if f else len(ort_all)
             rf = z._rank(f)
-            rhs5 += Fraction((-1) ** size * cnt * 2 ** (ell - rf))
+            rhs5 += (-1) ** size * cnt * 2 ** (ell - rf)
             k += (-1) ** size * cnt * 2 ** (rank_t - rf)
-    ids.append(EvalIdentity("q1_deleted_at_2_minor_expansion", lhs_del2, rhs5,
-                            lhs_del2 == rhs5))
+    check("q1_deleted_at_2_minor_expansion", lhs_del2, rhs5)
 
     n_t = ell - rank_t
-    ids.append(EvalIdentity("odd_cofactor_times_2pow", lhs_del2,
+    ids.append(EvalIdentity("odd_cofactor_times_2pow", Fraction(lhs_del2),
                             Fraction(k * 2 ** n_t),
                             lhs_del2 == k * 2 ** n_t and k % 2 == 1,
                             odd_factor=k))
-    ids.append(EvalIdentity("odd_cofactor_times_abs_at_minus2", lhs_del2,
+    ids.append(EvalIdentity("odd_cofactor_times_abs_at_minus2", Fraction(lhs_del2),
                             Fraction(k * abs(lhs_delm2)),
                             lhs_del2 == k * abs(lhs_delm2) and k % 2 == 1,
                             odd_factor=k))
 
     # residue of the deleted sum at -2
-    rhs_res = Fraction((-1) ** ell * (-2) ** n_t)
-    ids.append(EvalIdentity("deleted_residue_at_minus2", lhs_delm2, rhs_res,
-                            lhs_delm2 == rhs_res))
+    check("deleted_residue_at_minus2", lhs_delm2, (-1) ** ell * (-2) ** n_t)
 
     # evaluation at 4 against pairwise intersections
-    lhs = q1_at_4
-    rhs = sum((Fraction(2 ** len(y1 & y2)) for y1 in ort_all for y2 in ort_all),
-              Fraction(0))
-    ids.append(EvalIdentity("q1_at_4_pairwise", lhs, rhs, lhs == rhs))
+    check("q1_at_4_pairwise", q1_at_4,
+          sum(2 ** len(y1 & y2) for y1 in ort_all for y2 in ort_all))
 
     # signed evaluation at -4 against orienting nullities
-    lhs = q1_at_m4
-    rhs = Fraction((-1) ** ell) * sum(
-        (Fraction((-2) ** (ell - z._rank(y))) for y in ort_all), Fraction(0))
-    ids.append(EvalIdentity("q1_at_minus4_signed", lhs, rhs, lhs == rhs))
+    check("q1_at_minus4_signed", q1_at_m4,
+          (-1) ** ell * sum((-2) ** (ell - z._rank(y)) for y in ort_all))
 
     # halving decomposition at five random even integers
-    halved = [_transition_eval(z, weights, [y / 2 for y in halving_ys], banned=y1)
+    halved = [_transition_eval(z, weights, [y // 2 for y in halving_ys], banned=y1)
               for y1 in ort_all]
     for i, (y, lhs) in enumerate(zip(halving_ys, at_halving_ys)):
-        rhs = sum((vals[i] for vals in halved), Fraction(0))
-        ids.append(EvalIdentity(f"halving_at_{y.numerator}", lhs, rhs, lhs == rhs))
+        check(f"halving_at_{y}", lhs, sum(vals[i] for vals in halved), scale)
 
     return report

@@ -1,25 +1,31 @@
-"""Property tests for the routes that read the parent's rank oracle.
+"""Property tests for the routes that read the parent's columns or rank
+oracle.
 
 orienting_transversals tests each transversal's deletion through closures
-under z's own rank oracle, packed minors and restrictions are built
-straight from the parent's columns, and the validator reads the loops of
-each order-one minor from a contraction.  Each is checked against a
-labelled reference that builds the deletion or the minor, or against the
-circuit-list route.
+read from one echelon walk per missing class (fields.span_masks) on packed
+realizations, packed minors and restrictions are built straight from the
+parent's columns, and the validator reads the loops of each order-one minor
+from a contraction.  Each is checked against a labelled reference that
+builds the deletion or the minor, against the rank comparisons of
+closure_in_class, or against the circuit-list route.  The evaluation
+suite's integer weights, scaled by their common denominator, are checked
+against the Fraction histogram of the circuit-list route.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build, random_standard_form
-from mmlab.fields import GF2, GF4, GFMatrix
+from mmlab.fields import GF2, GF4, GFMatrix, span_masks
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Multimatroid, _order_one_minor_loops, dual_pair,
                                  free_sum, same_rank_oracle, tight_quick)
-from mmlab.orienting import _deletion_tightness, orienting_transversals
+from mmlab.orienting import (_closure_masks, _deletion_tightness, _scaled_weights,
+                             orienting_transversals)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 ORT_KINDS = ("gf2", "gf4", "gf4_pair", "gf2_pair", "free4", "mixed", "circuits",
@@ -41,6 +47,16 @@ def build_any(kind: str, rng: random.Random, n: int) -> Multimatroid:
                 for e in rng.sample(z.carrier.skew_class(c), rng.randint(2, 4))]
         return z.restrict(keep)
     return build(kind, rng, n)
+
+
+def restrict_half_the_time(rng: random.Random, z: Multimatroid) -> Multimatroid:
+    """z, or half the time its restriction to 1 to k elements of each class
+    of size k."""
+    if rng.random() >= 0.5:
+        return z
+    return z.restrict([e for c in range(z.order)
+                       for e in rng.sample(z.carrier.skew_class(c),
+                                           rng.randint(1, z.carrier.class_sizes[c]))])
 
 
 def reference_orienting(z: Multimatroid) -> list:
@@ -77,15 +93,62 @@ def test_order_one_minor_loops_match_minor_and_closure(kind, seed, n):
     restriction half the time, against the loops of the built minor and
     the rank-comparison closure."""
     rng = random.Random(seed)
-    z = build_any(kind, rng, n)
-    if rng.random() < 0.5:
-        z = z.restrict([e for c in range(z.order)
-                        for e in rng.sample(z.carrier.skew_class(c),
-                                            rng.randint(1, z.carrier.class_sizes[c]))])
+    z = restrict_half_the_time(rng, build_any(kind, rng, n))
     for s, miss in z.carrier.near_transversals():
         loops = _order_one_minor_loops(z, s, miss)
         assert loops == [(miss, x) for c in z.minor(s).circuits() for _, x in c], (s, miss)
         assert loops == z.closure_in_class(frozenset(s), miss), (s, miss)
+
+
+def closure_mask(z: Multimatroid, s, miss: int) -> int:
+    return sum(1 << x for _, x in z.closure_in_class(frozenset(s), miss))
+
+
+@given(st.sampled_from(("gf2", "gf4", "free4", "mixed")), seeds, st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_span_masks_match_closure_in_class(kind, seed, n):
+    """The echelon walk of the deletion test, on class sizes 1-4 through a
+    restriction half the time, against the rank comparisons of
+    closure_in_class at every near-transversal of z, and at every pick over
+    the live classes (size two or more) that the deletion test walks.  At
+    order 1, or with no other live class, the walk has one empty leaf."""
+    rng = random.Random(seed)
+    z = restrict_half_the_time(rng, build_any(kind, rng, n))
+    assert z.kind == "sheltered"
+    sizes = z.carrier.class_sizes
+    gf2 = z._field == GF2
+    cols = [[z._colvec[e][0] if gf2 else z._colvec[e] for e in z.carrier.skew_class(c)]
+            for c in range(z.order)]
+    leaves = {miss: iter(span_masks(z._field, cols[:miss] + cols[miss + 1:], cols[miss]))
+              for miss in range(z.order)}
+    for s, miss in z.carrier.near_transversals():
+        assert next(leaves[miss]) == closure_mask(z, s, miss), (s, miss)
+    assert all(next(rest, None) is None for rest in leaves.values())
+    live = [c for c in range(z.order) if sizes[c] > 1]
+    for miss in range(z.order):
+        others = [c for c in live if c != miss]
+        picks = list(product(*[range(sizes[c]) for c in others]))
+        assert _closure_masks(z, miss, others) == \
+            [closure_mask(z, zip(others, p), miss) for p in picks]
+
+
+@given(st.sampled_from(ORT_KINDS), seeds, st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_scaled_weights_match_fraction_histogram(kind, seed, n):
+    """Random rational weights, negative and zero ones included, with
+    denominators up to 9: the int histogram over the weights scaled by L is
+    L^order times the Fraction histogram of the circuit-list route."""
+    rng = random.Random(seed)
+    z = restrict_half_the_time(rng, build_any(kind, rng, n))
+    weights = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+               for e in z.carrier.elements()}
+    banned = [e for e in z.carrier.elements() if rng.random() < 0.2]
+    scale, scaled = _scaled_weights(weights)
+    assert all(type(scaled[e]) is int and scaled[e] == w * scale for e, w in weights.items())
+    got = z.nullity_histogram(banned, scaled)
+    assert all(type(h) is int for h in got)
+    ref = circuit_rebuild(z).nullity_histogram(banned, weights)
+    assert [Fraction(h, scale ** z.order) for h in got] == ref
 
 
 def circuit_rebuild(z: Multimatroid) -> Multimatroid:

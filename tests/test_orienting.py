@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from conftest import random_graph, random_standard_form
@@ -9,10 +12,10 @@ from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, cycle_space_within,
                                  dual_pair, free_sum, is_tight,
                                  sum_subtransversals, transversal_slot)
-from mmlab.orienting import (_validate_binary_tight3, disjoint_orienting,
+from mmlab.orienting import (_WEIGHT_SEED, _validate_binary_tight3, disjoint_orienting,
                              evaluation_suite, is_orienting,
                              orienting_from_seed, orienting_transversals)
-from mmlab.polynomials import q1
+from mmlab.polynomials import q1, transition
 
 
 def test_ort_of_empty_multimatroid():
@@ -245,3 +248,34 @@ def test_eval_suite_report_dict():
     assert d["pass"] is True
     assert d["ort_count"] == 3
     assert all(set(i) >= {"name", "lhs", "rhs", "pass"} for i in d["identities"])
+
+
+def test_validated_build_is_not_scanned_again_by_the_suite(cross_check_calls):
+    # the build keeps its cross-checked verdict; the suite reads it
+    loops_at, _ = cross_check_calls
+    z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid
+    assert len(loops_at) == 27
+    assert evaluation_suite(z, transversal_slot(z, 0)).passed
+    assert len(loops_at) == 27
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_suite_weighted_lhs_equal_transition_values(seed):
+    """The scaled-integer lhs of the weighted identities, against
+    polynomials.transition with the suite's Fraction weights rebuilt from
+    its seed."""
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(0, 4))
+    z = from_graph(g).multimatroid
+    rep = evaluation_suite(z, [(c, rng.randrange(3)) for c in range(g.n)])
+    assert rep.passed
+    wrng = random.Random(_WEIGHT_SEED + 7 * g.n)
+    weights = {e: Fraction(wrng.randint(1, 9), wrng.randint(1, 4))
+               for e in sorted(z.carrier.elements())}
+    ys = [2 * wrng.randint(-12, 12) for _ in range(5)]
+    p = transition(z, weights)
+    got = [(i.name, i.lhs) for i in rep.identities
+           if i.name.startswith(("weighted_pow2_depth", "halving_at_"))]
+    assert got == [("weighted_pow2_depth1", p(2)), ("weighted_pow2_depth2", p(4))] + \
+        [(f"halving_at_{y}", p(y)) for y in ys]
+    assert all(type(i.lhs) is type(i.rhs) is Fraction for i in rep.identities)
