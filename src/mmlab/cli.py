@@ -25,12 +25,12 @@ _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInput(f"cannot read {path}: {exc}")
 
 
@@ -84,6 +84,8 @@ def _cmd_poly(args) -> None:
         z = _mm_from_args(args)
         poly = polynomials.q1(z)
     else:
+        if not args.graph:
+            raise MalformedInput(f"poly {args.which} needs --graph")
         g = _load_graph(args.graph)
         fn = {"interlace": polynomials.interlace,
               "global-interlace": polynomials.global_interlace,
@@ -93,9 +95,10 @@ def _cmd_poly(args) -> None:
 
 
 def _cmd_ort(args) -> None:
-    if args.graph and args.via == "eulerian":
-        g = _load_graph(args.graph)
-        ts = isotropic.ort_via_eulerian(g)
+    if args.via == "eulerian":
+        if not args.graph:
+            raise MalformedInput("--via eulerian needs --graph")
+        ts = isotropic.ort_via_eulerian(_load_graph(args.graph))
     else:
         z = _mm_from_args(args)
         if args.via == "fast":

@@ -7,8 +7,10 @@ explicit family of circuit subtransversals.  A sheltered multimatroid keeps
 only its field, row count and packed columns; minors and restrictions are
 built straight from those, and the sheltering matroid is rebuilt from them on
 demand.  A sheltering matroid given by circuits is kept as its subtransversal
-circuits.  Every algorithm goes through the single rank oracle, so the two
-realizations are interchangeable.
+circuits.  Algorithms go through the rank oracle, except that the closures
+of near-transversals, which the validators and the orienting test read,
+come on packed realizations from one echelon walk per missing class; the
+two realizations are interchangeable.
 """
 
 from __future__ import annotations
@@ -431,6 +433,22 @@ class Multimatroid:
 # -- validators ---------------------------------------------------------------
 
 
+def _closure_masks(z: Multimatroid, miss: int, classes: list[int]) -> Iterable[int]:
+    """For every pick S of one element per listed class, in product order,
+    the bit mask of the slots of class miss in the closure of S.  Packed
+    realizations read all of them from one walk of fields.span_masks;
+    circuit-list ones ask closure_in_class at each S as it is read."""
+    sizes = z.carrier.class_sizes
+    if z._colvec is not None:
+        cv = z._colvec
+        gf2 = z._field == fields.GF2
+        cols = [[cv[e][0] if gf2 else cv[e] for e in z.carrier.skew_class(c)]
+                for c in (*classes, miss)]
+        return fields.span_masks(z._field, cols[:-1], cols[-1])
+    return (sum(1 << x for _, x in z.closure_in_class(frozenset(zip(classes, picks)), miss))
+            for picks in product(*[range(sizes[c]) for c in classes]))
+
+
 def _order_one_minor_loops(z: Multimatroid, s: tuple[Element, ...],
                            miss: int) -> list[Element]:
     """The loops of the order-one minor by the near-transversal S, as
@@ -449,12 +467,17 @@ def _order_one_minor_loops(z: Multimatroid, s: tuple[Element, ...],
 def _near_transversal_flats(z: Multimatroid, op: str, cross_check: bool):
     """Yield (S, missing_class, closure) for every near-transversal S in
     canonical order, where the closure lists the elements x of the missing
-    class with r(S + x) = r(S).  With cross_check, the loops of the
-    order-one minor by S, a second route through contraction that compares
-    no ranks, must be exactly the closure at every S."""
+    class with r(S + x) = r(S).  The closures of one missing class come from
+    one _closure_masks call, made when the scan reaches that class.  With
+    cross_check, the loops of the order-one minor by S, a second route
+    through contraction, must be exactly the closure at every S."""
     z._check_enum_bounds(ORDER_GENERAL, op)
+    masks, last = None, None
     for s, miss in z.carrier.near_transversals():
-        flat = z.closure_in_class(frozenset(s), miss)
+        if miss != last:
+            masks, last = iter(_closure_masks(z, miss, [c for c, _ in s])), miss
+        mask = next(masks)
+        flat = [x for x in z.carrier.skew_class(miss) if mask >> x[1] & 1]
         if cross_check:
             loops = _order_one_minor_loops(z, s, miss)
             if loops != flat:

@@ -3,11 +3,9 @@
 A transversal is orienting when deleting it leaves a tight multimatroid.
 Brute-force enumeration tests that definition on every transversal and is
 the semantic ground truth; it builds no deletion, but reads closures of
-near-transversals in the multimatroid itself: on packed realizations from
-one echelon walk per missing class (fields.span_masks), on circuit-list
-ones from the rank oracle (closure_in_class).  The coset construction over
-one seed transversal is the accelerated route, and the two must agree set
-for set.
+near-transversals in the multimatroid itself, from the validators' own
+multimatroids._closure_masks.  The coset construction over one seed
+transversal is the accelerated route, and the two must agree set for set.
 
 The evaluation suite scales its rational weights to integers by their
 common denominator, so its sums are exact ints and only the reported sides
@@ -24,10 +22,9 @@ from itertools import combinations, product
 from math import lcm, prod
 from typing import Iterable, Mapping
 
-from . import fields
 from .bounds import ORDER_EVALS, ORDER_ORT, check_order
 from .errors import (Degenerate, NotBinaryTight3, NotOrienting, NotTight)
-from .multimatroids import (Element, Multimatroid, as_subtransversal,
+from .multimatroids import (Element, Multimatroid, _closure_masks, as_subtransversal,
                             cycle_space_avoiding, element_label, is_tight,
                             near_transversal_scan, odd_skew_pair,
                             sum_subtransversals, tight_quick)
@@ -44,22 +41,6 @@ def orienting_transversals(z: Multimatroid) -> list[tuple[Element, ...]]:
     z._check_enum_bounds(ORDER_ORT, "orienting_transversals")
     deletion_tight = _deletion_tightness(z)
     return [t for t in z.carrier.transversals() if deletion_tight(t)]
-
-
-def _closure_masks(z: Multimatroid, miss: int, classes: list[int]) -> list[int]:
-    """For every pick S of one element per listed class, in product order,
-    the bit mask of the slots of class miss in the closure of S.  Packed
-    realizations read all of them from one walk of fields.span_masks;
-    circuit-list realizations ask closure_in_class at each S."""
-    sizes = z.carrier.class_sizes
-    if z._colvec is not None:
-        cv = z._colvec
-        gf2 = z._field == fields.GF2
-        cols = [[cv[e][0] if gf2 else cv[e] for e in z.carrier.skew_class(c)]
-                for c in (*classes, miss)]
-        return fields.span_masks(z._field, cols[:-1], cols[-1])
-    return [sum(1 << x for _, x in z.closure_in_class(frozenset(zip(classes, picks)), miss))
-            for picks in product(*[range(sizes[c]) for c in classes])]
 
 
 def _deletion_tightness(z: Multimatroid):

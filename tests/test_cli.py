@@ -247,6 +247,11 @@ def test_malformed_inputs_exit_1(tmp_path, capsys):
     badjson.write_text("{not json")
     assert main(["poly", "q1", "--mm", str(badjson)]) == 1
     capsys.readouterr()
+    not_utf8 = tmp_path / "latin.mm.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    assert main(["tight", "--mm", str(not_utf8)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("mmlab: cannot read ") and err.count("\n") == 1
 
 
 def test_max_order_env_guard(k2_file, capsys, monkeypatch):
@@ -332,10 +337,16 @@ def test_enumerations_reject_class_size_above_bound(tmp_path, capsys, argv):
     ["ort", "--graph", "{k2}", "--threads", "2"],
     ["--threads", "x", "catalog", "list"],
     [],
+    ["poly", "interlace"],
+    ["poly", "global-interlace", "--mm", "{h33}"],
+    ["poly", "bracket"],
+    ["ort", "--mm", "{h33}", "--via", "eulerian"],
 ], ids=["unknown_choice", "unknown_verb", "misplaced_threads", "threads_not_int",
-        "no_verb"])
-def test_usage_errors_exit_1(k2_file, capsys, argv):
-    code = main([k2_file if a == "{k2}" else a for a in argv])
+        "no_verb", "interlace_without_graph", "global_interlace_from_mm",
+        "bracket_without_graph", "eulerian_from_mm"])
+def test_usage_errors_exit_1(k2_file, h33_file, capsys, argv):
+    files = {"{k2}": k2_file, "{h33}": h33_file}
+    code = main([files.get(a, a) for a in argv])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("mmlab: ") and err.count("\n") == 1

@@ -142,7 +142,8 @@ def graph_argv(rng: random.Random) -> list:
 
 
 def mangle_flags(rng: random.Random, argv: list, pick: int) -> list:
-    """Flag and verb damage for picks 1-4; other picks leave argv as is."""
+    """Flag and verb damage for picks 1-4 and 6; other picks leave argv as
+    is.  Pick 6 drops the input flag and its value."""
     if pick == 1:
         return ["--threads", rng.choice(["-1", "0", "1", "2", "x"])] + argv
     if pick == 2:
@@ -151,6 +152,9 @@ def mangle_flags(rng: random.Random, argv: list, pick: int) -> list:
         return argv + [rng.choice(["--via", "--bogus", "extra", "--mm"])]
     if pick == 4:
         return [rng.choice(["bogus", "catalog", "-h-"])] + argv[1:]
+    if pick == 6:
+        i = next(i for i, a in enumerate(argv) if a in ("--mm", "--graph", "--matroid"))
+        return argv[:i] + argv[i + 2:]
     return argv
 
 

@@ -436,6 +436,52 @@ def test_cross_checked_scan_builds_no_matroid(matroids_built):
     assert not hasattr(z, "_matroid")
 
 
+@pytest.mark.parametrize("realization", ["packed", "circuits"])
+def test_cross_checked_scan_reads_one_closure_table_per_class(monkeypatch, realization):
+    # packed columns: three echelon walks and no rank comparison; circuit
+    # lists: closure_in_class once per near-transversal, as before
+    z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
+    if realization == "circuits":
+        z = Multimatroid(z.carrier, circuits=z.circuits(), validate=False)
+    calls = {}
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(Multimatroid, "closure_in_class",
+                        counted("closure_in_class", Multimatroid.closure_in_class))
+    for name in ("_closure_masks", "_order_one_minor_loops"):
+        monkeypatch.setattr(multimatroids, name, counted(name, getattr(multimatroids, name)))
+    assert is_tight(z) == (True, None)
+    expected = {"_closure_masks": 3, "_order_one_minor_loops": 27}
+    if realization == "packed":
+        assert z._rank_cache == {}
+    else:
+        expected["closure_in_class"] = 27
+    assert calls == expected
+
+
+def test_validators_cross_check_the_closure_table(monkeypatch):
+    # one bit dropped at the first pick of class 1's table
+    z = from_graph(Graph(2, [(0, 1)]), validate=False).multimatroid
+    original = multimatroids._closure_masks
+
+    def masks(z, miss, classes):
+        found = list(original(z, miss, classes))
+        if miss == 1:
+            found[0] &= found[0] - 1
+        return found
+
+    monkeypatch.setattr(multimatroids, "_closure_masks", masks)
+    with pytest.raises(InternalInconsistency):
+        is_tight(z)
+    with pytest.raises(InternalInconsistency):
+        is_multimatroid(z)
+
+
 def test_enumeration_bounds():
     big = free_mm((2,) * 9)
     with pytest.raises(TooLarge):
