@@ -33,6 +33,7 @@ VERTEX_INTERLACE = 12
 VERTEX_GLOBAL_INTERLACE = 9
 VERTEX_EULERIAN = 20
 VERTEX_ORT_EULERIAN = 12
+GRAPH_VERTICES = 1 << 16
 
 
 def order_limit(default: int) -> int:

@@ -95,6 +95,8 @@ def _cmd_poly(args) -> None:
 
 
 def _cmd_ort(args) -> None:
+    if args.seed is not None and args.via != "fast":
+        raise MalformedInput("--seed needs --via fast")
     if args.via == "eulerian":
         if not args.graph:
             raise MalformedInput("--via eulerian needs --graph")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import fields
-from .bounds import VERTEX_EULERIAN, VERTEX_ORT_EULERIAN, check_size
+from .bounds import GRAPH_VERTICES, VERTEX_EULERIAN, VERTEX_ORT_EULERIAN, check_size
 from .errors import (ConstructionMismatch, HasLoops, InternalInconsistency,
                      MalformedInput, NotInvSymmetric, NotSymmetric)
 from .fields import GF2, GF4, GFMatrix
@@ -97,6 +97,7 @@ def parse_graph(text: str) -> Graph:
         raise MalformedInput(f"graph: bad vertex count {lines[0]!r}")
     if n < 0:
         raise MalformedInput("graph: negative vertex count")
+    check_size(n, GRAPH_VERTICES, "graph")
     edges = []
     for ln in lines[1:]:
         toks = ln.split()

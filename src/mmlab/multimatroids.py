@@ -10,7 +10,8 @@ demand.  A sheltering matroid given by circuits is kept as its subtransversal
 circuits.  Algorithms go through the rank oracle, except that the closures
 of near-transversals, which the validators and the orienting test read,
 come on packed realizations from one echelon walk per missing class; the
-two realizations are interchangeable.
+two realizations are interchangeable.  Circuits are enumerated once per
+object, and every cycle space is spanned by that one list.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .bounds import (ISO_CLASS_SIZE, MAX_CLASS_SIZE, ORDER_CYCLE_SPACE,
                      ORDER_GENERAL, ORDER_ISO, ORDER_ORT, check_order)
 from .errors import (GroundMismatch, InternalInconsistency, MalformedInput,
                      NotSubtransversal, NotTriple, TooLarge, UnknownElement)
-from .matroids import (Matroid, minimal_dependent_sets, rank_from_circuits,
-                       subsets_by_size)
+from .matroids import Matroid, minimal_dependent_sets, rank_from_circuits
 
 Element = tuple[int, int]
 
@@ -164,7 +164,7 @@ class Multimatroid:
     def __init__(self, carrier: Carrier, matroid: Matroid | None = None,
                  circuits: Iterable[frozenset] | None = None, validate: bool = True):
         self.carrier = carrier
-        self._circuits = None
+        self._circuits = None  # the circuit list; packed: circuits(), once run
         self._rank_cache: dict[frozenset, int] = {}
         self._field = self._rows = self._colvec = None
         self._tight = None  # is_tight's cross-checked (ok, witness), once run
@@ -234,10 +234,6 @@ class Multimatroid:
         return Matroid(list(self._colvec), matrix=mat)
 
     @property
-    def circuit_family(self) -> tuple[frozenset, ...] | None:
-        return self._circuits
-
-    @property
     def order(self) -> int:
         return self.carrier.order
 
@@ -285,13 +281,14 @@ class Multimatroid:
             raise TooLarge(f"{op}: class size exceeds {MAX_CLASS_SIZE}")
 
     def circuits(self) -> list[frozenset]:
-        """All minimal dependent subtransversals, lexicographically sorted."""
+        """All minimal dependent subtransversals, lexicographically sorted;
+        a packed realization enumerates them on the first call and keeps them."""
         self._check_enum_bounds(ORDER_GENERAL, "circuits")
-        if self._circuits is not None:
-            return list(self._circuits)
-        found = minimal_dependent_sets(self._subtransversal_levels(range(self.order)),
-                                       lambda s: self._rank(s) < len(s))
-        return sorted(found, key=sorted)
+        if self._circuits is None:
+            found = minimal_dependent_sets(self._subtransversal_levels(range(self.order)),
+                                           lambda s: self._rank(s) < len(s))
+            self._circuits = tuple(sorted(found, key=sorted))
+        return list(self._circuits)
 
     def _subtransversal_levels(self, classes: Sequence[int]):
         """The nonempty subtransversals within the given classes, by size."""
@@ -601,42 +598,37 @@ def transversal_slot(z: Multimatroid, slot: int) -> tuple[Element, ...]:
 # -- cycle space ----------------------------------------------------------------
 
 
-def _span_within(z: Multimatroid, t: tuple[Element, ...]) -> set[frozenset]:
-    """Symmetric-difference span of the circuits inside one transversal."""
-    circuits = minimal_dependent_sets(subsets_by_size(sorted(t)),
-                                      lambda s: z._rank(s) < len(s))
-    space = {frozenset()}
-    for c in circuits:
-        if c not in space:
-            space |= {s ^ c for s in space}
-    return space
+def _cycle_space(z: Multimatroid, transversals: Iterable[Iterable[Element]]) -> list[frozenset]:
+    """Union over the (sub)transversals t of the symmetric-difference span
+    of the circuits of z inside t."""
+    circuits = z.circuits()
+    out: set[frozenset] = set()
+    for t in transversals:
+        space = {frozenset()}
+        for c in circuits:
+            if c.issubset(t) and c not in space:
+                space |= {s ^ c for s in space}
+        out |= space
+    return sorted(out, key=lambda c: (len(c), sorted(c)))
 
 
 def cycle_space(z: Multimatroid) -> list[frozenset]:
     """Union over all transversals of the per-transversal cycle spaces."""
     check_order(z.order, ORDER_CYCLE_SPACE, "cycle_space")
-    out: set[frozenset] = set()
-    for t in z.carrier.transversals():
-        out |= _span_within(z, t)
-    return sorted(out, key=lambda c: (len(c), sorted(c)))
+    return _cycle_space(z, z.carrier.transversals())
 
 
 def cycle_space_avoiding(z: Multimatroid, avoid: Iterable[Element]) -> list[frozenset]:
     """Cycle space of the deletion of `avoid`, in the original labels."""
     check_order(z.order, ORDER_ORT, "cycle_space_avoiding")
     banned = set(avoid)
-    out: set[frozenset] = set()
-    for t in z.carrier.transversals():
-        if banned.isdisjoint(t):
-            out |= _span_within(z, t)
-    return sorted(out, key=lambda c: (len(c), sorted(c)))
+    return _cycle_space(z, (t for t in z.carrier.transversals() if banned.isdisjoint(t)))
 
 
 def cycle_space_within(z: Multimatroid, t: Iterable[Element]) -> list[frozenset]:
     """Cycle space of the matroid obtained by restricting to one
     (sub)transversal."""
-    tt = as_subtransversal(z.carrier, t)
-    return sorted(_span_within(z, tt), key=lambda c: (len(c), sorted(c)))
+    return _cycle_space(z, [as_subtransversal(z.carrier, t)])
 
 
 # -- equality and isomorphism ----------------------------------------------------

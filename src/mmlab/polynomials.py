@@ -133,8 +133,10 @@ def transition(z: Multimatroid, weights: Mapping[Element, object]) -> Polynomial
     for e in z.carrier.elements():
         if e not in weights:
             raise IncompleteWeights(f"missing weight for {e}")
+        if not isinstance(weights[e], (int, Fraction)):
+            raise MalformedInput(f"weight for {e} is not an int or Fraction: {weights[e]!r}")
     return Polynomial(z.nullity_histogram(
-        weights={e: Fraction(1) * w for e, w in weights.items()}))
+        weights={e: Fraction(weights[e]) for e in z.carrier.elements()}))
 
 
 def q1_expansion(z: Multimatroid, t: Iterable[Element], direction: str) -> Polynomial:

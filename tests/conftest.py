@@ -294,3 +294,27 @@ def cross_check_calls(monkeypatch):
     monkeypatch.setattr(multimatroids, "_order_one_minor_loops", counted_loops)
     monkeypatch.setattr(Multimatroid, "minor", counted_minor)
     return loops_at, minors
+
+
+@pytest.fixture
+def circuit_enumerations(monkeypatch):
+    """A list that gains, from now on, one entry per minimal-dependent-set
+    enumeration in mmlab.multimatroids: the multimatroid whose circuits()
+    made it, or None for one made anywhere else."""
+    made, reading = [], []
+    circuits, enumerate_sets = Multimatroid.circuits, multimatroids.minimal_dependent_sets
+
+    def counted_circuits(self):
+        reading.append(self)
+        try:
+            return circuits(self)
+        finally:
+            reading.pop()
+
+    def counted_sets(levels, dependent):
+        made.append(reading[-1] if reading else None)
+        return enumerate_sets(levels, dependent)
+
+    monkeypatch.setattr(Multimatroid, "circuits", counted_circuits)
+    monkeypatch.setattr(multimatroids, "minimal_dependent_sets", counted_sets)
+    return made

@@ -254,6 +254,17 @@ def test_malformed_inputs_exit_1(tmp_path, capsys):
     assert out == "" and err.startswith("mmlab: cannot read ") and err.count("\n") == 1
 
 
+def test_huge_vertex_count_is_too_large(tmp_path, capsys):
+    # rejected before a per-vertex list is allocated
+    huge = tmp_path / "huge.graph"
+    huge.write_text("10000000000000000000\n")
+    code = main(["poly", "interlace", "--graph", str(huge)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"] == {
+        "code": "TooLarge", "message": "graph: size 10000000000000000000 exceeds bound 65536"}
+
+
 def test_max_order_env_guard(k2_file, capsys, monkeypatch):
     monkeypatch.setenv("MMLAB_MAX_ORDER", "1")
     code = main(["ort", "--graph", k2_file])
@@ -341,9 +352,10 @@ def test_enumerations_reject_class_size_above_bound(tmp_path, capsys, argv):
     ["poly", "global-interlace", "--mm", "{h33}"],
     ["poly", "bracket"],
     ["ort", "--mm", "{h33}", "--via", "eulerian"],
+    ["ort", "--graph", "{k2}", "--seed", "9z"],
 ], ids=["unknown_choice", "unknown_verb", "misplaced_threads", "threads_not_int",
         "no_verb", "interlace_without_graph", "global_interlace_from_mm",
-        "bracket_without_graph", "eulerian_from_mm"])
+        "bracket_without_graph", "eulerian_from_mm", "seed_without_fast"])
 def test_usage_errors_exit_1(k2_file, h33_file, capsys, argv):
     files = {"{k2}": k2_file, "{h33}": h33_file}
     code = main([files.get(a, a) for a in argv])

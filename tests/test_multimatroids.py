@@ -15,7 +15,8 @@ from mmlab.fields import GF2, GFMatrix
 from mmlab.isotropic import Graph, from_graph
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, as_subtransversal,
-                                 cycle_space, cycle_space_avoiding, dual_pair,
+                                 cycle_space, cycle_space_avoiding,
+                                 cycle_space_within, dual_pair,
                                  element_label, free_sum, is_multimatroid,
                                  is_tight, isomorphic, parse_element_label,
                                  same_rank_oracle, sum_subtransversals,
@@ -246,6 +247,69 @@ def test_cycle_space_avoiding_matches_deletion(rng):
         assert sorted(direct) == relabeled
 
 
+def test_cycle_spaces_match_the_null_space_route(rng):
+    # GF(2) builds: the cycles inside a (sub)transversal t are the cycles of
+    # the sheltering matroid restricted to t, read from its null space
+    for i in range(8):
+        if i % 2:
+            z = dual_pair(random_standard_form(rng, GF2, rng.randint(1, 4)))
+        else:
+            z = from_graph(random_graph(rng, 3, loops=True), validate=False).multimatroid
+        m = z.sheltering_matroid
+
+        def within(t):
+            return set(m.minor(delete=set(m.ground) - set(t)).cycle_space())
+
+        ts = list(z.carrier.transversals())
+        t = ts[rng.randrange(len(ts))]
+        sub = [e for e in t if rng.random() < 0.6]
+        for u in (t, sub):
+            got = cycle_space_within(z, u)
+            assert set(got) == within(u) and len(got) == len(set(got))
+        avoided = [y for y in ts if set(t).isdisjoint(y)]
+        assert set(cycle_space_avoiding(z, t)) == set().union(*map(within, avoided))
+
+
+def test_circuits_are_kept_and_handed_out_as_copies():
+    for z in (from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid,
+              catalog.fixture("s4")):
+        first = z.circuits()
+        kept = list(first)
+        first.clear()
+        assert z.circuits() == kept == sorted(kept, key=sorted) != []
+        assert z._circuits == tuple(kept)
+
+
+def test_kept_circuits_keep_the_bound_texts(monkeypatch):
+    z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
+    z.circuits()
+    t = transversal_slot(z, 0)
+    calls = {"circuits": z.circuits, "cycle_space": lambda: cycle_space(z),
+             "cycle_space_avoiding": lambda: cycle_space_avoiding(z, t),
+             "cycle_space_within": lambda: cycle_space_within(z, t)}
+    # cycle_space_within has no bound of its own and inherits circuits()'s
+    texts = {"2": {op: f"{'circuits' if op == 'cycle_space_within' else op}: "
+                       "order 3 exceeds bound 2" for op in calls},
+             "many": dict.fromkeys(calls, "MMLAB_MAX_ORDER is not an integer: 'many'")}
+    for value, expected in texts.items():
+        monkeypatch.setenv("MMLAB_MAX_ORDER", value)
+        for op, call in calls.items():
+            with pytest.raises(TooLarge) as exc:
+                call()
+            assert str(exc.value) == expected[op]
+
+
+def test_derived_packed_multimatroids_start_without_circuits():
+    z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
+    z.circuits()
+    m = Matroid.from_matrix(GFMatrix.from_entries(GF2, [[1, 0, 1], [0, 1, 1]]))
+    derived = [z.minor([(0, 0)]), z.restrict([e for e in z.carrier.elements() if e != (1, 2)]),
+               z.delete(transversal_slot(z, 0)), free_sum([m, m])]
+    assert [d._circuits for d in derived] == [None] * len(derived)
+    for d in derived:
+        assert same_rank_oracle(d, Multimatroid(d.carrier, circuits=d.circuits()))
+
+
 def test_free_sum_basis_count_matches(rng):
     for _ in range(10):
         m = random_standard_form(rng, GF2, rng.randint(1, 5))
@@ -397,7 +461,7 @@ def test_matroid_given_by_circuits_is_kept_as_circuit_list(rng):
             m.ground, circuits=m.circuits(), validate=False))
         listed = Multimatroid(z.carrier, circuits=z.circuits())
         assert by_matroid.kind == "circuits" and by_matroid.sheltering_matroid is None
-        assert by_matroid.circuit_family == listed.circuit_family
+        assert by_matroid.circuits() == listed.circuits()
         assert same_rank_oracle(by_matroid, listed)
         assert same_rank_oracle(by_matroid, z)
         assert serialize.mm_to_dict(by_matroid) == serialize.mm_to_dict(listed)
@@ -532,7 +596,7 @@ def test_non_tight_witnesses_are_stored_unchanged():
         assert is_tight(y) == is_tight(y) == y._tight == (False, witness)
 
 
-def test_sheltering_by_circuits_beyond_the_enumeration_bound():
+def test_sheltering_by_circuits_beyond_the_enumeration_bound(monkeypatch):
     # 18 elements: more than a matroid's circuits() may enumerate, but the
     # given circuit family is read as is
     carrier = Carrier.uniform(9, 2)
@@ -540,8 +604,10 @@ def test_sheltering_by_circuits_beyond_the_enumeration_bound():
     z = Multimatroid(carrier, matroid=Matroid.from_circuits(carrier.elements(), circuits))
     assert carrier.ground_size == 18
     assert z.kind == "circuits"
-    assert z.circuit_family == (frozenset(circuits[0]), frozenset(circuits[1]))
     assert z.rank(circuits[0]) == 2
+    # order 9 is past circuits()'s bound; lifted, the kept family comes back
+    monkeypatch.setenv("MMLAB_MAX_ORDER", "9")
+    assert z.circuits() == [frozenset(circuits[0]), frozenset(circuits[1])]
 
 
 def _public_callables(mod):

@@ -174,7 +174,7 @@ def test_packed_minor_and_restrict_match_circuit_lists(kind, seed, n):
     rng = random.Random(seed)
     z = build_any(kind, rng, n)
     zc = circuit_rebuild(z)
-    circuits = zc.circuit_family
+    circuits = zc.circuits()
     for _ in range(3):
         x = random_subtransversal(rng, z, circuits)
         zx = z.minor(x)

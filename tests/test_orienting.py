@@ -129,6 +129,24 @@ def test_orienting_coset_within_fixed_transversal(rng):
             assert coset == inside
 
 
+def test_each_multimatroid_enumerates_its_circuits_once(circuit_enumerations):
+    # the coset route and the suite's parity check share z's circuits
+    z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
+    ort = orienting_transversals(z)
+    assert orienting_from_seed(z, ort[0]) == ort
+    assert evaluation_suite(z, transversal_slot(z, 0)).passed
+    assert circuit_enumerations == [z]
+    # the minor scan reads each candidate minor once and the pattern once
+    circuit_enumerations.clear()
+    z4 = from_graph(Graph(4, [(0, 1), (1, 2), (2, 3)]), validate=False).multimatroid
+    pattern = catalog.fixture_h33.__wrapped__().multimatroid
+    assert catalog.has_minor(z4, pattern) is None
+    assert len(circuit_enumerations) == 1 + 4 * 3
+    assert None not in circuit_enumerations
+    assert len({id(y) for y in circuit_enumerations}) == len(circuit_enumerations)
+    assert sum(y is pattern for y in circuit_enumerations) == 1
+
+
 def test_pair_swap_split_lemma(rng):
     for _ in range(5):
         g = random_graph(rng, 3)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_graph, random_standard_form
 from mmlab import catalog
-from mmlab.errors import Degenerate, IncompleteWeights, TooLarge
+from mmlab.errors import Degenerate, IncompleteWeights, MalformedInput, TooLarge
 from mmlab.fields import GF2, GF4, GFMatrix
 from mmlab.isotropic import Graph, from_graph
 from mmlab.matroids import Matroid
@@ -97,6 +97,11 @@ def test_transition_empty_and_missing_weight():
     z2 = catalog.fixture("s2")
     with pytest.raises(IncompleteWeights):
         transition(z2, {(0, 0): 1})
+    # weights are exact: a float or a string is named, not computed with
+    weights = dict.fromkeys(z2.carrier.elements(), Fraction(1, 2))
+    for bad in (0.5, "1/2"):
+        with pytest.raises(MalformedInput, match=r"^weight for \(1, 0\) "):
+            transition(z2, {**weights, (1, 0): bad})
 
 
 def test_q1_expansion_agrees_with_direct(rng):
