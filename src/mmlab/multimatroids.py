@@ -11,7 +11,8 @@ circuits.  Algorithms go through the rank oracle, except that the closures
 of near-transversals, which the validators and the orienting test read,
 come on packed realizations from one echelon walk per missing class; the
 two realizations are interchangeable.  Circuits are enumerated once per
-object, and every cycle space is spanned by that one list.
+object, and a cycle space is spanned by the circuit list of the
+multimatroid it is taken in (for `cycle_space_avoiding`, the deletion).
 """
 
 from __future__ import annotations
@@ -598,15 +599,16 @@ def transversal_slot(z: Multimatroid, slot: int) -> tuple[Element, ...]:
 # -- cycle space ----------------------------------------------------------------
 
 
-def _cycle_space(z: Multimatroid, transversals: Iterable[Iterable[Element]]) -> list[frozenset]:
-    """Union over the (sub)transversals t of the symmetric-difference span
+def _cycle_space(z: Multimatroid) -> list[frozenset]:
+    """Union over the transversals t of z of the symmetric-difference span
     of the circuits of z inside t."""
     circuits = z.circuits()
     out: set[frozenset] = set()
-    for t in transversals:
+    for t in z.carrier.transversals():
+        ts = frozenset(t)
         space = {frozenset()}
         for c in circuits:
-            if c.issubset(t) and c not in space:
+            if c <= ts and c not in space:
                 space |= {s ^ c for s in space}
         out |= space
     return sorted(out, key=lambda c: (len(c), sorted(c)))
@@ -615,20 +617,19 @@ def _cycle_space(z: Multimatroid, transversals: Iterable[Iterable[Element]]) -> 
 def cycle_space(z: Multimatroid) -> list[frozenset]:
     """Union over all transversals of the per-transversal cycle spaces."""
     check_order(z.order, ORDER_CYCLE_SPACE, "cycle_space")
-    return _cycle_space(z, z.carrier.transversals())
+    return _cycle_space(z)
 
 
 def cycle_space_avoiding(z: Multimatroid, avoid: Iterable[Element]) -> list[frozenset]:
-    """Cycle space of the deletion of `avoid`, in the original labels."""
+    """Cycle space of the deletion of `avoid` (from the deletion's circuits),
+    in the original labels."""
     check_order(z.order, ORDER_ORT, "cycle_space_avoiding")
-    banned = set(avoid)
-    return _cycle_space(z, (t for t in z.carrier.transversals() if banned.isdisjoint(t)))
-
-
-def cycle_space_within(z: Multimatroid, t: Iterable[Element]) -> list[frozenset]:
-    """Cycle space of the matroid obtained by restricting to one
-    (sub)transversal."""
-    return _cycle_space(z, [as_subtransversal(z.carrier, t)])
+    avoid = set(avoid)
+    d = z.delete(avoid)
+    if d.order < z.order:  # a whole class avoided: no transversal of z avoids it
+        return []
+    back = {v: k for k, v in z.deletion_map(avoid).items()}  # keeps the order
+    return [frozenset(map(back.get, c)) for c in _cycle_space(d)]
 
 
 # -- equality and isomorphism ----------------------------------------------------

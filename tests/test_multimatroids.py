@@ -15,8 +15,7 @@ from mmlab.fields import GF2, GFMatrix
 from mmlab.isotropic import Graph, from_graph
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, as_subtransversal,
-                                 cycle_space, cycle_space_avoiding,
-                                 cycle_space_within, dual_pair,
+                                 cycle_space, cycle_space_avoiding, dual_pair,
                                  element_label, free_sum, is_multimatroid,
                                  is_tight, isomorphic, parse_element_label,
                                  same_rank_oracle, sum_subtransversals,
@@ -245,11 +244,13 @@ def test_cycle_space_avoiding_matches_deletion(rng):
         relabeled = sorted(frozenset(inv[e] for e in c)
                            for c in cycle_space(deleted))
         assert sorted(direct) == relabeled
+        # no transversal avoids a whole class
+        assert cycle_space_avoiding(z, z.carrier.skew_class(0)) == []
 
 
 def test_cycle_spaces_match_the_null_space_route(rng):
-    # GF(2) builds: the cycles inside a (sub)transversal t are the cycles of
-    # the sheltering matroid restricted to t, read from its null space
+    # GF(2) builds: the cycles inside a transversal t are the cycles of the
+    # sheltering matroid restricted to t, read from its null space
     for i in range(8):
         if i % 2:
             z = dual_pair(random_standard_form(rng, GF2, rng.randint(1, 4)))
@@ -262,12 +263,10 @@ def test_cycle_spaces_match_the_null_space_route(rng):
 
         ts = list(z.carrier.transversals())
         t = ts[rng.randrange(len(ts))]
-        sub = [e for e in t if rng.random() < 0.6]
-        for u in (t, sub):
-            got = cycle_space_within(z, u)
-            assert set(got) == within(u) and len(got) == len(set(got))
         avoided = [y for y in ts if set(t).isdisjoint(y)]
-        assert set(cycle_space_avoiding(z, t)) == set().union(*map(within, avoided))
+        for got, spanned in ((cycle_space(z), ts), (cycle_space_avoiding(z, t), avoided)):
+            assert set(got) == set().union(*map(within, spanned))
+            assert len(got) == len(set(got))
 
 
 def test_circuits_are_kept_and_handed_out_as_copies():
@@ -285,11 +284,8 @@ def test_kept_circuits_keep_the_bound_texts(monkeypatch):
     z.circuits()
     t = transversal_slot(z, 0)
     calls = {"circuits": z.circuits, "cycle_space": lambda: cycle_space(z),
-             "cycle_space_avoiding": lambda: cycle_space_avoiding(z, t),
-             "cycle_space_within": lambda: cycle_space_within(z, t)}
-    # cycle_space_within has no bound of its own and inherits circuits()'s
-    texts = {"2": {op: f"{'circuits' if op == 'cycle_space_within' else op}: "
-                       "order 3 exceeds bound 2" for op in calls},
+             "cycle_space_avoiding": lambda: cycle_space_avoiding(z, t)}
+    texts = {"2": {op: f"{op}: order 3 exceeds bound 2" for op in calls},
              "many": dict.fromkeys(calls, "MMLAB_MAX_ORDER is not an integer: 'many'")}
     for value, expected in texts.items():
         monkeypatch.setenv("MMLAB_MAX_ORDER", value)

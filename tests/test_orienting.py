@@ -9,8 +9,7 @@ from mmlab.errors import Degenerate, NotBinaryTight3, NotOrienting, NotTight
 from mmlab.fields import GF4
 from mmlab.isotropic import Graph, from_graph, z_quaternary
 from mmlab.matroids import Matroid
-from mmlab.multimatroids import (Carrier, Multimatroid, cycle_space_within,
-                                 dual_pair, free_sum, is_tight,
+from mmlab.multimatroids import (Carrier, Multimatroid, dual_pair, free_sum, is_tight,
                                  sum_subtransversals, transversal_slot)
 from mmlab.orienting import (_WEIGHT_SEED, _validate_binary_tight3, disjoint_orienting,
                              evaluation_suite, is_orienting,
@@ -124,18 +123,24 @@ def test_orienting_coset_within_fixed_transversal(rng):
                 assert not inside
                 continue
             tprime = seeds[0]
-            coset = {frozenset(sum_subtransversals(z.carrier, tprime, c))
-                     for c in cycle_space_within(z, t)}
+            m = z.sheltering_matroid
+            within = m.minor(delete=set(m.ground) - set(t)).cycle_space()
+            coset = {frozenset(sum_subtransversals(z.carrier, tprime, c)) for c in within}
             assert coset == inside
 
 
 def test_each_multimatroid_enumerates_its_circuits_once(circuit_enumerations):
-    # the coset route and the suite's parity check share z's circuits
+    # the coset route reads the circuits of the seed's deletion, the suite's
+    # parity check those of z; a second read of either enumerates nothing
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     ort = orienting_transversals(z)
     assert orienting_from_seed(z, ort[0]) == ort
     assert evaluation_suite(z, transversal_slot(z, 0)).passed
-    assert circuit_enumerations == [z]
+    deletion, whole = circuit_enumerations
+    assert whole is z and deletion.carrier.class_sizes == (2,) * z.order
+    deletion.circuits()
+    z.circuits()
+    assert len(circuit_enumerations) == 2
     # the minor scan reads each candidate minor once and the pattern once
     circuit_enumerations.clear()
     z4 = from_graph(Graph(4, [(0, 1), (1, 2), (2, 3)]), validate=False).multimatroid
