@@ -11,8 +11,8 @@ from typing import Iterable
 
 from .bounds import (ORDER_CLASSIFY, ORDER_EXTENSION, ORDER_MINOR_SCAN,
                      ORDER_STRONGLY_BINARY, check_order)
-from .errors import (Degenerate, InternalInconsistency, MalformedInput,
-                     NoBasis, NotClassUnion, NotTight, UnknownElement)
+from .errors import (Degenerate, GroundMismatch, InternalInconsistency,
+                     NoBasis, NotClassUnion, NotTight, NotTriple, UnknownElement)
 from .fields import GF2, GF4, GFMatrix
 from .isotropic import IsotropicBuild, isotropic_multimatroid, pair_multimatroid
 from .matroids import Matroid, minimal_dependent_sets
@@ -155,7 +155,7 @@ def is_strongly_binary(z: Multimatroid):
     if not z.is_nondegenerate():
         raise Degenerate("strong binarity needs a nondegenerate multimatroid")
     if not z.carrier.is_uniform(2):
-        raise MalformedInput("strong binarity is defined for class size 2")
+        raise GroundMismatch("strong binarity is defined for class size 2")
     check_order(z.order, ORDER_STRONGLY_BINARY, "is_strongly_binary")
     n = z.order
     basis = None
@@ -224,7 +224,7 @@ def classify_binary_tight3(z: Multimatroid) -> ClassifyReport:
     unions."""
     check_order(z.order, ORDER_CLASSIFY, "classify_binary_tight3")
     if not z.carrier.is_uniform(3):
-        raise MalformedInput("classification needs class size 3 throughout")
+        raise NotTriple("classification needs class size 3 throughout")
     ok, _ = is_tight(z)
     if not ok:
         raise NotTight("classification needs a tight multimatroid")
@@ -262,7 +262,7 @@ def tight_extension(z: Multimatroid) -> Multimatroid | None:
     if not z.is_nondegenerate():
         raise Degenerate("tight extension needs a nondegenerate multimatroid")
     if not z.carrier.is_uniform(2):
-        raise MalformedInput("tight extension lifts a 2-matroid")
+        raise GroundMismatch("tight extension lifts a 2-matroid")
     check_order(z.order, ORDER_EXTENSION, "tight_extension")
     ell = z.order
     carrier = Carrier.uniform(ell, 3)
@@ -368,7 +368,7 @@ def basis_parity(z: Multimatroid, x: Iterable[Element],
             raise NotClassUnion(f"class {c} only partially covered")
     k = z.carrier.class_sizes[0] if z.order else 3
     if not (z.carrier.is_uniform(k) and k >= 3 and k % 2 == 1):
-        raise MalformedInput("basis parity needs odd class size at least 3")
+        raise GroundMismatch("basis parity needs odd class size at least 3")
     if not tight_quick(z):
         raise NotTight("basis parity needs a tight multimatroid")
     bases = [frozenset(b) for b in z.bases()]

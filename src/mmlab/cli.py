@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, isotropic, orienting, polynomials, serialize
-from .errors import MalformedInput, MMLabError
+from .errors import MalformedInput, MMLabError, UnknownElement
 from .matroids import Matroid
 from .multimatroids import (Multimatroid, element_label, near_transversal_scan,
                             parse_element_label)
@@ -106,6 +106,10 @@ def _cmd_ort(args) -> None:
         if args.via == "fast":
             seed = _parse_transversal(args.seed) if args.seed else \
                 tuple((c, 2) for c in range(z.order))
+            short = [e for e in seed if not z.carrier.contains(e)]
+            if short and not args.seed:  # the default seed, named by its label
+                raise UnknownElement(f"default seed element {element_label(short[0])} "
+                                     "is not a carrier element; pass --seed")
             ts = orienting.orienting_from_seed(z, seed)
         else:
             ts = orienting.orienting_transversals(z)

@@ -365,6 +365,47 @@ def span_masks(field: int, levels: Sequence[Sequence], targets: Sequence) -> lis
     return masks
 
 
+def circuit_picks(field: int, levels: Sequence[Sequence]) -> list[tuple]:
+    """Every minimal dependent way to pick at most one vector per level, as
+    its (level, candidate index) pairs in level order.  Vectors are packed
+    as in nullity_histogram.
+
+    One depth-first walk skips each level or picks one of its candidates,
+    carrying the echelon basis of the prefix picked so far.  Each pick is
+    augmented: its vector shifted up by the level count, plus a unit tag bit
+    at its depth.  Pivots then stay in the shifted bits, and the tag bits of
+    a remainder record which picks it combines.  A pick whose shifted part
+    reduces to zero closes a circuit exactly when that dependency has full
+    support (popcount = depth + 1); a dependent prefix is never extended.
+    """
+    n = len(levels)
+    gf2 = field == GF2
+    shifted = [[v << n if gf2 else (v[0] << n, v[1] << n) for v in c] for c in levels]
+    out: list[tuple] = []
+
+    def walk(start, basis, picks):
+        tag, full = 1 << len(picks), len(picks) + 1
+        for i in range(start, n):
+            for j, v in enumerate(shifted[i]):
+                if gf2:  # the reduction of rank_of_vectors, inlined
+                    v |= tag
+                    for b in basis:
+                        r = v ^ b
+                        if r < v:
+                            v = r
+                    row, support = v >> n, v
+                else:
+                    v = _reduce_gf4(basis, v[0] | tag, v[1])
+                    row, support = v[0] >= n, v[1] | v[2]
+                if row:
+                    walk(i + 1, basis + (v,), picks + ((i, j),))
+                elif support.bit_count() == full:
+                    out.append(picks + ((i, j),))
+
+    walk(0, (), ())
+    return out
+
+
 def rank(m: GFMatrix) -> int:
     return rank_of_vectors(m.field, zip(m.row_lo, m.row_hi))
 

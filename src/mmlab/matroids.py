@@ -1,8 +1,8 @@
 """Ordinary matroids, by GF(2)/GF(4) representation or by explicit circuits.
 
-Represented matroids answer rank queries through column rank of the backing
-matrix; circuit-list matroids use brute-force independence checking, which is
-fine because every circuit-list fixture here has at most 9 elements.
+Represented matroids answer rank queries by column rank and list circuits by
+fields.circuit_picks; circuit-list matroids use brute-force independence
+checking, fine because every circuit-list fixture here has at most 9 elements.
 """
 
 from __future__ import annotations
@@ -174,9 +174,11 @@ class Matroid:
         check_size(self.size, MATROID_ENUM_BOUND, "circuits")
         if self._circuits is not None:
             return list(self._circuits)
-        found = minimal_dependent_sets(subsets_by_size(sorted(self.ground, key=self._key)),
-                                       lambda w: self.rank_of(w) < len(w))
-        return sorted(found, key=lambda c: tuple(sorted(map(self._key, c))))
+        gf2 = self._matrix.field == fields.GF2
+        found = fields.circuit_picks(self._matrix.field, [
+            [c[0] if gf2 else c] for c in self._matrix.columns_packed()])
+        return sorted((frozenset(self.ground[i] for i, _ in pick) for pick in found),
+                      key=lambda c: tuple(sorted(map(self._key, c))))
 
     def bases(self) -> list[frozenset]:
         check_size(self.size, MATROID_ENUM_BOUND, "bases")

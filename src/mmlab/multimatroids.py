@@ -7,12 +7,12 @@ explicit family of circuit subtransversals.  A sheltered multimatroid keeps
 only its field, row count and packed columns; minors and restrictions are
 built straight from those, and the sheltering matroid is rebuilt from them on
 demand.  A sheltering matroid given by circuits is kept as its subtransversal
-circuits.  Algorithms go through the rank oracle, except that the closures
-of near-transversals, which the validators and the orienting test read,
-come on packed realizations from one echelon walk per missing class; the
-two realizations are interchangeable.  Circuits are enumerated once per
-object, and a cycle space is spanned by the circuit list of the
-multimatroid it is taken in (for `cycle_space_avoiding`, the deletion).
+circuits.  Algorithms go through the rank oracle, except that on packed
+realizations the closures of near-transversals, which the validators and the
+orienting test read, come from one echelon walk per missing class, and the
+circuits, enumerated once per object, from one subtransversal walk.  The two
+realizations are interchangeable.  A cycle space is spanned by the circuit
+list of the multimatroid it is taken in (`cycle_space_avoiding`: the deletion).
 """
 
 from __future__ import annotations
@@ -286,10 +286,16 @@ class Multimatroid:
         a packed realization enumerates them on the first call and keeps them."""
         self._check_enum_bounds(ORDER_GENERAL, "circuits")
         if self._circuits is None:
-            found = minimal_dependent_sets(self._subtransversal_levels(range(self.order)),
-                                           lambda s: self._rank(s) < len(s))
-            self._circuits = tuple(sorted(found, key=sorted))
+            found = fields.circuit_picks(self._field, self._packed(
+                map(self.carrier.skew_class, range(self.order))))
+            self._circuits = tuple(sorted(map(frozenset, found), key=sorted))
         return list(self._circuits)
+
+    def _packed(self, groups: Iterable[Iterable[Element]]) -> list[list]:
+        """The packed columns of each group of elements, as the fields walks
+        take them: ints over GF(2), (lo, hi) pairs over GF(4)."""
+        cv, gf2 = self._colvec, self._field == fields.GF2
+        return [[cv[e][0] if gf2 else cv[e] for e in es] for es in groups]
 
     def _subtransversal_levels(self, classes: Sequence[int]):
         """The nonempty subtransversals within the given classes, by size."""
@@ -335,10 +341,8 @@ class Multimatroid:
         cands = [[e for e in self.carrier.skew_class(c) if e not in bans]
                  for c in range(self.order)]
         if self._colvec is not None:
-            cv = self._colvec
-            gf2 = self._field == fields.GF2
             return fields.nullity_histogram(
-                self._field, [[cv[e][0] if gf2 else cv[e] for e in es] for es in cands],
+                self._field, self._packed(cands),
                 None if weights is None else [[weights[e] for e in es] for es in cands])
         # Second path, for circuit-list realizations (including matroids
         # given by circuits): one rank-oracle call per leaf.
@@ -438,10 +442,7 @@ def _closure_masks(z: Multimatroid, miss: int, classes: list[int]) -> Iterable[i
     circuit-list ones ask closure_in_class at each S as it is read."""
     sizes = z.carrier.class_sizes
     if z._colvec is not None:
-        cv = z._colvec
-        gf2 = z._field == fields.GF2
-        cols = [[cv[e][0] if gf2 else cv[e] for e in z.carrier.skew_class(c)]
-                for c in (*classes, miss)]
+        cols = z._packed(map(z.carrier.skew_class, (*classes, miss)))
         return fields.span_masks(z._field, cols[:-1], cols[-1])
     return (sum(1 << x for _, x in z.closure_in_class(frozenset(zip(classes, picks)), miss))
             for picks in product(*[range(sizes[c]) for c in classes]))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mmlab
-from mmlab import catalog, multimatroids
+from mmlab import catalog, fields, multimatroids
 from mmlab.fields import GF2, GF4, GFMatrix, scalar_add, scalar_mul
 from mmlab.isotropic import Graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
@@ -298,11 +298,14 @@ def cross_check_calls(monkeypatch):
 
 @pytest.fixture
 def circuit_enumerations(monkeypatch):
-    """A list that gains, from now on, one entry per minimal-dependent-set
-    enumeration in mmlab.multimatroids: the multimatroid whose circuits()
-    made it, or None for one made anywhere else."""
+    """A list that gains, from now on, one entry per circuit enumeration: a
+    fields.circuit_picks walk, or a minimal-dependent-set enumeration in
+    mmlab.multimatroids (circuit-list minors).  The entry is the
+    multimatroid whose circuits() made it, or None for one made anywhere
+    else."""
     made, reading = [], []
     circuits, enumerate_sets = Multimatroid.circuits, multimatroids.minimal_dependent_sets
+    walk = fields.circuit_picks
 
     def counted_circuits(self):
         reading.append(self)
@@ -315,6 +318,11 @@ def circuit_enumerations(monkeypatch):
         made.append(reading[-1] if reading else None)
         return enumerate_sets(levels, dependent)
 
+    def counted_walk(field, levels):
+        made.append(reading[-1] if reading else None)
+        return walk(field, levels)
+
     monkeypatch.setattr(Multimatroid, "circuits", counted_circuits)
     monkeypatch.setattr(multimatroids, "minimal_dependent_sets", counted_sets)
+    monkeypatch.setattr(fields, "circuit_picks", counted_walk)
     return made

@@ -7,8 +7,8 @@ from conftest import (binary_sheltering_exists,
                       is_binary_matroid_oracle, random_graph,
                       random_standard_form, random_symmetric)
 from mmlab import catalog, serialize
-from mmlab.errors import (Degenerate, MalformedInput, NotClassUnion,
-                          NotTight)
+from mmlab.errors import (Degenerate, GroundMismatch, NotClassUnion,
+                          NotTight, NotTriple)
 from mmlab.fields import GF2, GF4, GFMatrix
 from mmlab.isotropic import from_graph, isotropic_multimatroid, pair_multimatroid
 from mmlab.matroids import Matroid
@@ -139,7 +139,7 @@ def test_classify_rejects_non_tight():
         frozenset({(0, 0), (1, 0)})])
     with pytest.raises(NotTight):
         catalog.classify_binary_tight3(free3)
-    with pytest.raises(MalformedInput):
+    with pytest.raises(NotTriple):
         catalog.classify_binary_tight3(catalog.fixture("s4"))
 
 
@@ -352,7 +352,7 @@ def test_basis_parity_validation():
     with pytest.raises(NotClassUnion):
         catalog.basis_parity(z, u, {(0, 0)})
     two = catalog.fixture("s4")
-    with pytest.raises(MalformedInput):  # even class size
+    with pytest.raises(GroundMismatch):  # even class size
         catalog.basis_parity(two, set(two.carrier.elements()), set())
     from mmlab.multimatroids import free_sum
     u12 = Matroid.from_circuits([0, 1], [{0, 1}])

@@ -153,9 +153,10 @@ def test_classify_verb(h33_file, capsys):
 
 def test_classify_validation_failure_exit_2(capsys, monkeypatch):
     dump = json.dumps(serialize.mm_to_dict(catalog.fixture("s2")))
-    # s2 is a 2-matroid: classification wants class size 3; malformed => 1
+    # s2 is a 2-matroid: classification wants class size 3, a domain failure
     code, out, err = run_cli(["classify", "--mm", "-"], dump, capsys, monkeypatch)
-    assert code == 1
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"]["code"] == "NotTriple"
     # a genuinely non-tight 3-carrier fails validation with exit 2
     from mmlab.multimatroids import Carrier, Multimatroid
     loose = Multimatroid(Carrier.uniform(2, 3),

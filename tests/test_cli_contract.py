@@ -12,8 +12,10 @@ import copy
 import io
 import json
 import random
+import re
 import sys
 
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -197,3 +199,20 @@ def test_cli_contract_on_random_and_mutated_inputs(rng, fmt, mutations, damage):
     else:
         assert out.count("\n") == 1
         assert set(json.loads(out)) == {"error"}
+
+
+@pytest.mark.parametrize("argv, fixture, code", [
+    (["classify", "--mm", "-"], "s1", "NotTriple"),
+    (["extend", "--mm", "-"], "h33", "GroundMismatch"),
+    (["ort", "--mm", "-", "--via", "fast"], "s1", "UnknownElement"),
+])
+def test_carrier_shape_failures_exit_2(argv, fixture, code):
+    # a carrier of the wrong class size is a domain failure: one error
+    # object on stdout, nothing on stderr, elements named by their labels
+    text = json.dumps(serialize.mm_to_dict(catalog.fixture(fixture)))
+    exit_code, out, err = run(argv, text)
+    assert (exit_code, err) == (2, "")
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == code
+    assert not re.search(r"\(\d+, \d+\)", error["message"])

@@ -1,20 +1,26 @@
-"""Property tests for the prefix-echelon nullity walk.
+"""Property tests for the prefix-echelon walks.
 
-The walk (fields.nullity_histogram, reached through
+The nullity walk (fields.nullity_histogram, reached through
 Multimatroid.nullity_histogram and the graph polynomials) is checked against
 per-leaf references: one full elimination per leaf, one rank-oracle nullity
 per transversal, and one Graph.nullity_mask per (vertex mask, loop toggle).
+The circuit walk (fields.circuit_picks, behind the circuits() of packed
+multimatroids and represented matroids) is checked against the brute-force
+minimal-dependent-set enumeration under the rank oracle.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KINDS, build, random_graph
-from mmlab.fields import GF2, GF4, nullity_histogram, rank_of_vectors
+from conftest import KINDS, build, random_graph, random_standard_form
+from mmlab import catalog
+from mmlab.fields import (GF2, GF4, circuit_picks, nullity_histogram,
+                          rank_of_vectors)
+from mmlab.matroids import minimal_dependent_sets, subsets_by_size
 from mmlab.multimatroids import Carrier, Multimatroid
 from mmlab.polynomials import (Polynomial, bracket, global_interlace,
                                interlace, q1, q1_avoiding, shifted_power_sum,
@@ -155,3 +161,65 @@ def test_graph_polynomials_match_nullity_mask_sums(seed, n):
 @settings(max_examples=60, deadline=None)
 def test_shifted_power_sum_matches_repeated_multiplication(counts, shift):
     assert shifted_power_sum(counts, shift) == power_expand(counts, shift)
+
+
+def brute_circuits(z: Multimatroid) -> list:
+    """The oracle route: minimal dependent subtransversals by size, under
+    the rank oracle."""
+    found = minimal_dependent_sets(z._subtransversal_levels(range(z.order)),
+                                   lambda s: z._rank(s) < len(s))
+    return sorted(found, key=sorted)
+
+
+def packed_builds(kind: str, rng: random.Random, n: int):
+    """A packed build, or one of the fixtures h33 and z-u24-3, with a random
+    restriction and a random deletion of it."""
+    z = catalog.fixture(kind) if kind in ("h33", "z-u24-3") else build(kind, rng, n)
+    keep = [e for e in z.carrier.elements() if rng.random() < 0.7]
+    drop = [e for e in z.carrier.elements() if rng.random() < 0.3]
+    return z, z.restrict(keep), z.delete(drop)
+
+
+@given(st.sampled_from((GF2, GF4)), seeds, st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_circuit_walk_matches_minimal_dependent_picks(field, seed, depth):
+    rng = random.Random(seed)
+    pairs = [[(rng.getrandbits(3), rng.getrandbits(3) if field == GF4 else 0)
+              for _ in range(rng.randint(0, 3))] for _ in range(depth)]
+    levels = pairs if field == GF4 else [[lo for lo, _ in c] for c in pairs]
+    subsets = ((frozenset(zip(ls, js)) for ls in combinations(range(depth), k)
+                for js in product(*[range(len(pairs[i])) for i in ls]))
+               for k in range(1, depth + 1))
+    want = minimal_dependent_sets(
+        subsets, lambda s: rank_of_vectors(field, [pairs[i][j] for i, j in s]) < len(s))
+    got = circuit_picks(field, levels)
+    assert all(list(p) == sorted(p) for p in got)  # level order
+    assert sorted(map(frozenset, got), key=sorted) == sorted(want, key=sorted)
+
+
+@given(st.sampled_from(("gf2", "gf4", "gf4_pair", "h33", "z-u24-3")), seeds,
+       st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_packed_circuits_match_the_oracle_route(kind, seed, n):
+    rng = random.Random(seed)
+    for z in packed_builds(kind, rng, n):
+        assert z.kind == "sheltered"
+        want = brute_circuits(z)
+        walked = circuit_picks(z._field, z._packed(map(z.carrier.skew_class, range(z.order))))
+        assert sorted(map(frozenset, walked), key=sorted) == want
+        assert z.circuits() == want
+
+
+@given(st.sampled_from((GF2, GF4)), seeds, st.integers(0, 7))
+@settings(max_examples=40, deadline=None)
+def test_represented_matroid_circuits_match_the_oracle_route(field, seed, n):
+    m = random_standard_form(random.Random(seed), field, n)
+    want = minimal_dependent_sets(subsets_by_size(sorted(m.ground, key=m._key)),
+                                  lambda w: m.rank_of(w) < len(w))
+    assert m.circuits() == sorted(want, key=lambda c: tuple(sorted(map(m._key, c))))
+
+
+def test_circuit_walk_on_empty_levels_and_a_loop():
+    assert circuit_picks(GF2, []) == []
+    assert circuit_picks(GF4, [[], []]) == []
+    assert circuit_picks(GF2, [[0, 1]]) == [((0, 0),)]
