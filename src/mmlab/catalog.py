@@ -16,8 +16,8 @@ from .errors import (Degenerate, GroundMismatch, InternalInconsistency,
 from .fields import GF2, GF4, GFMatrix
 from .isotropic import IsotropicBuild, isotropic_multimatroid, pair_multimatroid
 from .matroids import Matroid, minimal_dependent_sets
-from .multimatroids import (Carrier, Element, Multimatroid,
-                            as_subtransversal, dual_pair, is_tight, isomorphic,
+from .multimatroids import (Carrier, Element, Multimatroid, as_subtransversal,
+                            dual_pair, element_name, is_tight, isomorphic,
                             odd_skew_pair, same_rank_oracle, tight_quick)
 
 _A = 0
@@ -361,7 +361,7 @@ def basis_parity(z: Multimatroid, x: Iterable[Element],
     ys = set(y)
     for e in xs | ys:
         if not z.carrier.contains(e):
-            raise UnknownElement(f"{e!r} is not a carrier element")
+            raise UnknownElement(f"{element_name(e)} is not a carrier element")
     touched = {c for c, _ in ys}
     for c in touched:
         if not set(z.carrier.skew_class(c)) <= ys:

@@ -4,7 +4,9 @@ Scalars are small ints encoding coefficients in the basis {1, a} of GF(4)
 (a^2 = a + 1): 0 -> 0, 1 -> 1, 2 -> a, 3 -> b = a + 1.  GF(2) uses {0, 1}.
 Rows are bit-packed: one machine word (Python int) per coefficient plane,
 so GF(2) rows are single ints and GF(4) rows are (lo, hi) plane pairs.
-All arithmetic is exact; there is no floating point anywhere.
+All arithmetic is exact; there is no floating point anywhere.  There is one
+pivoting routine, _echelon (with _reduce_gf4 over GF(4)): rank, contraction
+and rref call it, and the three walks inline its GF(2) step.
 """
 
 from __future__ import annotations
@@ -415,37 +417,27 @@ def nullity(m: GFMatrix) -> int:
 
 
 def rref(m: GFMatrix) -> tuple[GFMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns (ascending)."""
-    lo = list(m.row_lo)
-    hi = list(m.row_hi)
-    pivots = []
-    r = 0
-    for col in range(m.cols):
-        pivot = None
-        for i in range(r, m.rows):
-            if ((lo[i] >> col) & 1) | ((hi[i] >> col) & 1):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        lo[r], lo[pivot] = lo[pivot], lo[r]
-        hi[r], hi[pivot] = hi[pivot], hi[r]
-        c = ((lo[r] >> col) & 1) | (((hi[r] >> col) & 1) << 1)
-        if c != 1:
-            lo[r], hi[r] = _scale_row(scalar_inverse(c), lo[r], hi[r])
-        for i in range(m.rows):
-            if i == r:
-                continue
-            c = ((lo[i] >> col) & 1) | (((hi[i] >> col) & 1) << 1)
-            if c:
-                slo, shi = _scale_row(c, lo[r], hi[r])
-                lo[i] ^= slo
-                hi[i] ^= shi
-        pivots.append(col)
-        r += 1
-        if r == m.rows:
-            break
-    return GFMatrix(m.field, m.rows, m.cols, lo, hi), tuple(pivots)
+    """Reduced row echelon form and its pivot columns (ascending).
+
+    Two _echelon passes over the rows with their columns reversed, so that
+    each row's top-bit pivot is its leftmost entry.  The first gives an
+    echelon basis; the second, over that basis in ascending pivot order,
+    clears every pivot column but the row's own.  Reversed back, the rows
+    come in pivot order, zero rows last."""
+    n, gf2 = m.cols, m.field == GF2
+
+    def flip(x: int) -> int:  # the n low bits reversed; a sentinel bit pads x to n
+        return int(bin(x | 1 << n)[:1:-1], 2) >> 1
+
+    def by_pivot(basis) -> list:  # each row is 1 at its pivot, so lo's top bit is the pivot
+        return sorted((b, 0) if gf2 else b[1:] for b in basis)
+
+    rows = by_pivot(_echelon(m.field, by_pivot(_echelon(
+        m.field, ((flip(lo), flip(hi)) for lo, hi in zip(m.row_lo, m.row_hi))))))[::-1]
+    pad = [0] * (m.rows - len(rows))
+    return (GFMatrix(m.field, m.rows, n, [flip(lo) for lo, _ in rows] + pad,
+                     [flip(hi) for _, hi in rows] + pad),
+            tuple(n - lo.bit_length() for lo, _ in rows))
 
 
 def null_space(m: GFMatrix) -> list[tuple[int, ...]]:

@@ -10,9 +10,11 @@ demand.  A sheltering matroid given by circuits is kept as its subtransversal
 circuits.  Algorithms go through the rank oracle, except that on packed
 realizations the closures of near-transversals, which the validators and the
 orienting test read, come from one echelon walk per missing class, and the
-circuits, enumerated once per object, from one subtransversal walk.  The two
-realizations are interchangeable.  A cycle space is spanned by the circuit
-list of the multimatroid it is taken in (`cycle_space_avoiding`: the deletion).
+circuits, enumerated once per object, from one subtransversal walk.  Both
+validators read one near-transversal scan, kept on the object once
+cross-checked.  The two realizations are interchangeable.  A cycle space is
+spanned by the circuit list of the multimatroid it is taken in
+(`cycle_space_avoiding`: the deletion).
 """
 
 from __future__ import annotations
@@ -125,13 +127,22 @@ class Carrier:
         return f"Carrier({list(self.class_sizes)})"
 
 
+def element_name(e) -> str:
+    """How a message names a would-be element: by its label when it is a
+    pair of non-negative ints with a slot letter, else by its repr."""
+    if (isinstance(e, tuple) and len(e) == 2 and all(type(v) is int and v >= 0 for v in e)
+            and e[1] < len(_SLOT_LETTERS)):
+        return element_label(e)
+    return repr(e)
+
+
 def as_subtransversal(carrier: Carrier, elems: Iterable[Element]) -> tuple[Element, ...]:
     """Normalize to a sorted element tuple; reject repeated skew classes."""
     es = sorted(set(elems))
     seen = set()
     for e in es:
         if not isinstance(e, tuple) or len(e) != 2 or not carrier.contains(e):
-            raise UnknownElement(f"{e!r} is not a carrier element")
+            raise UnknownElement(f"{element_name(e)} is not a carrier element")
         if e[0] in seen:
             raise NotSubtransversal(f"two elements in skew class {e[0]}")
         seen.add(e[0])
@@ -160,7 +171,7 @@ class Multimatroid:
     """A carrier plus a rank oracle, realized as sheltered or circuit-list."""
 
     __slots__ = ("carrier", "_circuits", "_rank_cache", "_field", "_rows", "_colvec",
-                 "_tight")
+                 "_scan")
 
     def __init__(self, carrier: Carrier, matroid: Matroid | None = None,
                  circuits: Iterable[frozenset] | None = None, validate: bool = True):
@@ -168,7 +179,7 @@ class Multimatroid:
         self._circuits = None  # the circuit list; packed: circuits(), once run
         self._rank_cache: dict[frozenset, int] = {}
         self._field = self._rows = self._colvec = None
-        self._tight = None  # is_tight's cross-checked (ok, witness), once run
+        self._scan = None  # near_transversal_scan's cross-checked pair, once run
         if (matroid is None) == (circuits is None):
             raise MalformedInput("exactly one of matroid/circuits required")
         if matroid is not None:
@@ -201,7 +212,7 @@ class Multimatroid:
         z = cls.__new__(cls)
         z.carrier, z._circuits, z._rank_cache = carrier, None, {}
         z._field, z._rows, z._colvec = field, rows, colvec
-        z._tight = None
+        z._scan = None
         return z
 
     def _validate_semi_axioms(self):
@@ -361,19 +372,14 @@ class Multimatroid:
 
     # -- restriction, deletion, minors ---------------------------------------
 
-    def _shrink(self, keep: frozenset) -> tuple[Carrier, dict[Element, Element]]:
-        sizes = []
-        emap: dict[Element, Element] = {}
-        new_c = 0
-        for c in range(self.order):
-            slots = [s for s in range(self.carrier.class_sizes[c]) if (c, s) in keep]
-            if not slots:
-                continue
-            for new_s, s in enumerate(slots):
-                emap[(c, s)] = (new_c, new_s)
-            sizes.append(len(slots))
-            new_c += 1
-        return Carrier(sizes), emap
+    def _shrink(self, keep: Iterable[Element]) -> tuple[Carrier, dict[Element, Element]]:
+        """The carrier of the kept carrier elements, emptied classes dropped,
+        and the map from each kept element to its new label, in ground order."""
+        slots: dict[int, list[int]] = {}
+        for c, s in sorted(keep):
+            slots.setdefault(c, []).append(s)
+        emap = {(c, s): (i, j) for i, (c, ss) in enumerate(slots.items()) for j, s in enumerate(ss)}
+        return Carrier([len(ss) for ss in slots.values()]), emap
 
     def restrict(self, keep_elems: Iterable[Element]) -> "Multimatroid":
         """Restriction to a subset of the ground set; classes shrink and may
@@ -381,7 +387,7 @@ class Multimatroid:
         keep = frozenset(keep_elems)
         for e in keep:
             if not self.carrier.contains(e):
-                raise UnknownElement(f"{e!r} is not a carrier element")
+                raise UnknownElement(f"{element_name(e)} is not a carrier element")
         carrier, emap = self._shrink(keep)
         if self._colvec is not None:
             return self._sheltered(carrier, self._field, self._rows,
@@ -404,11 +410,7 @@ class Multimatroid:
         xs = frozenset(as_subtransversal(self.carrier, x))
         touched = {c for c, _ in xs}
         kept_classes = [c for c in range(self.order) if c not in touched]
-        sizes = [self.carrier.class_sizes[c] for c in kept_classes]
-        cmap = {c: i for i, c in enumerate(kept_classes)}
-        carrier = Carrier(sizes)
-        emap = {(c, s): (cmap[c], s) for c in kept_classes
-                for s in range(self.carrier.class_sizes[c])}
+        carrier, emap = self._shrink(e for e in self.carrier.elements() if e[0] not in touched)
         if self._colvec is not None:
             cv = self._colvec
             kept = [e for e in cv if e in emap]
@@ -470,7 +472,6 @@ def _near_transversal_flats(z: Multimatroid, op: str, cross_check: bool):
     one _closure_masks call, made when the scan reaches that class.  With
     cross_check, the loops of the order-one minor by S, a second route
     through contraction, must be exactly the closure at every S."""
-    z._check_enum_bounds(ORDER_GENERAL, op)
     masks, last = None, None
     for s, miss in z.carrier.near_transversals():
         if miss != last:
@@ -490,27 +491,38 @@ def near_transversal_scan(z: Multimatroid, op: str, cross_check: bool = True):
     tightness witness (S, missing_class)), each None when its check passes.
     The scan stops at the first closure of two or more elements, where the
     exclusion fails; the tightness witness is the first near-transversal
-    whose closure is not exactly one element."""
-    loose = None
+    whose closure is not exactly one element.
+
+    The bounds are checked under op on every call.  A cross-checked result
+    is kept on z, and later calls, cross-checked or not, return it without
+    a scan; a scan that raises, or one without cross_check, keeps nothing."""
+    z._check_enum_bounds(ORDER_GENERAL, op)
+    if z._scan is not None:
+        return z._scan
+    excess = loose = None
     for s, miss, flat in _near_transversal_flats(z, op, cross_check):
         if len(flat) >= 2:
-            return (s, flat[0], flat[1]), loose or (s, miss)
+            excess, loose = (s, flat[0], flat[1]), loose or (s, miss)
+            break
         if not flat and loose is None:
             loose = (s, miss)
-    return None, loose
+    if cross_check:
+        z._scan = excess, loose
+    return excess, loose
 
 
 def is_multimatroid(z: Multimatroid, cross_check: bool = True):
     """Check the defining exclusion (at most one element of a missing class
     may change the nullity of a near-transversal).
 
-    Returns (True, None) or (False, (S, x1, x2)).  With cross_check, every
-    near-transversal scanned is also checked against the loops of its
-    order-one minor: read from a contraction of the packed columns, or from
-    the built minor's circuits on a circuit-list realization.
+    Returns (True, None) or (False, (S, x1, x2)), read from
+    near_transversal_scan.  With cross_check, every near-transversal scanned
+    is also checked against the loops of its order-one minor: read from a
+    contraction of the packed columns, or from the built minor's circuits on
+    a circuit-list realization.
     """
-    witness = near_transversal_scan(z, "is_multimatroid", cross_check)[0]
-    return witness is None, witness
+    excess = near_transversal_scan(z, "is_multimatroid", cross_check)[0]
+    return excess is None, excess
 
 
 def is_tight(z: Multimatroid, cross_check: bool = True):
@@ -518,28 +530,16 @@ def is_tight(z: Multimatroid, cross_check: bool = True):
     missing class that raises nullity.  Tightness implies the exclusion
     checked by is_multimatroid.
 
-    Returns (True, None) or (False, (S, missing_class)).  With cross_check,
-    every near-transversal scanned is also checked against the loops of its
-    order-one minor, as in is_multimatroid, and the verdict is kept on z:
-    later calls return it after the bound check, without a scan.  A scan
-    that raises, or one without cross_check, keeps nothing.  Degenerate
-    multimatroids are allowed.
+    Returns (True, None) or (False, (S, missing_class)), read from
+    near_transversal_scan, which keeps a cross-checked scan on z, as in
+    is_multimatroid.  Degenerate multimatroids are allowed.
     """
-    z._check_enum_bounds(ORDER_GENERAL, "is_tight")
-    if z._tight is not None:
-        return z._tight
-    verdict = True, None
-    for s, miss, flat in _near_transversal_flats(z, "is_tight", cross_check):
-        if len(flat) != 1:
-            verdict = False, (s, miss)
-            break
-    if cross_check:
-        z._tight = verdict
-    return verdict
+    loose = near_transversal_scan(z, "is_tight", cross_check)[1]
+    return loose is None, loose
 
 
 def tight_quick(z: Multimatroid) -> bool:
-    """Single-route tightness test for enumeration loops."""
+    """Single-route tightness test for enumeration loops; keeps nothing."""
     return is_tight(z, cross_check=False)[0]
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 from .bounds import ORDER_EVALS, ORDER_ORT, check_order
 from .errors import (Degenerate, NotBinaryTight3, NotOrienting, NotTight)
 from .multimatroids import (Element, Multimatroid, _closure_masks, as_subtransversal,
-                            cycle_space_avoiding, element_label, is_tight,
+                            cycle_space_avoiding, element_label,
                             near_transversal_scan, odd_skew_pair,
                             sum_subtransversals, tight_quick)
 from .polynomials import Polynomial
@@ -154,14 +154,13 @@ class EvalReport:
 
 
 def _validate_binary_tight3(z: Multimatroid) -> None:
-    """Raise NotBinaryTight3 unless z is a binary tight 3-matroid.  A
-    verdict that is_tight keeps on z answers without a scan; only a z that
-    is not tight is scanned again, to tell "not tight" from "not a
-    multimatroid"."""
+    """Raise NotBinaryTight3 unless z is a binary tight 3-matroid.  One
+    near_transversal_scan, or the one kept on z, tells "not tight" from "not
+    a multimatroid"."""
     if not z.carrier.is_uniform(3):
         raise NotBinaryTight3("carrier must have class size 3 throughout")
-    if not is_tight(z)[0]:
-        excess, _ = near_transversal_scan(z, "is_tight")
+    excess, loose = near_transversal_scan(z, "is_tight")
+    if loose is not None:
         raise NotBinaryTight3("not tight" if excess is None else "not a multimatroid")
     if odd_skew_pair(z) is not None:
         raise NotBinaryTight3("circuit union with an odd number of skew pairs")

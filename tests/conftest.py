@@ -297,6 +297,21 @@ def cross_check_calls(monkeypatch):
 
 
 @pytest.fixture
+def tightness_scans(monkeypatch):
+    """A list that gains, from now on, one (op, cross_check) entry per
+    near-transversal scan run; a kept scan read back adds nothing."""
+    scans = []
+    flats = multimatroids._near_transversal_flats
+
+    def counted(z, op, cross_check):
+        scans.append((op, cross_check))
+        return flats(z, op, cross_check)
+
+    monkeypatch.setattr(multimatroids, "_near_transversal_flats", counted)
+    return scans
+
+
+@pytest.fixture
 def circuit_enumerations(monkeypatch):
     """A list that gains, from now on, one entry per circuit enumeration: a
     fields.circuit_picks walk, or a minimal-dependent-set enumeration in

@@ -1,0 +1,219 @@
+"""Mutation check for the exact kernels (standard library only).
+
+Copies the repository to a temporary directory, then applies one `ast`
+mutation at a time to the kernel functions listed in KERNELS and runs the
+fast test files in TEST_FILES on the mutated copy, in one sequential pytest
+subprocess per mutant.  A mutant is killed when that run fails (or times
+out), and survives when it passes.  Each survivor should be listed in
+EQUIVALENT with a one-line reason, or be killed by a new test.
+
+Mutations, inside each kernel function and the functions nested in it:
+  - swap ^ and |, << and >>, < and <=, > and >= (also in augmented
+    assignments);
+  - add or subtract one from an integer constant of absolute value at most 2;
+  - replace one statement by `pass` (docstrings are left alone).
+
+Usage, from the repository root:
+
+    python3 tests/mutants.py            # every mutant, about 4 s each
+    python3 tests/mutants.py --list     # the mutants, without running them
+    python3 tests/mutants.py --only fields.rref
+
+Exits 1 when a mutant survives that EQUIVALENT does not list.  pytest does
+not collect this file (it is not named test_*.py).
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+KERNELS = {
+    "fields": ("_echelon", "_reduce_gf4", "rref", "contract_columns"),
+    "multimatroids": ("near_transversal_scan",),
+}
+TEST_FILES = ("tests/test_fields.py", "tests/test_walk.py", "tests/test_matroids.py",
+              "tests/test_isotropic.py")
+TIMEOUT_S = 300
+
+SWAPS = {ast.BitXor: ast.BitOr, ast.BitOr: ast.BitXor,
+         ast.LShift: ast.RShift, ast.RShift: ast.LShift,
+         ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+
+# Survivors that no test can kill, with the reason each leaves every output
+# unchanged.  Keys are mutant ids as printed by --list.
+EQUIVALENT = {
+    "fields._echelon+11:19 Lt->LtE":
+        "r = lo ^ b equals lo only for b = 0, and no basis vector is zero",
+    "fields._reduce_gf4+6:12 BitOr->BitXor":
+        "the two bits of the coefficient sit at different positions",
+    "fields._reduce_gf4+14:8 BitOr->BitXor":
+        "the two bits of the coefficient sit at different positions",
+    "fields.rref+11:23 BitOr->BitXor":
+        "x has at most n bits, so the sentinel bit 1 << n is clear in it",
+    "fields.contract_columns+14:19 Lt->LtE":
+        "as in _echelon: no basis vector is zero",
+    "fields.contract_columns+17:53 0->1":
+        "the first entry of the fallback triple is sliced off",
+    "fields.contract_columns+17:53 0->-1":
+        "the first entry of the fallback triple is sliced off",
+    "fields.contract_columns+19:17 BitOr->BitXor":
+        "the part shifted down sits at p and above, the kept part below p",
+    "fields.contract_columns+20:17 BitOr->BitXor":
+        "the part shifted down sits at p and above, the kept part below p",
+    "fields.contract_columns+19:48 1->2":
+        "the mask then also keeps bit p, a pivot row, which the reduction left zero",
+    "fields.contract_columns+20:48 1->2":
+        "the mask then also keeps bit p, a pivot row, which the reduction left zero",
+}
+
+
+def _code_nodes(node: ast.AST):
+    """node and the nodes below it, breadth first, leaving out annotations
+    (never evaluated here, as every module imports annotations lazily)."""
+    queue = [node]
+    while queue:
+        node = queue.pop(0)
+        yield node
+        queue.extend(child for name, child in ast.iter_fields(node)
+                     if name not in ("annotation", "returns") and isinstance(child, ast.AST))
+        queue.extend(child for name, children in ast.iter_fields(node)
+                     if isinstance(children, list) for child in children
+                     if isinstance(child, ast.AST))
+
+
+def _sites(fn: ast.FunctionDef):
+    """(description, apply) for every mutation inside fn, in a fixed walk
+    order; apply() edits the tree in place.  A description starts with the
+    line (relative to the def) and column of the mutated node."""
+    out = []
+
+    def where(node) -> str:
+        return f"+{node.lineno - fn.lineno}:{node.col_offset}"
+
+    for node in _code_nodes(fn):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
+            new = SWAPS[type(node.op)]
+            out.append((f"{where(node)} {type(node.op).__name__}->{new.__name__}",
+                        lambda node=node, new=new: setattr(node, "op", new())))
+        elif isinstance(node, ast.Compare):
+            for i, op in enumerate(node.ops):
+                if type(op) in SWAPS:
+                    new = SWAPS[type(op)]
+
+                    def swap(node=node, i=i, new=new):
+                        node.ops[i] = new()
+                    out.append((f"{where(node)} {type(op).__name__}->{new.__name__}", swap))
+        elif (isinstance(node, ast.Constant) and type(node.value) is int
+              and abs(node.value) <= 2):
+            for step in (1, -1):
+                out.append((f"{where(node)} {node.value}->{node.value + step}",
+                            lambda node=node, step=step: setattr(node, "value",
+                                                                 node.value + step)))
+        for field in ("body", "orelse"):
+            stmts = getattr(node, field, None)
+            if not isinstance(stmts, list):
+                continue
+            for i, stmt in enumerate(stmts):
+                if not isinstance(stmt, ast.stmt) or isinstance(stmt, ast.Pass):
+                    continue
+                if (i == 0 and isinstance(stmt, ast.Expr)
+                        and isinstance(stmt.value, ast.Constant)
+                        and isinstance(stmt.value.value, str)):
+                    continue  # a docstring
+                first = ast.unparse(stmt).splitlines()[0][:40]
+
+                def drop(stmts=stmts, i=i):
+                    stmts[i] = ast.copy_location(ast.Pass(), stmts[i])
+                out.append((f"{where(stmt)} drop `{first}`", drop))
+    return out
+
+
+def mutants(module: str, name: str) -> list[str]:
+    """The ids of every mutant of module.name."""
+    tree = ast.parse((ROOT / "src" / "mmlab" / f"{module}.py").read_text())
+    ids = [f"{module}.{name}{desc}" for desc, _ in _sites(_function(tree, name))]
+    assert len(set(ids)) == len(ids), "two mutants share an id"
+    return ids
+
+
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+    raise SystemExit(f"no top-level function {name}")
+
+
+def mutated_source(module: str, name: str, index: int) -> str:
+    """The source of module with mutant `index` of function name applied."""
+    tree = ast.parse((ROOT / "src" / "mmlab" / f"{module}.py").read_text())
+    _sites(_function(tree, name))[index][1]()
+    return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
+
+
+def run_tests(copy: Path) -> bool:
+    """True when the test files pass on the copy."""
+    shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    try:
+        # a fixed hypothesis seed draws the same examples for every mutant
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                               "--hypothesis-seed=0", *TEST_FILES], cwd=copy, env=env,
+                              timeout=TIMEOUT_S,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    except subprocess.TimeoutExpired:
+        return False
+    return done.returncode == 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--list", action="store_true", help="print the mutant ids and stop")
+    p.add_argument("--only", help="one kernel, as module.function")
+    args = p.parse_args(argv)
+    targets = [(m, f) for m, fs in KERNELS.items() for f in fs
+               if args.only in (None, f"{m}.{f}")]
+    if args.list:
+        for m, f in targets:
+            print("\n".join(mutants(m, f)))
+        return 0
+    survived, unlisted = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
+        if not run_tests(copy):
+            print("the unmutated tests fail; nothing to measure")
+            return 1
+        for m, f in targets:
+            target = copy / "src" / "mmlab" / f"{m}.py"
+            original = target.read_text()
+            for i, mid in enumerate(mutants(m, f)):
+                target.write_text(mutated_source(m, f, i))
+                start = time.perf_counter()
+                killed = not run_tests(copy)
+                target.write_text(original)
+                verdict = "killed" if killed else \
+                    "equivalent" if mid in EQUIVALENT else "SURVIVED"
+                print(f"{verdict:10} {time.perf_counter() - start:5.1f}s  {mid}", flush=True)
+                if not killed:
+                    survived.append(mid)
+                    if mid not in EQUIVALENT:
+                        unlisted.append(mid)
+    total = sum(len(mutants(m, f)) for m, f in targets)
+    print(f"{total} mutants: {total - len(survived)} killed, {len(survived)} survived, "
+          f"{len(survived) - len(unlisted)} of them listed as equivalent")
+    return 1 if unlisted else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

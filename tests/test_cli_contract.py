@@ -19,12 +19,14 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, random_standard_form
+from conftest import random_graph, random_standard_form, random_symmetric
 from mmlab import catalog, serialize
 from mmlab.cli import main
-from mmlab.fields import GF2, GF4
-from mmlab.isotropic import format_graph, from_graph
-from mmlab.multimatroids import Multimatroid, dual_pair
+from mmlab.errors import MalformedInput
+from mmlab.fields import GF2, GF4, GFMatrix
+from mmlab.isotropic import Graph, format_graph, from_graph, isotropic_multimatroid
+from mmlab.matroids import Matroid
+from mmlab.multimatroids import Carrier, Multimatroid, dual_pair
 
 JUNK = [0, 1, 2, 3, 5, -1, 2.5, "2", "x", "", True, None, [], {}, [[0, 0]], [1, 2]]
 RATIONALS = ["1", "-1", "2", "1/2", "-3/4", "0", "0.5", "x"]
@@ -205,14 +207,75 @@ def test_cli_contract_on_random_and_mutated_inputs(rng, fmt, mutations, damage):
     (["classify", "--mm", "-"], "s1", "NotTriple"),
     (["extend", "--mm", "-"], "h33", "GroundMismatch"),
     (["ort", "--mm", "-", "--via", "fast"], "s1", "UnknownElement"),
+    (["ort", "--mm", "-", "--via", "fast", "--seed", "1c,2c,3c"], "s1", "UnknownElement"),
+    # the suite rejects the carrier before it reads the transversal
+    (["evals", "--mm", "-", "--transversal", "1c,2a,3a"], "s1", "NotBinaryTight3"),
+    (["evals", "--mm", "-", "--transversal", "1d,2a,3a"], "P3", "UnknownElement"),
 ])
 def test_carrier_shape_failures_exit_2(argv, fixture, code):
     # a carrier of the wrong class size is a domain failure: one error
-    # object on stdout, nothing on stderr, elements named by their labels
-    text = json.dumps(serialize.mm_to_dict(catalog.fixture(fixture)))
+    # object on stdout, nothing on stderr, elements named by their labels;
+    # P3 is the binary tight 3-matroid of the path on three vertices
+    z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid if fixture == "P3" \
+        else catalog.fixture(fixture)
+    text = json.dumps(serialize.mm_to_dict(z))
     exit_code, out, err = run(argv, text)
     assert (exit_code, err) == (2, "")
     assert out.count("\n") == 1
     error = json.loads(out)["error"]
     assert error["code"] == code
     assert not re.search(r"\(\d+, \d+\)", error["message"])
+
+
+def well_formed_mm(rng: random.Random) -> Multimatroid:
+    """A random multimatroid that passes the semi-axioms: order 0-4, class
+    sizes 1-4, sheltered over GF(2) or GF(4) (a random matrix, or an
+    isotropic build, which is tight with class size 3) or given by a circuit
+    list (a sheltered one's circuits, or a random family the semi-axioms
+    accept)."""
+    n = rng.randint(0, 4)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return isotropic_multimatroid(random_symmetric(rng, GF2, n), validate=False).multimatroid
+    k = rng.randint(1, 4)
+    carrier = Carrier([k if rng.random() < 0.7 else rng.randint(1, 4) for _ in range(n)])
+    ground = carrier.elements()
+    if kind == 3:
+        while True:
+            family = [frozenset((c, rng.randrange(j)) for c, j in enumerate(carrier.class_sizes)
+                                if rng.random() < 0.4) for _ in range(rng.randint(0, 3))]
+            try:
+                return Multimatroid(carrier, circuits=[c for c in family if c])
+            except MalformedInput:  # nested, or no elimination within a transversal
+                continue
+    field = rng.choice((GF2, GF4))
+    mat = GFMatrix.from_entries(field, [[rng.randrange(field) for _ in ground]
+                                        for _ in range(rng.randint(0, 4))], cols=len(ground))
+    rng.shuffle(ground)
+    z = Multimatroid(carrier, matroid=Matroid(ground, matrix=mat))
+    return Multimatroid(carrier, circuits=z.circuits()) if kind == 2 else z
+
+
+MM_VERBS = [["poly", "q1"], ["ort"], ["ort", "--via", "fast"], ["evals"], ["tight"],
+            ["minors", "--pattern", "h33"], ["classify"], ["extend"]]
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_well_formed_input_never_exits_1(rng):
+    # every --mm verb, plus a seed and a reference transversal of
+    # well-formed labels that may name no element of the carrier
+    z = well_formed_mm(rng)
+    text = json.dumps(serialize.mm_to_dict(z))
+    labels = ",".join(f"{c + 1}{rng.choice('abcd')}" for c in range(z.order + rng.randint(0, 1)))
+    for verb in MM_VERBS + [["ort", "--via", "fast", "--seed", labels],
+                            ["evals", "--transversal", labels]]:
+        argv = verb + ["--mm", "-"]
+        code, out, err = run(argv, text)
+        event(f"{verb[0]} exit {code}")
+        assert code in (0, 2) and err == "", (argv, text, err)
+        assert out.count("\n") == 1
+        obj = json.loads(out)
+        if code == 2:
+            assert set(obj) == {"error"}
+            assert not re.search(r"\(-?\d+, -?\d+\)", obj["error"]["message"]), (argv, text, obj)

@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_rank, permutation_determinant
 from mmlab.errors import FieldMismatch, MalformedInput
-from mmlab.fields import (GF2, GF4, GFMatrix, Scalar, conjugate, field_arith,
-                          format_gfmat, mat_vec, null_space, nullity,
-                          parse_gfmat, rank, rank_of_vectors, scalar_add,
+from mmlab.fields import (GF2, GF4, GFMatrix, Scalar, conjugate, contract_columns,
+                          field_arith, format_gfmat, mat_vec, null_space, nullity,
+                          parse_gfmat, rank, rank_of_vectors, rref, scalar_add,
                           scalar_inverse, scalar_mul)
 
 gf4 = st.integers(min_value=0, max_value=3)
@@ -88,6 +88,90 @@ def test_rank_matches_naive_oracle_randomly(rng):
         entries = [[rng.choice(vals) for _ in range(cols)] for _ in range(rows)]
         m = GFMatrix.from_entries(field, entries, cols=cols)
         assert rank(m) == naive_rank(entries, field)
+
+
+@st.composite
+def small_matrices(draw):
+    """GF(2) or GF(4) matrices from 0x0 to 6x9 whose rows are drawn fresh,
+    zero, or repeated from an earlier row."""
+    field = draw(st.sampled_from((GF2, GF4)))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 9))
+    entries = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat")))
+        if kind == "zero":
+            entries.append([0] * cols)
+        elif kind == "repeat" and entries:
+            entries.append(list(draw(st.sampled_from(entries))))
+        else:
+            entries.append(draw(st.lists(st.integers(0, field - 1),
+                                         min_size=cols, max_size=cols)))
+    return GFMatrix.from_entries(field, entries, cols=cols)
+
+
+@given(small_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_is_the_reduced_row_echelon_form(m):
+    red, pivots = rref(m)
+    assert (red.field, red.rows, red.cols) == (m.field, m.rows, m.cols)
+    assert list(pivots) == sorted(set(pivots))  # strictly ascending
+    for i, p in enumerate(pivots):
+        row = red.row_entries(i)
+        assert row[p] == 1 and not any(row[:p])  # its leading entry, at its pivot
+        assert [red.entry(k, p) for k in range(red.rows)] == [int(k == i) for k in range(red.rows)]
+    assert not any(any(red.row_entries(i)) for i in range(len(pivots), red.rows))
+    r = rank_of_vectors(m.field, zip(m.row_lo, m.row_hi))
+    assert len(pivots) == r
+    assert rank_of_vectors(m.field, zip(red.row_lo, red.row_hi)) == r
+    assert rank_of_vectors(m.field, zip(m.row_lo + red.row_lo, m.row_hi + red.row_hi)) == r
+    assert rref(red) == (red, pivots)
+
+
+def contraction_by_brute_force(field: int, contract, v, rows: int) -> tuple[int, int]:
+    """The oracle for one packed kept column v: span the contracted columns
+    by brute force, take the vector of v + span that is zero at every top
+    position of a span vector, drop those rows, and scale it to 1 at its top
+    row."""
+    def unpack(c):
+        return [((c[0] >> i) & 1) | (((c[1] >> i) & 1) << 1) for i in range(rows)]
+
+    span = {(0,) * rows}
+    for c in map(unpack, contract):
+        span |= {tuple(scalar_add(si, scalar_mul(x, ci)) for si, ci in zip(s, c))
+                 for s in span for x in ((1,) if field == GF2 else (1, 2, 3))}
+    tops = {max(i for i, e in enumerate(s) if e) for s in span if any(s)}
+    w = next(w for w in (tuple(map(scalar_add, unpack(v), s)) for s in span)
+             if not any(w[i] for i in tops))
+    left = [e for i, e in enumerate(w) if i not in tops]
+    inv = scalar_inverse(next(e for e in reversed(left) if e)) if any(left) else 0
+    scaled = [scalar_mul(inv, e) for e in left]
+    return (sum((e & 1) << i for i, e in enumerate(scaled)),
+            sum((e >> 1) << i for i, e in enumerate(scaled)))
+
+
+@st.composite
+def contractions(draw):
+    """A small matrix and up to four columns to contract, each ending at a
+    random row, so that kept entries also lie above the dropped pivot rows."""
+    m = draw(small_matrices())
+    plane = st.integers(0, (1 << m.rows) - 1)
+    contract = []
+    for _ in range(draw(st.integers(0, 4))):
+        mask = (1 << draw(st.integers(0, m.rows))) - 1
+        contract.append((draw(plane) & mask, draw(plane) & mask if m.field == GF4 else 0))
+    return m, contract
+
+
+# a GF(4) entry above pivot row 1 and below the kept column's top row
+@example((GFMatrix.from_entries(GF4, [[0], [0], [2], [1]]), [(0b10, 0)]))
+@given(contractions())
+@settings(max_examples=300, deadline=None)
+def test_contract_columns_matches_brute_force(case):
+    m, contract = case
+    cols = list(m.columns_packed())
+    r, out = contract_columns(m.field, contract, cols)
+    assert r == rank_of_vectors(m.field, contract)
+    assert out == [contraction_by_brute_force(m.field, contract, v, m.rows) for v in cols]
 
 
 def test_null_space_identity_empty():

@@ -3,7 +3,7 @@ import pytest
 from conftest import random_graph, random_inv_symmetric, random_symmetric
 from mmlab import catalog
 from mmlab.errors import (HasLoops, MalformedInput, NotInvSymmetric,
-                          NotSymmetric)
+                          NotSymmetric, TooLarge)
 from mmlab.fields import GF2, GF4, GFMatrix
 from mmlab.isotropic import (Graph, bicycle_dimension, eulerian_subsets,
                              format_graph, from_graph, graph_nullity_bridge,
@@ -13,7 +13,7 @@ from mmlab.isotropic import (Graph, bicycle_dimension, eulerian_subsets,
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, cycle_space_avoiding,
                                  is_multimatroid, is_tight, isomorphic,
-                                 same_rank_oracle, transversal_slot)
+                                 same_rank_oracle, tight_quick, transversal_slot)
 from mmlab.orienting import orienting_transversals
 
 
@@ -70,6 +70,23 @@ def test_h33_build():
     # sheltering matroid: rank 3 on 9 elements, full row rank
     assert build.matroid.size == 9
     assert build.matroid.rank_of(build.matroid.ground) == 3
+
+
+def test_a_validated_build_keeps_its_scan(monkeypatch, tightness_scans):
+    # the validation scan answers every later validator, each of which
+    # still checks its bounds; an unvalidated build keeps nothing until
+    # scanned with the cross-check
+    z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid
+    assert is_tight(z) == is_multimatroid(z) == (True, None) and tight_quick(z)
+    assert tightness_scans == [("is_tight", True)]
+    y = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
+    assert tight_quick(y) and tight_quick(y) and is_multimatroid(y)[0] and is_tight(y)[0]
+    assert tightness_scans[1:] == [("is_tight", False)] * 2 + [("is_multimatroid", True)]
+    monkeypatch.setenv("MMLAB_MAX_ORDER", "2")
+    for w, check, op in ((z, is_multimatroid, "is_multimatroid"), (z, is_tight, "is_tight"),
+                         (y, tight_quick, "is_tight")):
+        with pytest.raises(TooLarge, match=f"^{op}: order 3 exceeds bound 2$"):
+            check(w)
 
 
 def test_zero_matrix_build_is_edgeless_graph():

@@ -466,9 +466,9 @@ def test_matroid_given_by_circuits_is_kept_as_circuit_list(rng):
 def test_validators_cross_check_each_near_transversal(monkeypatch):
     # one extra loop at a single near-transversal leaves the tightness
     # verdicts of the two routes equal, but not their closures; z is built
-    # unvalidated, so that no stored verdict answers
+    # unvalidated and first scanned on one route, so that no kept scan answers
     z = from_graph(Graph(2, [(0, 1)]), validate=False).multimatroid
-    assert is_multimatroid(z)[0]
+    assert is_multimatroid(z, cross_check=False)[0]
     target = ((1, 0),)
     original = multimatroids._order_one_minor_loops
 
@@ -550,46 +550,60 @@ def test_enumeration_bounds():
         is_tight(big)
 
 
-def test_stored_verdict_keeps_the_bound_check(monkeypatch):
+def test_stored_verdict_keeps_the_bound_check(monkeypatch, tightness_scans):
     z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid  # validated
-    assert z._tight == (True, None)
+    assert tightness_scans == [("is_tight", True)]
     monkeypatch.setenv("MMLAB_MAX_ORDER", "2")
     with pytest.raises(TooLarge, match=r"^is_tight: order 3 exceeds bound 2$"):
         is_tight(z)
+    with pytest.raises(TooLarge, match=r"^is_multimatroid: order 3 exceeds bound 2$"):
+        is_multimatroid(z)
     monkeypatch.setenv("MMLAB_MAX_ORDER", "many")
     with pytest.raises(TooLarge, match=r"^MMLAB_MAX_ORDER is not an integer: 'many'$"):
         is_tight(z)
     monkeypatch.delenv("MMLAB_MAX_ORDER")
-    assert is_tight(z) == (True, None)
+    assert is_tight(z) == is_multimatroid(z) == (True, None)
+    assert tightness_scans == [("is_tight", True)]  # the build's scan, kept
 
 
-def test_unchecked_scans_store_no_verdict():
+def test_unchecked_scans_store_no_verdict(tightness_scans, cross_check_calls):
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     assert tight_quick(z) and is_tight(z, cross_check=False) == (True, None)
-    assert z._tight is None
+    assert is_multimatroid(z, cross_check=False) == (True, None)
     assert is_tight(z) == (True, None)
-    assert z._tight == (True, None)
+    assert is_tight(z) == is_multimatroid(z) == (True, None)
+    assert tight_quick(z)
+    assert tightness_scans == [("is_tight", False)] * 2 + [("is_multimatroid", False),
+                                                          ("is_tight", True)]
+    assert len(cross_check_calls[0]) == 27
 
 
-def test_derived_multimatroids_start_without_a_verdict():
+def test_derived_multimatroids_start_without_a_verdict(monkeypatch, tightness_scans):
     z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid
-    assert z._tight == (True, None)
+    assert tight_quick(z) and tightness_scans == [("is_tight", True)]
     m = z.sheltering_matroid
     derived = [z.minor([(0, 0)]), z.restrict([e for e in z.carrier.elements() if e != (1, 2)]),
                z.delete(transversal_slot(z, 0)), free_sum([m, m]),
                Multimatroid(z.carrier, matroid=m),
                Multimatroid(z.carrier, circuits=z.circuits(), validate=False).minor([(0, 0)])]
-    assert [d._tight for d in derived] == [None] * len(derived)
+    monkeypatch.setenv("MMLAB_MAX_ORDER", "9")  # the free sum has one class per element
+    tightness_scans.clear()
+    for d in derived:
+        tight_quick(d)
+    assert tightness_scans == [("is_tight", False)] * len(derived)
 
 
-def test_non_tight_witnesses_are_stored_unchanged():
+def test_non_tight_witnesses_are_stored_unchanged(tightness_scans):
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     packed = z.restrict([e for e in z.carrier.elements() if e != (1, 2)])
     by_circuits = catalog.fixture("s1")
     for y, witness in ((packed, (((0, 0), (2, 2)), 1)),
                        (by_circuits, (((1, 0), (2, 0)), 0))):
         assert is_tight(y, cross_check=False) == (False, witness)
-        assert is_tight(y) == is_tight(y) == y._tight == (False, witness)
+        tightness_scans.clear()
+        assert is_tight(y) == is_tight(y) == is_tight(y, cross_check=False) == (False, witness)
+        assert is_multimatroid(y) == (True, None)
+        assert tightness_scans == [("is_tight", True)]
 
 
 def test_sheltering_by_circuits_beyond_the_enumeration_bound(monkeypatch):

@@ -9,8 +9,9 @@ from mmlab.errors import Degenerate, NotBinaryTight3, NotOrienting, NotTight
 from mmlab.fields import GF4
 from mmlab.isotropic import Graph, from_graph, z_quaternary
 from mmlab.matroids import Matroid
-from mmlab.multimatroids import (Carrier, Multimatroid, dual_pair, free_sum, is_tight,
-                                 sum_subtransversals, transversal_slot)
+from mmlab.multimatroids import (Carrier, Multimatroid, dual_pair, free_sum,
+                                 is_multimatroid, is_tight, sum_subtransversals,
+                                 transversal_slot)
 from mmlab.orienting import (_WEIGHT_SEED, _validate_binary_tight3, disjoint_orienting,
                              evaluation_suite, is_orienting,
                              orienting_from_seed, orienting_transversals)
@@ -280,6 +281,27 @@ def test_validated_build_is_not_scanned_again_by_the_suite(cross_check_calls):
     assert len(loops_at) == 27
     assert evaluation_suite(z, transversal_slot(z, 0)).passed
     assert len(loops_at) == 27
+
+
+def test_one_kept_scan_answers_every_validator(cross_check_calls):
+    # the build's 27 cross-checks are the only ones: classification, the
+    # suite and the exclusion check read the scan kept on z
+    loops_at, _ = cross_check_calls
+    catalog.fixture("h33")  # the classifier's pattern, validated once per session
+    loops_at.clear()
+    z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid
+    assert len(loops_at) == 27
+    assert catalog.classify_binary_tight3(z).binary
+    assert evaluation_suite(z, transversal_slot(z, 0)).passed
+    assert is_multimatroid(z) == (True, None)
+    assert len(loops_at) == 27
+
+
+def test_suite_scans_a_z_that_is_not_tight_once(tightness_scans):
+    free = Multimatroid(Carrier.uniform(2, 3), circuits=[])
+    with pytest.raises(NotBinaryTight3, match="not tight"):
+        evaluation_suite(free, ((0, 0), (1, 0)))
+    assert tightness_scans == [("is_tight", True)]
 
 
 @pytest.mark.parametrize("seed", range(6))

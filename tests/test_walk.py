@@ -6,7 +6,9 @@ per-leaf references: one full elimination per leaf, one rank-oracle nullity
 per transversal, and one Graph.nullity_mask per (vertex mask, loop toggle).
 The circuit walk (fields.circuit_picks, behind the circuits() of packed
 multimatroids and represented matroids) is checked against the brute-force
-minimal-dependent-set enumeration under the rank oracle.
+minimal-dependent-set enumeration under the rank oracle.  The
+near-transversal scan, which reads its closures from the span walk
+(fields.span_masks), is checked against the rank oracle's closures.
 """
 
 import random
@@ -18,10 +20,11 @@ from hypothesis import strategies as st
 
 from conftest import KINDS, build, random_graph, random_standard_form
 from mmlab import catalog
-from mmlab.fields import (GF2, GF4, circuit_picks, nullity_histogram,
+from mmlab.fields import (GF2, GF4, GFMatrix, circuit_picks, nullity_histogram,
                           rank_of_vectors)
-from mmlab.matroids import minimal_dependent_sets, subsets_by_size
-from mmlab.multimatroids import Carrier, Multimatroid
+from mmlab.matroids import Matroid, minimal_dependent_sets, subsets_by_size
+from mmlab.multimatroids import (Carrier, Multimatroid, is_multimatroid, is_tight,
+                                 near_transversal_scan)
 from mmlab.polynomials import (Polynomial, bracket, global_interlace,
                                interlace, q1, q1_avoiding, shifted_power_sum,
                                transition)
@@ -223,3 +226,38 @@ def test_circuit_walk_on_empty_levels_and_a_loop():
     assert circuit_picks(GF2, []) == []
     assert circuit_picks(GF4, [[], []]) == []
     assert circuit_picks(GF2, [[0, 1]]) == [((0, 0),)]
+
+
+def scan_by_definition(z: Multimatroid):
+    """The oracle route for near_transversal_scan: each near-transversal's
+    closure from the rank oracle, in canonical order, up to the first one
+    of two or more elements."""
+    loose = None
+    for s, miss in z.carrier.near_transversals():
+        flat = z.closure_in_class(frozenset(s), miss)
+        if len(flat) != 1 and loose is None:
+            loose = s, miss
+        if len(flat) >= 2:
+            return (s, flat[0], flat[1]), loose
+    return None, loose
+
+
+@given(st.sampled_from((GF2, GF4)), seeds, st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_near_transversal_scan_matches_the_rank_oracle(field, seed, n):
+    # a random matrix sheltering a random carrier: tight, loose and
+    # non-multimatroid inputs, packed and as circuit lists
+    rng = random.Random(seed)
+    carrier = Carrier([rng.randint(1, 3) for _ in range(n)])
+    ground = carrier.elements()
+    rng.shuffle(ground)
+    mat = GFMatrix.from_entries(field, [[rng.randrange(field) for _ in ground]
+                                        for _ in range(rng.randint(0, n + 1))], cols=len(ground))
+    packed = Multimatroid(carrier, matroid=Matroid(ground, matrix=mat))
+    listed = Multimatroid(carrier, circuits=packed.circuits(), validate=False)
+    excess, loose = want = scan_by_definition(packed)
+    for z in (packed, listed):
+        assert near_transversal_scan(z, "scan", cross_check=False) == want
+        assert near_transversal_scan(z, "scan") == want
+        assert is_multimatroid(z) == (excess is None, excess)
+        assert is_tight(z) == (loose is None, loose)
