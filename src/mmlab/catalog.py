@@ -15,7 +15,7 @@ from .errors import (Degenerate, GroundMismatch, InternalInconsistency,
                      NoBasis, NotClassUnion, NotTight, NotTriple, UnknownElement)
 from .fields import GF2, GF4, GFMatrix
 from .isotropic import IsotropicBuild, isotropic_multimatroid, pair_multimatroid
-from .matroids import Matroid, minimal_dependent_sets
+from .matroids import Matroid, minimal_sets
 from .multimatroids import (Carrier, Element, Multimatroid, as_subtransversal,
                             dual_pair, element_name, is_tight, isomorphic,
                             odd_skew_pair, same_rank_oracle, tight_quick)
@@ -340,8 +340,7 @@ def tight_extension(z: Multimatroid) -> Multimatroid | None:
     # nullity only grows along extensions (checked above), so the minimal
     # sets of positive nullity are the circuits
     by_set = {frozenset(elems_of(code)): n for code, n in null.items()}
-    circuits = minimal_dependent_sets(([s for s in by_set if len(s) == k]
-                                       for k in range(1, ell + 1)), lambda s: by_set[s] > 0)
+    circuits = minimal_sets(s for s, n in by_set.items() if n > 0)
     ext = Multimatroid(carrier, circuits=circuits, validate=False)
     third = [(c, 2) for c in range(ell)]
     if not tight_quick(ext) or not same_rank_oracle(ext.delete(third), z):

@@ -2,13 +2,16 @@
 
 Represented matroids answer rank queries by column rank and list circuits by
 fields.circuit_picks; circuit-list matroids use brute-force independence
-checking, fine because every circuit-list fixture here has at most 9 elements.
+checking, fine because every circuit-list fixture here has at most 9 elements,
+and take the circuits of their minors and dual straight from the circuit list
+(minimal_sets over C - X, and over the sets meeting no circuit in exactly one
+element), with no rank query.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from . import fields
 from .bounds import CYCLE_SPACE_COLS, MATROID_ENUM_BOUND, check_size
@@ -20,21 +23,13 @@ from .fields import GFMatrix
 Label = Hashable
 
 
-def subsets_by_size(elems: Sequence) -> Iterator[Iterator[frozenset]]:
-    """The nonempty subsets of elems, one level per size."""
-    return (map(frozenset, combinations(elems, k)) for k in range(1, len(elems) + 1))
-
-
-def minimal_dependent_sets(levels: Iterable[Iterable[frozenset]],
-                           dependent) -> list[frozenset]:
-    """Brute-force minimal dependent sets: levels lists the candidate sets by
-    increasing size, and a candidate is kept when it contains no kept set
-    and dependent(candidate) holds."""
+def minimal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
+    """The inclusion-minimal nonempty members of a family, by increasing
+    size."""
     found: list[frozenset] = []
-    for level in levels:
-        for w in level:
-            if not any(c <= w for c in found) and dependent(w):
-                found.append(w)
+    for w in sorted({s for s in sets if s}, key=len):
+        if not any(c <= w for c in found):
+            found.append(w)
     return found
 
 
@@ -240,12 +235,12 @@ class Matroid:
                 cols[b] = (lo, hi)
             return Matroid(self.ground, matrix=GFMatrix.from_columns(
                 m.field, len(cobasis), [cols[e] for e in self.ground]))
-        # circuit list: minimal sets whose complement does not span
-        r = self.rank()
-        gset = frozenset(self.ground)
-        circuits = minimal_dependent_sets(subsets_by_size(sorted(self.ground, key=self._key)),
-                                          lambda w: self.rank_of(gset - w) != r)
-        return Matroid(self.ground, circuits=circuits, validate=False)
+        # circuit list: the cocircuits are the minimal nonempty sets that
+        # meet no circuit in exactly one element
+        cocycles = (w for k in range(1, self.size + 1)
+                    for w in map(frozenset, combinations(self.ground, k))
+                    if all(len(c & w) != 1 for c in self._circuits))
+        return Matroid(self.ground, circuits=minimal_sets(cocycles), validate=False)
 
     def minor(self, contract: Iterable[Label] = (), delete: Iterable[Label] = ()) -> "Matroid":
         con = self._check_subset(contract)
@@ -258,9 +253,7 @@ class Matroid:
             r, cols = fields.contract_columns(m.field, [col[e] for e in self.ground if e in con],
                                               [col[e] for e in keep])
             return Matroid(keep, matrix=GFMatrix.from_columns(m.field, m.rows - r, cols))
-        base = self.rank_of(con)
-        circuits = minimal_dependent_sets(subsets_by_size(sorted(keep, key=self._key)),
-                                          lambda w: self.rank_of(w | con) - base < len(w))
+        circuits = minimal_sets(c - con for c in self._circuits if not c & dele)
         return Matroid(keep, circuits=circuits, validate=False)
 
     def direct_sum(self, other: "Matroid") -> "Matroid":

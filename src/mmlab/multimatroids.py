@@ -7,7 +7,8 @@ explicit family of circuit subtransversals.  A sheltered multimatroid keeps
 only its field, row count and packed columns; minors and restrictions are
 built straight from those, and the sheltering matroid is rebuilt from them on
 demand.  A sheltering matroid given by circuits is kept as its subtransversal
-circuits.  Algorithms go through the rank oracle, except that on packed
+circuits, and a circuit list's minors read theirs from that list, not from
+the rank oracle.  Algorithms go through the rank oracle, except that on packed
 realizations the closures of near-transversals, which the validators and the
 orienting test read, come from one echelon walk per missing class, and the
 circuits, enumerated once per object, from one subtransversal walk.  Both
@@ -28,7 +29,7 @@ from .bounds import (ISO_CLASS_SIZE, MAX_CLASS_SIZE, ORDER_CYCLE_SPACE,
                      ORDER_GENERAL, ORDER_ISO, ORDER_ORT, check_order)
 from .errors import (GroundMismatch, InternalInconsistency, MalformedInput,
                      NotSubtransversal, NotTriple, TooLarge, UnknownElement)
-from .matroids import Matroid, minimal_dependent_sets, rank_from_circuits
+from .matroids import Matroid, minimal_sets, rank_from_circuits
 
 Element = tuple[int, int]
 
@@ -41,10 +42,17 @@ def element_label(e: Element) -> str:
 
 
 def parse_element_label(text: str) -> Element:
+    """The element named by a label: ASCII digits naming a class from 1 up,
+    then a slot letter."""
     text = text.strip()
-    if len(text) < 2 or text[-1] not in _SLOT_LETTERS or not text[:-1].isdigit():
+    digits, slot = text[:-1], text[-1:]
+    try:  # int() also refuses more digits than the interpreter's limit
+        cls = int(digits) if digits.isascii() and digits.isdigit() else 0
+    except ValueError:
+        cls = 0
+    if cls < 1 or not slot or slot not in _SLOT_LETTERS:
         raise MalformedInput(f"bad element label {text!r}")
-    return int(text[:-1]) - 1, _SLOT_LETTERS.index(text[-1])
+    return cls - 1, _SLOT_LETTERS.index(slot)
 
 
 class Carrier:
@@ -183,7 +191,8 @@ class Multimatroid:
         if (matroid is None) == (circuits is None):
             raise MalformedInput("exactly one of matroid/circuits required")
         if matroid is not None:
-            if set(matroid.ground) != set(carrier.elements()):
+            if (len(matroid.ground) != carrier.ground_size
+                    or set(matroid.ground) != set(carrier.elements())):
                 raise GroundMismatch("sheltering matroid must be grounded on the carrier")
             if matroid.is_represented:
                 mat = matroid.matrix
@@ -308,13 +317,6 @@ class Multimatroid:
         cv, gf2 = self._colvec, self._field == fields.GF2
         return [[cv[e][0] if gf2 else cv[e] for e in es] for es in groups]
 
-    def _subtransversal_levels(self, classes: Sequence[int]):
-        """The nonempty subtransversals within the given classes, by size."""
-        sizes = self.carrier.class_sizes
-        return ((frozenset(zip(cs, slots)) for cs in combinations(classes, k)
-                 for slots in product(*[range(sizes[c]) for c in cs]))
-                for k in range(1, len(classes) + 1))
-
     def bases(self) -> list[tuple[Element, ...]]:
         """All maximal independent subtransversals, canonically ordered."""
         self._check_enum_bounds(ORDER_GENERAL, "bases")
@@ -409,7 +411,6 @@ class Multimatroid:
         touched classes entirely."""
         xs = frozenset(as_subtransversal(self.carrier, x))
         touched = {c for c, _ in xs}
-        kept_classes = [c for c in range(self.order) if c not in touched]
         carrier, emap = self._shrink(e for e in self.carrier.elements() if e[0] not in touched)
         if self._colvec is not None:
             cv = self._colvec
@@ -418,9 +419,8 @@ class Multimatroid:
                                               [cv[e] for e in kept])
             return self._sheltered(carrier, self._field, self._rows - r,
                                    dict(zip((emap[e] for e in kept), cols)))
-        base = self._rank(xs)
-        found = minimal_dependent_sets(self._subtransversal_levels(kept_classes),
-                                       lambda s: self._rank(s | xs) - base < len(s))
+        allowed = xs.union(emap)
+        found = minimal_sets(c - xs for c in self._circuits if c <= allowed)
         return Multimatroid(carrier, circuits=[frozenset(emap[e] for e in c) for c in found],
                             validate=False)
 

@@ -314,12 +314,11 @@ def tightness_scans(monkeypatch):
 @pytest.fixture
 def circuit_enumerations(monkeypatch):
     """A list that gains, from now on, one entry per circuit enumeration: a
-    fields.circuit_picks walk, or a minimal-dependent-set enumeration in
-    mmlab.multimatroids (circuit-list minors).  The entry is the
-    multimatroid whose circuits() made it, or None for one made anywhere
-    else."""
+    fields.circuit_picks walk, or a minimal_sets call in mmlab.multimatroids
+    (circuit-list minors).  The entry is the multimatroid whose circuits()
+    made it, or None for one made anywhere else."""
     made, reading = [], []
-    circuits, enumerate_sets = Multimatroid.circuits, multimatroids.minimal_dependent_sets
+    circuits, minimal_sets = Multimatroid.circuits, multimatroids.minimal_sets
     walk = fields.circuit_picks
 
     def counted_circuits(self):
@@ -329,15 +328,15 @@ def circuit_enumerations(monkeypatch):
         finally:
             reading.pop()
 
-    def counted_sets(levels, dependent):
+    def counted_sets(sets):
         made.append(reading[-1] if reading else None)
-        return enumerate_sets(levels, dependent)
+        return minimal_sets(sets)
 
     def counted_walk(field, levels):
         made.append(reading[-1] if reading else None)
         return walk(field, levels)
 
     monkeypatch.setattr(Multimatroid, "circuits", counted_circuits)
-    monkeypatch.setattr(multimatroids, "minimal_dependent_sets", counted_sets)
+    monkeypatch.setattr(multimatroids, "minimal_sets", counted_sets)
     monkeypatch.setattr(fields, "circuit_picks", counted_walk)
     return made

@@ -40,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 KERNELS = {
     "fields": ("_echelon", "_reduce_gf4", "rref", "contract_columns"),
     "multimatroids": ("near_transversal_scan",),
+    "matroids": ("minimal_sets",),
 }
 TEST_FILES = ("tests/test_fields.py", "tests/test_walk.py", "tests/test_matroids.py",
               "tests/test_isotropic.py")
@@ -74,6 +75,8 @@ EQUIVALENT = {
         "the mask then also keeps bit p, a pivot row, which the reduction left zero",
     "fields.contract_columns+20:48 1->2":
         "the mask then also keeps bit p, a pivot row, which the reduction left zero",
+    "matroids.minimal_sets+5:19 LtE->Lt":
+        "the candidates are deduplicated, so no kept set equals a later one",
 }
 
 

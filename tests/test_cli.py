@@ -354,9 +354,12 @@ def test_enumerations_reject_class_size_above_bound(tmp_path, capsys, argv):
     ["poly", "bracket"],
     ["ort", "--mm", "{h33}", "--via", "eulerian"],
     ["ort", "--graph", "{k2}", "--seed", "9z"],
+    ["ort", "--via", "fast", "--seed", "0a,2c,3c", "--mm", "{h33}"],
+    ["ort", "--via", "fast", "--seed", "\u00b2a,2c,3c", "--mm", "{h33}"],
 ], ids=["unknown_choice", "unknown_verb", "misplaced_threads", "threads_not_int",
         "no_verb", "interlace_without_graph", "global_interlace_from_mm",
-        "bracket_without_graph", "eulerian_from_mm", "seed_without_fast"])
+        "bracket_without_graph", "eulerian_from_mm", "seed_without_fast",
+        "seed_class_zero", "seed_non_ascii_digit"])
 def test_usage_errors_exit_1(k2_file, h33_file, capsys, argv):
     files = {"{k2}": k2_file, "{h33}": h33_file}
     code = main([files.get(a, a) for a in argv])

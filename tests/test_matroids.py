@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (is_binary_matroid_oracle, matroid_bases_set,
                       random_standard_form, whitney_rank_sum)
@@ -208,3 +212,21 @@ def test_circuit_axiom_validation():
     with pytest.raises(Exception):
         # elimination fails: {0,1} and {1,2} force a circuit inside {0,2}
         Matroid.from_circuits([0, 1, 2], [{0, 1}, {1, 2}])
+
+
+@given(st.sampled_from((GF2, GF4)), st.integers(0, 2 ** 32 - 1), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_circuit_list_minor_and_dual_match_the_represented_route(field, seed, n):
+    """Circuit lists take their minors' and dual's circuits by set algebra;
+    the contract set holds a circuit half the time."""
+    rng = random.Random(seed)
+    m = random_standard_form(rng, field, n)
+    by_circuits = Matroid(m.ground, circuits=m.circuits(), validate=False)
+    assert by_circuits.dual().circuits() == m.dual().circuits()
+    dep = m.circuits()
+    con = set(rng.choice(dep)) if dep and rng.random() < 0.5 else set()
+    con |= {e for e in m.ground if rng.random() < 0.3}
+    dele = {e for e in m.ground if e not in con and rng.random() < 0.3}
+    minor = by_circuits.minor(contract=con, delete=dele)
+    assert minor.ground == m.minor(contract=con, delete=dele).ground
+    assert minor.circuits() == m.minor(contract=con, delete=dele).circuits()

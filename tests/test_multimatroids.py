@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_graph, random_standard_form
 import mmlab
 from mmlab import catalog, multimatroids, serialize
-from mmlab.errors import (GroundMismatch, InternalInconsistency,
+from mmlab.errors import (GroundMismatch, InternalInconsistency, MalformedInput,
                           NotSubtransversal, NotTriple, TooLarge, UnknownElement)
 from mmlab.fields import GF2, GFMatrix
 from mmlab.isotropic import Graph, from_graph
@@ -53,6 +53,33 @@ def test_element_labels():
     assert element_label((0, 0)) == "1a"
     assert element_label((2, 2)) == "3c"
     assert parse_element_label("3c") == (2, 2)
+    # class numbers start at 1 and are ASCII digits ('\u00b2'.isdigit() holds),
+    # fewer than int()'s digit limit
+    for text in ("0a", "00b", "\u00b2a", "1e", "a", "", "1" * 5000 + "a"):
+        with pytest.raises(MalformedInput, match="bad element label"):
+            parse_element_label(text)
+
+
+def test_sheltered_ground_size_is_checked_before_the_elements_are_listed():
+    # listing 10**12 carrier elements would not finish
+    carrier = Carrier([10 ** 12])
+    with pytest.raises(GroundMismatch, match="grounded on the carrier"):
+        Multimatroid(carrier, matroid=Matroid([(0, 0)], matrix=GFMatrix.identity(GF2, 1)))
+
+
+@pytest.mark.parametrize("t", list(Carrier.uniform(3, 3).transversals()))
+def test_circuit_list_cross_check_catches_a_wrong_rank(monkeypatch, t):
+    """A circuit-list rank oracle off by one at one transversal of h33: the
+    order-one minors come from the circuit list, not from the oracle, so
+    the cross-check disagrees."""
+    h = catalog.fixture("h33")
+    real = multimatroids.rank_from_circuits
+    wrong = frozenset(t)
+    delta = -1 if real(h.circuits(), wrong) == 3 else 1
+    monkeypatch.setattr(multimatroids, "rank_from_circuits",
+                        lambda cs, s: real(cs, s) + (delta if s == wrong else 0))
+    with pytest.raises(InternalInconsistency, match="disagrees with the closure"):
+        is_tight(Multimatroid(h.carrier, circuits=h.circuits()))
 
 
 def test_nullity_examples():

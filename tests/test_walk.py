@@ -22,7 +22,7 @@ from conftest import KINDS, build, random_graph, random_standard_form
 from mmlab import catalog
 from mmlab.fields import (GF2, GF4, GFMatrix, circuit_picks, nullity_histogram,
                           rank_of_vectors)
-from mmlab.matroids import Matroid, minimal_dependent_sets, subsets_by_size
+from mmlab.matroids import Matroid, minimal_sets
 from mmlab.multimatroids import (Carrier, Multimatroid, is_multimatroid, is_tight,
                                  near_transversal_scan)
 from mmlab.polynomials import (Polynomial, bracket, global_interlace,
@@ -167,10 +167,10 @@ def test_shifted_power_sum_matches_repeated_multiplication(counts, shift):
 
 
 def brute_circuits(z: Multimatroid) -> list:
-    """The oracle route: minimal dependent subtransversals by size, under
-    the rank oracle."""
-    found = minimal_dependent_sets(z._subtransversal_levels(range(z.order)),
-                                   lambda s: z._rank(s) < len(s))
+    """The oracle route: the minimal dependent subtransversals, under the
+    rank oracle."""
+    found = minimal_sets(s for s in map(frozenset, z.carrier.subtransversals())
+                         if z._rank(s) < len(s))
     return sorted(found, key=sorted)
 
 
@@ -190,11 +190,11 @@ def test_circuit_walk_matches_minimal_dependent_picks(field, seed, depth):
     pairs = [[(rng.getrandbits(3), rng.getrandbits(3) if field == GF4 else 0)
               for _ in range(rng.randint(0, 3))] for _ in range(depth)]
     levels = pairs if field == GF4 else [[lo for lo, _ in c] for c in pairs]
-    subsets = ((frozenset(zip(ls, js)) for ls in combinations(range(depth), k)
-                for js in product(*[range(len(pairs[i])) for i in ls]))
-               for k in range(1, depth + 1))
-    want = minimal_dependent_sets(
-        subsets, lambda s: rank_of_vectors(field, [pairs[i][j] for i, j in s]) < len(s))
+    subsets = (frozenset(zip(ls, js)) for k in range(1, depth + 1)
+               for ls in combinations(range(depth), k)
+               for js in product(*[range(len(pairs[i])) for i in ls]))
+    want = minimal_sets(s for s in subsets
+                        if rank_of_vectors(field, [pairs[i][j] for i, j in s]) < len(s))
     got = circuit_picks(field, levels)
     assert all(list(p) == sorted(p) for p in got)  # level order
     assert sorted(map(frozenset, got), key=sorted) == sorted(want, key=sorted)
@@ -217,8 +217,9 @@ def test_packed_circuits_match_the_oracle_route(kind, seed, n):
 @settings(max_examples=40, deadline=None)
 def test_represented_matroid_circuits_match_the_oracle_route(field, seed, n):
     m = random_standard_form(random.Random(seed), field, n)
-    want = minimal_dependent_sets(subsets_by_size(sorted(m.ground, key=m._key)),
-                                  lambda w: m.rank_of(w) < len(w))
+    want = minimal_sets(w for k in range(1, m.size + 1)
+                        for w in map(frozenset, combinations(m.ground, k))
+                        if m.rank_of(w) < len(w))
     assert m.circuits() == sorted(want, key=lambda c: tuple(sorted(map(m._key, c))))
 
 
