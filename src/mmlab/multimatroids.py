@@ -374,14 +374,14 @@ class Multimatroid:
 
     # -- restriction, deletion, minors ---------------------------------------
 
-    def _shrink(self, keep: Iterable[Element]) -> tuple[Carrier, dict[Element, Element]]:
-        """The carrier of the kept carrier elements, emptied classes dropped,
-        and the map from each kept element to its new label, in ground order."""
-        slots: dict[int, list[int]] = {}
-        for c, s in sorted(keep):
-            slots.setdefault(c, []).append(s)
-        emap = {(c, s): (i, j) for i, (c, ss) in enumerate(slots.items()) for j, s in enumerate(ss)}
-        return Carrier([len(ss) for ss in slots.values()]), emap
+    def _shrink(self, kept: Iterable[tuple[int, Sequence[int]]]
+                ) -> tuple[Carrier, dict[Element, Element]]:
+        """The carrier of the kept slots, given as (class, nonempty slots)
+        pairs in ground order, and the map from each kept element to its new
+        label, in ground order."""
+        classes = list(kept)
+        emap = {(c, s): (i, j) for i, (c, ss) in enumerate(classes) for j, s in enumerate(ss)}
+        return Carrier([len(ss) for _, ss in classes]), emap
 
     def restrict(self, keep_elems: Iterable[Element]) -> "Multimatroid":
         """Restriction to a subset of the ground set; classes shrink and may
@@ -390,7 +390,7 @@ class Multimatroid:
         for e in keep:
             if not self.carrier.contains(e):
                 raise UnknownElement(f"{element_name(e)} is not a carrier element")
-        carrier, emap = self._shrink(keep)
+        carrier, emap = self._shrink(_slots_by_class(keep))
         if self._colvec is not None:
             return self._sheltered(carrier, self._field, self._rows,
                                    {emap[e]: self._colvec[e] for e in sorted(keep)})
@@ -404,14 +404,15 @@ class Multimatroid:
 
     def deletion_map(self, elems: Iterable[Element]) -> dict[Element, Element]:
         keep = frozenset(self.carrier.elements()) - set(elems)
-        return self._shrink(keep)[1]
+        return self._shrink(_slots_by_class(keep))[1]
 
     def minor(self, x: Iterable[Element]) -> "Multimatroid":
         """Minor induced by a subtransversal: contract it and drop the
         touched classes entirely."""
         xs = frozenset(as_subtransversal(self.carrier, x))
         touched = {c for c, _ in xs}
-        carrier, emap = self._shrink(e for e in self.carrier.elements() if e[0] not in touched)
+        carrier, emap = self._shrink((c, range(k)) for c, k in enumerate(self.carrier.class_sizes)
+                                     if c not in touched)
         if self._colvec is not None:
             cv = self._colvec
             kept = [e for e in cv if e in emap]
@@ -432,6 +433,14 @@ class Multimatroid:
 
     def __repr__(self) -> str:
         return f"Multimatroid({self.carrier!r}, {self.kind})"
+
+
+def _slots_by_class(elems: Iterable[Element]) -> Iterable[tuple[int, list[int]]]:
+    """(class, sorted slots) for each class the elements meet, in ground order."""
+    slots: dict[int, list[int]] = {}
+    for c, s in sorted(elems):
+        slots.setdefault(c, []).append(s)
+    return slots.items()
 
 
 # -- validators ---------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Orienting transversals and the evaluation suite.
 
 A transversal is orienting when deleting it leaves a tight multimatroid.
-Brute-force enumeration tests that definition on every transversal and is
-the semantic ground truth; it builds no deletion, but reads closures of
-near-transversals in the multimatroid itself, from the validators' own
-multimatroids._closure_masks.  The coset construction over one seed
-transversal is the accelerated route, and the two must agree set for set.
+Brute-force enumeration tests that definition on every transversal at once,
+bit-parallel over one bit set per missing class; it builds no deletion, but
+reads closures of near-transversals in the multimatroid itself, from the
+validators' own multimatroids._closure_masks.  The coset construction over
+one seed transversal is the accelerated route, and the two must agree set
+for set.
 
 The evaluation suite scales its rational weights to integers by their
 common denominator, so its sums are exact ints and only the reported sides
-are Fractions.
+are Fractions.  Its minor expansion reads the orienting counts of the minors
+from the same bit sets, sliced; it builds no minor.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Mapping
 
@@ -39,47 +41,82 @@ def orienting_transversals(z: Multimatroid) -> list[tuple[Element, ...]]:
     if not z.is_nondegenerate():
         raise Degenerate("orienting transversals need a nondegenerate multimatroid")
     z._check_enum_bounds(ORDER_ORT, "orienting_transversals")
-    deletion_tight = _deletion_tightness(z)
-    return [t for t in z.carrier.transversals() if deletion_tight(t)]
+    return _DeletionTables(z).transversals()
 
 
 def _deletion_tightness(z: Multimatroid):
-    """A test of whether deleting a transversal T leaves z tight.  Deletion
-    is restriction, so z - T is tight exactly when every near-transversal S
-    of z avoiding T has exactly one element of its missing class, other than
-    T's own, in the closure of S; classes of size one vanish with T.  The
-    closures for one missing class come from one _closure_masks call, made
-    when the class is first tested, and are kept as the bit sets of the
-    slots of T that pass, so a test is lookups only."""
-    sizes = z.carrier.class_sizes
-    live = [c for c in range(z.order) if sizes[c] > 1]
-    others = {miss: [c for c in live if c != miss] for miss in live}
-    avoid = [[[x for x in range(k) if x != s] for s in range(k)] for k in sizes]
-    allowed: dict[int, dict] = {}
+    """A test of whether deleting a transversal T leaves z tight."""
+    tables = _DeletionTables(z)
+    bits = tables.orienting()
+    return lambda t: bool(bits >> sum(s * tables.axes[c][1] for c, s in t) & 1)
 
-    def ok_table(miss: int) -> dict:
-        # T's slot t passes when the closure less t has one element: the
-        # closure is one element other than t, or t and one other.
-        full = (1 << sizes[miss]) - 1
-        oks = []
-        for m in _closure_masks(z, miss, others[miss]):
-            n = m.bit_count()
-            oks.append(full & ~m if n == 1 else m if n == 2 else 0)
-        return dict(zip(product(*[range(sizes[c]) for c in others[miss]]), oks))
 
-    def deletion_tight(t) -> bool:
-        slots = [s for _, s in t]
-        for miss in live:
-            table = allowed.get(miss)
-            if table is None:
-                table = allowed[miss] = ok_table(miss)
-            bit = 1 << slots[miss]
-            for picks in product(*[avoid[c][slots[c]] for c in others[miss]]):
-                if not table[picks] & bit:
-                    return False
-        return True
+class _DeletionTables:
+    """The deletion test, bit-parallel: bit i of a bit set is the i-th
+    transversal of z in product (canonical) order.  z - T is tight exactly
+    when every near-transversal S of z avoiding T has exactly one element of
+    its missing class, other than T's own, in the closure of S; classes of
+    size one vanish with T.  For each live class miss (size two or more),
+    ok[miss] has T's bit when the closure of T's picks on the other live
+    classes, less T's slot at miss, is one element; one _closure_masks call
+    reads them all.  "Every pick avoiding T passes" is an AND over a product
+    set, taken one live axis at a time.  A minor z/f has the closures of z at
+    picks extended by f, so its orienting transversals are the bits passing
+    the test on the classes f leaves free, sliced at f."""
 
-    return deletion_tight
+    def __init__(self, z: Multimatroid):
+        sizes = z.carrier.class_sizes
+        self.axes = [(k, prod(sizes[c + 1:])) for c, k in enumerate(sizes)]  # (size, stride)
+        self.full = (1 << prod(sizes)) - 1
+        self.slot = [[((1 << s) - 1 << t * s) * (self.full // ((1 << k * s) - 1))
+                      for t in range(k)] for k, s in self.axes]
+        self.live = [c for c, k in enumerate(sizes) if k > 1]
+        self._passing: dict[tuple, int] = {}
+        for miss in self.live:
+            k, s = self.axes[miss]
+            oks = bytes((1 << k) - 1 & ~m if m.bit_count() == 1 else m if m.bit_count() == 2 else 0
+                        for m in _closure_masks(z, miss, [c for c in self.live if c != miss]))
+            masks = bytes(range(1 << k))
+            cols = [oks.translate(bytes.maketrans(masks, bytes(48 + (m >> t & 1) for m in masks)))
+                    for t in range(k)]  # per slot t: "1" at each pick that allows t
+            # T's index is hi * k * s + t * s + lo, and its pick's hi * s + lo
+            self._passing[miss, ()] = int(b"".join(
+                col[hi * s:hi * s + s] for hi in range(len(oks) // s) for col in cols)[::-1], 2)
+
+    def passing(self, miss: int, axes: tuple) -> int:
+        """ok[miss] after the AND along each axis, kept for the minors that
+        share a prefix: T passes axis c when each other slot there passes."""
+        if (miss, axes) not in self._passing:
+            bits, (k, s) = self.passing(miss, axes[:-1]), self.axes[axes[-1]]
+            out = 0
+            for t, acc in enumerate(self.slot[axes[-1]]):
+                for p in range(k):
+                    if p != t:
+                        acc &= bits << (t - p) * s if t > p else bits >> (p - t) * s
+                out |= acc
+            self._passing[miss, axes] = out
+        return self._passing[miss, axes]
+
+    def orienting(self, fixed: frozenset = frozenset()) -> int:
+        """The bits of the T whose picks off the fixed classes form an
+        orienting transversal of the minor by their picks on them."""
+        free = [c for c in self.live if c not in fixed]
+        bits = self.full
+        for miss in free:
+            bits &= self.passing(miss, tuple(c for c in free if c != miss))
+        return bits
+
+    def minor_count(self, f: tuple[Element, ...]) -> int:
+        """len(orienting_transversals(z.minor(f)))."""
+        bits = self.orienting(frozenset(c for c, _ in f))
+        for c, s in f:
+            bits &= self.slot[c][s]
+        return bits.bit_count()
+
+    def transversals(self) -> list[tuple[Element, ...]]:
+        bits = format(self.orienting(), "b")[::-1]  # bit i at index i
+        return [tuple((c, i // s % k) for c, (k, s) in enumerate(self.axes))
+                for i, bit in enumerate(bits) if bit == "1"]
 
 
 def disjoint_orienting(z: Multimatroid, t: Iterable[Element]) -> list[tuple[Element, ...]]:
@@ -103,6 +140,8 @@ def is_orienting(z: Multimatroid, t: Iterable[Element]) -> bool:
 def orienting_from_seed(z: Multimatroid, seed: Iterable[Element]) -> list[tuple[Element, ...]]:
     """Coset route: seed plus each cycle of the deletion of the seed, under
     the triple-carrier sum."""
+    if not z.is_nondegenerate():
+        raise Degenerate("orienting transversals need a nondegenerate multimatroid")
     z._check_enum_bounds(ORDER_ORT, "orienting_from_seed")
     t0 = as_subtransversal(z.carrier, seed)
     if len(t0) != z.order:
@@ -201,7 +240,8 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element]) -> EvalReport:
         raise NotBinaryTight3("reference transversal must be total")
 
     ell = z.order
-    ort_all = [frozenset(y) for y in orienting_transversals(z)]
+    tables = _DeletionTables(z)
+    ort_all = [frozenset(y) for y in tables.transversals()]
     report = EvalReport(order=ell, transversal=tt, ort_count=len(ort_all))
     ids = report.identities
 
@@ -250,9 +290,8 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element]) -> EvalReport:
     k = 0
     for size in range(ell + 1):
         for sub in combinations(tt, size):
-            f = frozenset(sub)
-            cnt = len(orienting_transversals(z.minor(f))) if f else len(ort_all)
-            rf = z._rank(f)
+            cnt = tables.minor_count(sub)
+            rf = z._rank(frozenset(sub))
             rhs5 += (-1) ** size * cnt * 2 ** (ell - rf)
             k += (-1) ** size * cnt * 2 ** (rank_t - rf)
     check("q1_deleted_at_2_minor_expansion", lhs_del2, rhs5)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mmlab
-from mmlab import catalog, fields, multimatroids
+from mmlab import catalog, fields, multimatroids, orienting
 from mmlab.fields import GF2, GF4, GFMatrix, scalar_add, scalar_mul
 from mmlab.isotropic import Graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
@@ -294,6 +294,23 @@ def cross_check_calls(monkeypatch):
     monkeypatch.setattr(multimatroids, "_order_one_minor_loops", counted_loops)
     monkeypatch.setattr(Multimatroid, "minor", counted_minor)
     return loops_at, minors
+
+
+@pytest.fixture
+def closure_mask_calls(monkeypatch):
+    """A list that gains, from now on, one entry per _closure_masks call:
+    its missing class.  mmlab.orienting imports the function by name, so
+    both names are counted."""
+    calls = []
+    masks = multimatroids._closure_masks
+
+    def counted(z, miss, classes):
+        calls.append(miss)
+        return masks(z, miss, classes)
+
+    monkeypatch.setattr(multimatroids, "_closure_masks", counted)
+    monkeypatch.setattr(orienting, "_closure_masks", counted)
+    return calls
 
 
 @pytest.fixture

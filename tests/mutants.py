@@ -1,13 +1,14 @@
 """Mutation check for the exact kernels (standard library only).
 
 Copies the repository to a temporary directory, then applies one `ast`
-mutation at a time to the kernel functions listed in KERNELS and runs the
-fast test files in TEST_FILES on the mutated copy, in one sequential pytest
-subprocess per mutant.  A mutant is killed when that run fails (or times
+mutation at a time to the kernel functions (or classes) listed in KERNELS
+and runs the fast test files in TEST_FILES on the mutated copy, in one
+sequential pytest subprocess per mutant.  A mutant is killed when that run fails (or times
 out), and survives when it passes.  Each survivor should be listed in
 EQUIVALENT with a one-line reason, or be killed by a new test.
 
-Mutations, inside each kernel function and the functions nested in it:
+Mutations, inside each kernel function and the functions nested in it (for a
+kernel class, inside each of its methods):
   - swap ^ and |, << and >>, < and <=, > and >= (also in augmented
     assignments);
   - add or subtract one from an integer constant of absolute value at most 2;
@@ -41,9 +42,10 @@ KERNELS = {
     "fields": ("_echelon", "_reduce_gf4", "rref", "contract_columns"),
     "multimatroids": ("near_transversal_scan",),
     "matroids": ("minimal_sets",),
+    "orienting": ("_DeletionTables", "_deletion_tightness"),
 }
 TEST_FILES = ("tests/test_fields.py", "tests/test_walk.py", "tests/test_matroids.py",
-              "tests/test_isotropic.py")
+              "tests/test_isotropic.py", "tests/test_orienting.py", "tests/test_oracle_routes.py")
 TIMEOUT_S = 300
 
 SWAPS = {ast.BitXor: ast.BitOr, ast.BitOr: ast.BitXor,
@@ -77,6 +79,12 @@ EQUIVALENT = {
         "the mask then also keeps bit p, a pivot row, which the reduction left zero",
     "matroids.minimal_sets+5:19 LtE->Lt":
         "the candidates are deduplicated, so no kept set equals a later one",
+    "orienting._DeletionTables+25:32 1->2":
+        "the ok-masks have k bits, so translation entries from 2^k up go unread",
+    "orienting._DeletionTables+41:54 Gt->GtE":
+        "t == p never reaches the shift: that slot is skipped",
+    "orienting._DeletionTables+42:16 BitOr->BitXor":
+        "each slot's bits are masked to that slot, so they are disjoint",
 }
 
 
@@ -149,11 +157,11 @@ def mutants(module: str, name: str) -> list[str]:
     return ids
 
 
-def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef | ast.ClassDef:
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == name:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
             return node
-    raise SystemExit(f"no top-level function {name}")
+    raise SystemExit(f"no top-level function or class {name}")
 
 
 def mutated_source(module: str, name: str, index: int) -> str:

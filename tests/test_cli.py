@@ -320,6 +320,20 @@ def test_mm_json_boundary_exit_1(tmp_path, capsys, obj):
     assert err.startswith("mmlab: ") and err.count("\n") == 1
 
 
+def test_ort_routes_agree_on_a_degenerate_carrier(tmp_path, capsys):
+    # the coset route printed no transversals here, with exit 0
+    obj = {"order": 2, "kind": "circuits", "class_sizes": [2, 1], "circuits": [[[0, 1]]]}
+    path = _mm_file(tmp_path, obj)
+    outs = []
+    for argv in (["ort"], ["ort", "--via", "fast", "--seed", "1a,2a"]):
+        code = main(argv + ["--mm", path])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[1])["error"]["code"] == "Degenerate"
+
+
 def test_q1_rejects_class_size_above_bound(tmp_path, capsys):
     obj = {"order": 2, "class_sizes": [5, 5], "kind": "circuits", "circuits": []}
     code = main(["poly", "q1", "--mm", _mm_file(tmp_path, obj)])

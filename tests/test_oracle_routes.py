@@ -3,18 +3,20 @@ oracle.
 
 orienting_transversals tests each transversal's deletion through closures
 read from one echelon walk per missing class (fields.span_masks) on packed
-realizations, packed minors and restrictions are built straight from the
-parent's columns, and the validator reads the loops of each order-one minor
-from a contraction.  Each is checked against a labelled reference that
-builds the deletion or the minor, against the rank comparisons of
-closure_in_class, or against the circuit-list route.  The evaluation
+realizations, and the evaluation suite reads the orienting counts of minors
+from the same tables, sliced; packed minors and restrictions are built
+straight from the parent's columns, and the validator reads the loops of
+each order-one minor from a contraction.  Each is checked against a
+labelled reference (the oracle route) that builds the deletion or the
+minor, against the rank comparisons of closure_in_class, or against the
+circuit-list route.  The evaluation
 suite's integer weights, scaled by their common denominator, are checked
 against the Fraction histogram of the circuit-list route.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +26,8 @@ from mmlab.fields import GF2, GF4, GFMatrix, span_masks
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Multimatroid, _order_one_minor_loops, dual_pair,
                                  free_sum, same_rank_oracle, tight_quick)
-from mmlab.orienting import (_closure_masks, _deletion_tightness, _scaled_weights,
-                             orienting_transversals)
+from mmlab.orienting import (_closure_masks, _DeletionTables, _deletion_tightness,
+                             _scaled_weights, orienting_transversals)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 ORT_KINDS = ("gf2", "gf4", "gf4_pair", "gf2_pair", "free4", "mixed", "circuits",
@@ -49,14 +51,15 @@ def build_any(kind: str, rng: random.Random, n: int) -> Multimatroid:
     return build(kind, rng, n)
 
 
-def restrict_half_the_time(rng: random.Random, z: Multimatroid) -> Multimatroid:
-    """z, or half the time its restriction to 1 to k elements of each class
-    of size k."""
+def restrict_half_the_time(rng: random.Random, z: Multimatroid,
+                           least: int = 1) -> Multimatroid:
+    """z, or half the time its restriction to least to k elements of each
+    class of size k."""
     if rng.random() >= 0.5:
         return z
     return z.restrict([e for c in range(z.order)
                        for e in rng.sample(z.carrier.skew_class(c),
-                                           rng.randint(1, z.carrier.class_sizes[c]))])
+                                           rng.randint(least, z.carrier.class_sizes[c]))])
 
 
 def reference_orienting(z: Multimatroid) -> list:
@@ -69,6 +72,24 @@ def reference_orienting(z: Multimatroid) -> list:
 def test_orienting_matches_deletion_reference(kind, seed, n):
     z = build_any(kind, random.Random(seed), n)
     assert orienting_transversals(z) == reference_orienting(z)
+
+
+@given(st.sampled_from(ORT_KINDS), seeds, st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_sliced_minor_counts_match_built_minors(kind, seed, n):
+    """The suite's minor counts, read from z's own tables sliced at each
+    subtransversal f of a random transversal, against the oracle route:
+    build z.minor(f) and enumerate its orienting transversals.  The builds
+    stay nondegenerate, restricted to 2 to k elements of each class half
+    the time."""
+    rng = random.Random(seed)
+    z = restrict_half_the_time(rng, build_any(kind, rng, n), least=2)
+    assert z.is_nondegenerate()
+    tables = _DeletionTables(z)
+    t = [(c, rng.randrange(k)) for c, k in enumerate(z.carrier.class_sizes)]
+    for size in range(z.order + 1):
+        for f in combinations(t, size):
+            assert tables.minor_count(f) == len(orienting_transversals(z.minor(f))), f
 
 
 @given(st.sampled_from(ORT_KINDS), seeds, st.integers(0, 4))

@@ -110,6 +110,12 @@ def test_orienting_from_seed_trivial_cycle_space():
         orienting_from_seed(z, ((0, 1),))
 
 
+def test_orienting_from_seed_rejects_degenerate():
+    z = Multimatroid(Carrier((2, 1)), circuits=[frozenset({(0, 1)})])
+    with pytest.raises(Degenerate, match="nondegenerate"):
+        orienting_from_seed(z, ((0, 0), (1, 0)))
+
+
 def test_orienting_coset_within_fixed_transversal(rng):
     for _ in range(6):
         g = random_graph(rng, 4)
@@ -281,6 +287,18 @@ def test_validated_build_is_not_scanned_again_by_the_suite(cross_check_calls):
     assert len(loops_at) == 27
     assert evaluation_suite(z, transversal_slot(z, 0)).passed
     assert len(loops_at) == 27
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_suite_builds_no_minor_and_one_closure_table_per_class(
+        n, cross_check_calls, closure_mask_calls):
+    # the minor expansion slices z's own tables; it built 2^n - 1 minors
+    z = from_graph(Graph(n, [(v, v + 1) for v in range(n - 1)])).multimatroid
+    _, minors = cross_check_calls
+    closure_mask_calls.clear()
+    assert evaluation_suite(z, [(c, c % 3) for c in range(n)]).passed
+    assert minors == []
+    assert sorted(closure_mask_calls) == list(range(n))
 
 
 def test_one_kept_scan_answers_every_validator(cross_check_calls):
