@@ -11,11 +11,11 @@ circuits, and a circuit list's minors read theirs from that list, not from
 the rank oracle.  Algorithms go through the rank oracle, except that on packed
 realizations the closures of near-transversals, which the validators and the
 orienting test read, come from one echelon walk per missing class, and the
-circuits, enumerated once per object, from one subtransversal walk.  Both
-validators read one near-transversal scan, kept on the object once
-cross-checked.  The two realizations are interchangeable.  A cycle space is
-spanned by the circuit list of the multimatroid it is taken in
-(`cycle_space_avoiding`: the deletion).
+circuits from one subtransversal walk.  Each object keeps its circuits, its
+closure table per missing class and the one cross-checked near-transversal
+scan that both validators read.  The two realizations are interchangeable.
+A cycle space is spanned by the circuit list of the multimatroid it is taken
+in (`cycle_space_avoiding`: the deletion).
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ class Multimatroid:
     """A carrier plus a rank oracle, realized as sheltered or circuit-list."""
 
     __slots__ = ("carrier", "_circuits", "_rank_cache", "_field", "_rows", "_colvec",
-                 "_scan")
+                 "_scan", "_closures")
 
     def __init__(self, carrier: Carrier, matroid: Matroid | None = None,
                  circuits: Iterable[frozenset] | None = None, validate: bool = True):
@@ -188,6 +188,7 @@ class Multimatroid:
         self._rank_cache: dict[frozenset, int] = {}
         self._field = self._rows = self._colvec = None
         self._scan = None  # near_transversal_scan's cross-checked pair, once run
+        self._closures: dict[int, bytes] = {}  # _closure_masks, by missing class
         if (matroid is None) == (circuits is None):
             raise MalformedInput("exactly one of matroid/circuits required")
         if matroid is not None:
@@ -221,7 +222,7 @@ class Multimatroid:
         z = cls.__new__(cls)
         z.carrier, z._circuits, z._rank_cache = carrier, None, {}
         z._field, z._rows, z._colvec = field, rows, colvec
-        z._scan = None
+        z._scan, z._closures = None, {}
         return z
 
     def _validate_semi_axioms(self):
@@ -446,17 +447,23 @@ def _slots_by_class(elems: Iterable[Element]) -> Iterable[tuple[int, list[int]]]
 # -- validators ---------------------------------------------------------------
 
 
-def _closure_masks(z: Multimatroid, miss: int, classes: list[int]) -> Iterable[int]:
-    """For every pick S of one element per listed class, in product order,
-    the bit mask of the slots of class miss in the closure of S.  Packed
-    realizations read all of them from one walk of fields.span_masks;
-    circuit-list ones ask closure_in_class at each S as it is read."""
-    sizes = z.carrier.class_sizes
-    if z._colvec is not None:
-        cols = z._packed(map(z.carrier.skew_class, (*classes, miss)))
-        return fields.span_masks(z._field, cols[:-1], cols[-1])
-    return (sum(1 << x for _, x in z.closure_in_class(frozenset(zip(classes, picks)), miss))
-            for picks in product(*[range(sizes[c]) for c in classes]))
+def _closure_masks(z: Multimatroid, miss: int) -> bytes:
+    """For every pick S of one element per other class, in ground and
+    product order, the bit mask of the slots of class miss in the closure of
+    S, kept on z from the first call.  Packed realizations read all of them
+    from one walk of fields.span_masks; circuit-list ones ask
+    closure_in_class at each S."""
+    if miss not in z._closures:
+        others = [c for c in range(z.order) if c != miss]
+        if z._colvec is not None:
+            cols = z._packed(map(z.carrier.skew_class, (*others, miss)))
+            found = fields.span_masks(z._field, cols[:-1], cols[-1])
+        else:
+            sizes = z.carrier.class_sizes
+            found = (sum(1 << x for _, x in z.closure_in_class(frozenset(zip(others, picks)), miss))
+                     for picks in product(*[range(sizes[c]) for c in others]))
+        z._closures[miss] = bytes(found)
+    return z._closures[miss]
 
 
 def _order_one_minor_loops(z: Multimatroid, s: tuple[Element, ...],
@@ -474,82 +481,77 @@ def _order_one_minor_loops(z: Multimatroid, s: tuple[Element, ...],
     return [(miss, x) for c in z.minor(s).circuits() for _, x in c]
 
 
-def _near_transversal_flats(z: Multimatroid, op: str, cross_check: bool):
+def _near_transversal_flats(z: Multimatroid, op: str):
     """Yield (S, missing_class, closure) for every near-transversal S in
     canonical order, where the closure lists the elements x of the missing
-    class with r(S + x) = r(S).  The closures of one missing class come from
-    one _closure_masks call, made when the scan reaches that class.  With
-    cross_check, the loops of the order-one minor by S, a second route
-    through contraction, must be exactly the closure at every S."""
+    class with r(S + x) = r(S), read from the class's _closure_masks table.
+    The loops of the order-one minor by S, a second route through
+    contraction, must be exactly the closure at every S."""
     masks, last = None, None
     for s, miss in z.carrier.near_transversals():
         if miss != last:
-            masks, last = iter(_closure_masks(z, miss, [c for c, _ in s])), miss
+            masks, last = iter(_closure_masks(z, miss)), miss
         mask = next(masks)
         flat = [x for x in z.carrier.skew_class(miss) if mask >> x[1] & 1]
-        if cross_check:
-            loops = _order_one_minor_loops(z, s, miss)
-            if loops != flat:
-                raise InternalInconsistency(f"{op}: the order-one minor by {list(s)} "
-                                            "disagrees with the closure")
+        if _order_one_minor_loops(z, s, miss) != flat:
+            raise InternalInconsistency(f"{op}: the order-one minor by {list(s)} "
+                                        "disagrees with the closure")
         yield s, miss, flat
 
 
-def near_transversal_scan(z: Multimatroid, op: str, cross_check: bool = True):
+def near_transversal_scan(z: Multimatroid, op: str):
     """Both validators from one scan: (exclusion witness (S, x1, x2),
     tightness witness (S, missing_class)), each None when its check passes.
     The scan stops at the first closure of two or more elements, where the
     exclusion fails; the tightness witness is the first near-transversal
     whose closure is not exactly one element.
 
-    The bounds are checked under op on every call.  A cross-checked result
-    is kept on z, and later calls, cross-checked or not, return it without
-    a scan; a scan that raises, or one without cross_check, keeps nothing."""
+    The bounds are checked under op on every call.  The pair is kept on z
+    for later calls; a scan that raises keeps none."""
     z._check_enum_bounds(ORDER_GENERAL, op)
-    if z._scan is not None:
-        return z._scan
-    excess = loose = None
-    for s, miss, flat in _near_transversal_flats(z, op, cross_check):
-        if len(flat) >= 2:
-            excess, loose = (s, flat[0], flat[1]), loose or (s, miss)
-            break
-        if not flat and loose is None:
-            loose = (s, miss)
-    if cross_check:
+    if z._scan is None:
+        excess = loose = None
+        for s, miss, flat in _near_transversal_flats(z, op):
+            if len(flat) >= 2:
+                excess, loose = (s, flat[0], flat[1]), loose or (s, miss)
+                break
+            if not flat and loose is None:
+                loose = (s, miss)
         z._scan = excess, loose
-    return excess, loose
+    return z._scan
 
 
-def is_multimatroid(z: Multimatroid, cross_check: bool = True):
+def is_multimatroid(z: Multimatroid):
     """Check the defining exclusion (at most one element of a missing class
     may change the nullity of a near-transversal).
 
     Returns (True, None) or (False, (S, x1, x2)), read from
-    near_transversal_scan.  With cross_check, every near-transversal scanned
-    is also checked against the loops of its order-one minor: read from a
-    contraction of the packed columns, or from the built minor's circuits on
-    a circuit-list realization.
+    near_transversal_scan, which checks every closure against the loops of
+    its order-one minor: a contraction of the packed columns, or the built
+    minor's circuits on a circuit-list realization.
     """
-    excess = near_transversal_scan(z, "is_multimatroid", cross_check)[0]
+    excess = near_transversal_scan(z, "is_multimatroid")[0]
     return excess is None, excess
 
 
-def is_tight(z: Multimatroid, cross_check: bool = True):
+def is_tight(z: Multimatroid):
     """Check tightness: every near-transversal has exactly one element of its
     missing class that raises nullity.  Tightness implies the exclusion
     checked by is_multimatroid.
 
     Returns (True, None) or (False, (S, missing_class)), read from
-    near_transversal_scan, which keeps a cross-checked scan on z, as in
-    is_multimatroid.  Degenerate multimatroids are allowed.
+    near_transversal_scan, as in is_multimatroid.  Degenerate multimatroids
+    are allowed.
     """
-    loose = near_transversal_scan(z, "is_tight", cross_check)[1]
+    loose = near_transversal_scan(z, "is_tight")[1]
     return loose is None, loose
 
 
 def tight_quick(z: Multimatroid) -> bool:
-    """Single-route tightness test for enumeration loops; keeps nothing."""
-    return is_tight(z, cross_check=False)[0]
+    """Tightness read from z's closure tables alone, with is_tight's bound
+    check: every closure is exactly one slot.  No cross-check, no witness."""
+    z._check_enum_bounds(ORDER_GENERAL, "is_tight")
+    return all(m.bit_count() == 1 for miss in range(z.order) for m in _closure_masks(z, miss))
 
 
 def odd_skew_pair(z: Multimatroid):

@@ -3,10 +3,11 @@
 A transversal is orienting when deleting it leaves a tight multimatroid.
 Brute-force enumeration tests that definition on every transversal at once,
 bit-parallel over one bit set per missing class; it builds no deletion, but
-reads closures of near-transversals in the multimatroid itself, from the
-validators' own multimatroids._closure_masks.  The coset construction over
-one seed transversal is the accelerated route, and the two must agree set
-for set.
+reads the closure tables that the multimatroid keeps for its validators
+(multimatroids._closure_masks), so each class's closures are walked once
+per object.  The coset construction over one seed transversal is the
+accelerated route, for binary tight 3-matroids only, and the two must agree
+set for set.
 
 The evaluation suite scales its rational weights to integers by their
 common denominator, so its sums are exact ints and only the reported sides
@@ -25,7 +26,7 @@ from math import lcm, prod
 from typing import Iterable, Mapping
 
 from .bounds import ORDER_EVALS, ORDER_ORT, check_order
-from .errors import (Degenerate, NotBinaryTight3, NotOrienting, NotTight)
+from .errors import Degenerate, NotBinaryTight3, NotOrienting, NotTight, NotTriple
 from .multimatroids import (Element, Multimatroid, _closure_masks, as_subtransversal,
                             cycle_space_avoiding, element_label,
                             near_transversal_scan, odd_skew_pair,
@@ -44,25 +45,18 @@ def orienting_transversals(z: Multimatroid) -> list[tuple[Element, ...]]:
     return _DeletionTables(z).transversals()
 
 
-def _deletion_tightness(z: Multimatroid):
-    """A test of whether deleting a transversal T leaves z tight."""
-    tables = _DeletionTables(z)
-    bits = tables.orienting()
-    return lambda t: bool(bits >> sum(s * tables.axes[c][1] for c, s in t) & 1)
-
-
 class _DeletionTables:
-    """The deletion test, bit-parallel: bit i of a bit set is the i-th
-    transversal of z in product (canonical) order.  z - T is tight exactly
-    when every near-transversal S of z avoiding T has exactly one element of
-    its missing class, other than T's own, in the closure of S; classes of
-    size one vanish with T.  For each live class miss (size two or more),
-    ok[miss] has T's bit when the closure of T's picks on the other live
-    classes, less T's slot at miss, is one element; one _closure_masks call
-    reads them all.  "Every pick avoiding T passes" is an AND over a product
-    set, taken one live axis at a time.  A minor z/f has the closures of z at
-    picks extended by f, so its orienting transversals are the bits passing
-    the test on the classes f leaves free, sliced at f."""
+    """The deletion test on a nondegenerate z, bit-parallel: bit i of a bit
+    set is the i-th transversal of z in product (canonical) order.  z - T
+    is tight exactly when every near-transversal S of z avoiding T has
+    exactly one element of its missing class, other than T's own, in the
+    closure of S.  For each class miss, ok[miss] has T's bit when the
+    closure of T's picks on the other classes, less T's slot at miss, is one
+    element; they are read from the closure table z keeps for miss.  "Every
+    pick avoiding T passes" is an AND over a product set, taken one axis at
+    a time.  A minor z/f has the closures of z at picks extended by f, so
+    its orienting transversals are the bits passing the test on the classes
+    f leaves free, sliced at f."""
 
     def __init__(self, z: Multimatroid):
         sizes = z.carrier.class_sizes
@@ -70,12 +64,10 @@ class _DeletionTables:
         self.full = (1 << prod(sizes)) - 1
         self.slot = [[((1 << s) - 1 << t * s) * (self.full // ((1 << k * s) - 1))
                       for t in range(k)] for k, s in self.axes]
-        self.live = [c for c, k in enumerate(sizes) if k > 1]
         self._passing: dict[tuple, int] = {}
-        for miss in self.live:
-            k, s = self.axes[miss]
+        for miss, (k, s) in enumerate(self.axes):
             oks = bytes((1 << k) - 1 & ~m if m.bit_count() == 1 else m if m.bit_count() == 2 else 0
-                        for m in _closure_masks(z, miss, [c for c in self.live if c != miss]))
+                        for m in _closure_masks(z, miss))
             masks = bytes(range(1 << k))
             cols = [oks.translate(bytes.maketrans(masks, bytes(48 + (m >> t & 1) for m in masks)))
                     for t in range(k)]  # per slot t: "1" at each pick that allows t
@@ -100,7 +92,7 @@ class _DeletionTables:
     def orienting(self, fixed: frozenset = frozenset()) -> int:
         """The bits of the T whose picks off the fixed classes form an
         orienting transversal of the minor by their picks on them."""
-        free = [c for c in self.live if c not in fixed]
+        free = [c for c in range(len(self.axes)) if c not in fixed]
         bits = self.full
         for miss in free:
             bits &= self.passing(miss, tuple(c for c in free if c != miss))
@@ -139,15 +131,19 @@ def is_orienting(z: Multimatroid, t: Iterable[Element]) -> bool:
 
 def orienting_from_seed(z: Multimatroid, seed: Iterable[Element]) -> list[tuple[Element, ...]]:
     """Coset route: seed plus each cycle of the deletion of the seed, under
-    the triple-carrier sum."""
+    the triple-carrier sum.  It holds on binary tight 3-matroids only, so
+    after the seed check z must pass _validate_binary_tight3."""
     if not z.is_nondegenerate():
         raise Degenerate("orienting transversals need a nondegenerate multimatroid")
     z._check_enum_bounds(ORDER_ORT, "orienting_from_seed")
     t0 = as_subtransversal(z.carrier, seed)
     if len(t0) != z.order:
         raise NotOrienting("seed must be a transversal")
-    if not _deletion_tightness(z)(t0):
+    if t0 not in _DeletionTables(z).transversals():
         raise NotOrienting("seed transversal is not orienting")
+    if not z.carrier.is_uniform(3):
+        raise NotTriple("sum needs class size 3 everywhere")
+    _validate_binary_tight3(z)
     cs = cycle_space_avoiding(z, t0)
     return sorted(sum_subtransversals(z.carrier, t0, c) for c in cs)
 

@@ -304,9 +304,9 @@ def closure_mask_calls(monkeypatch):
     calls = []
     masks = multimatroids._closure_masks
 
-    def counted(z, miss, classes):
+    def counted(z, miss):
         calls.append(miss)
-        return masks(z, miss, classes)
+        return masks(z, miss)
 
     monkeypatch.setattr(multimatroids, "_closure_masks", counted)
     monkeypatch.setattr(orienting, "_closure_masks", counted)
@@ -315,14 +315,14 @@ def closure_mask_calls(monkeypatch):
 
 @pytest.fixture
 def tightness_scans(monkeypatch):
-    """A list that gains, from now on, one (op, cross_check) entry per
-    near-transversal scan run; a kept scan read back adds nothing."""
+    """A list that gains, from now on, one op entry per near-transversal
+    scan run; a kept scan read back adds nothing."""
     scans = []
     flats = multimatroids._near_transversal_flats
 
-    def counted(z, op, cross_check):
-        scans.append((op, cross_check))
-        return flats(z, op, cross_check)
+    def counted(z, op):
+        scans.append(op)
+        return flats(z, op)
 
     monkeypatch.setattr(multimatroids, "_near_transversal_flats", counted)
     return scans

@@ -40,12 +40,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 KERNELS = {
     "fields": ("_echelon", "_reduce_gf4", "rref", "contract_columns"),
-    "multimatroids": ("near_transversal_scan",),
+    "multimatroids": ("_closure_masks", "_order_one_minor_loops", "_near_transversal_flats",
+                      "near_transversal_scan", "tight_quick"),
     "matroids": ("minimal_sets",),
-    "orienting": ("_DeletionTables", "_deletion_tightness"),
+    "orienting": ("_DeletionTables",),
 }
 TEST_FILES = ("tests/test_fields.py", "tests/test_walk.py", "tests/test_matroids.py",
-              "tests/test_isotropic.py", "tests/test_orienting.py", "tests/test_oracle_routes.py")
+              "tests/test_multimatroids.py", "tests/test_isotropic.py", "tests/test_orienting.py",
+              "tests/test_oracle_routes.py")
 TIMEOUT_S = 300
 
 SWAPS = {ast.BitXor: ast.BitOr, ast.BitOr: ast.BitXor,
@@ -79,11 +81,11 @@ EQUIVALENT = {
         "the mask then also keeps bit p, a pivot row, which the reduction left zero",
     "matroids.minimal_sets+5:19 LtE->Lt":
         "the candidates are deduplicated, so no kept set equals a later one",
-    "orienting._DeletionTables+25:32 1->2":
+    "orienting._DeletionTables+23:32 1->2":
         "the ok-masks have k bits, so translation entries from 2^k up go unread",
-    "orienting._DeletionTables+41:54 Gt->GtE":
+    "orienting._DeletionTables+39:54 Gt->GtE":
         "t == p never reaches the shift: that slot is skipped",
-    "orienting._DeletionTables+42:16 BitOr->BitXor":
+    "orienting._DeletionTables+40:16 BitOr->BitXor":
         "each slot's bits are masked to that slot, so they are disjoint",
 }
 

@@ -21,7 +21,7 @@ from mmlab.isotropic import (Graph, eulerian_subsets, from_graph,
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, dual_pair,
                                  is_multimatroid, is_tight, isomorphic,
-                                 same_rank_oracle, transversal_slot)
+                                 same_rank_oracle, tight_quick, transversal_slot)
 from mmlab.orienting import (evaluation_suite, orienting_from_seed,
                              orienting_transversals)
 from mmlab.polynomials import (Polynomial, bracket, global_interlace,
@@ -224,8 +224,7 @@ def _random_tight_two_matroids(count: int, rng):
         labels = [(c, s) for c in range(ell) for s in range(2)]
         z = Multimatroid(Carrier.uniform(ell, 2),
                          matroid=Matroid(labels, matrix=mat))
-        if is_multimatroid(z, cross_check=False)[0] and \
-                is_tight(z, cross_check=False)[0]:
+        if tight_quick(z):
             out.append(z)
     while len(out) < count:
         ell = rng.randint(1, 4)

@@ -290,7 +290,7 @@ def test_tight_extension_matches_brute_force_order_2():
                 z = Multimatroid(carrier, circuits=list(fam))
             except MMLabError:
                 continue
-            if not is_multimatroid(z, cross_check=False)[0]:
+            if not is_multimatroid(z)[0]:
                 continue
             brute = _brute_tight_extensions(z)
             assert len(brute) <= 1  # uniqueness
@@ -386,9 +386,9 @@ def test_classify_runs_one_tightness_scan(monkeypatch):
     ops = []
     original = multimatroids._near_transversal_flats
 
-    def scan(z, op, cross_check):
+    def scan(z, op):
         ops.append(op)
-        return original(z, op, cross_check)
+        return original(z, op)
 
     monkeypatch.setattr(multimatroids, "_near_transversal_flats", scan)
     assert catalog.classify_binary_tight3(z).binary is False

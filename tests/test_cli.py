@@ -82,6 +82,18 @@ def test_ort_routes_agree(k2_file, capsys):
     assert outs[0] == outs[1]
 
 
+def test_ort_fast_rejects_a_tight_3_matroid_that_is_not_binary(capsys, monkeypatch):
+    # the coset route printed 31 transversals here, with exit 0; brute force
+    # finds one
+    dump = json.dumps(serialize.mm_to_dict(catalog.fixture("z-u24-3")))
+    code, out, err = run_cli(["ort", "--mm", "-", "--via", "fast"], dump, capsys, monkeypatch)
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"]["code"] == "NotBinaryTight3"
+    code, out, _ = run_cli(["ort", "--mm", "-"], dump, capsys, monkeypatch)
+    assert code == 0
+    assert json.loads(out)["transversals"] == [["1c", "2c", "3c", "4c"]]
+
+
 def test_evals_verb(k2_file, capsys):
     code = main(["evals", "--graph", k2_file])
     out, _ = capsys.readouterr()

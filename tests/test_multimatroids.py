@@ -493,9 +493,9 @@ def test_matroid_given_by_circuits_is_kept_as_circuit_list(rng):
 def test_validators_cross_check_each_near_transversal(monkeypatch):
     # one extra loop at a single near-transversal leaves the tightness
     # verdicts of the two routes equal, but not their closures; z is built
-    # unvalidated and first scanned on one route, so that no kept scan answers
+    # unvalidated and first read on one route, so that no kept scan answers
     z = from_graph(Graph(2, [(0, 1)]), validate=False).multimatroid
-    assert is_multimatroid(z, cross_check=False)[0]
+    assert tight_quick(z)
     target = ((1, 0),)
     original = multimatroids._order_one_minor_loops
 
@@ -511,7 +511,7 @@ def test_validators_cross_check_each_near_transversal(monkeypatch):
             is_tight(z)
     with pytest.raises(InternalInconsistency):
         is_multimatroid(z)
-    assert is_tight(z, cross_check=False) == (True, None)
+    assert tight_quick(z) and z._scan is None
 
 
 def test_cross_checked_scan_builds_no_matroid(matroids_built):
@@ -556,8 +556,8 @@ def test_validators_cross_check_the_closure_table(monkeypatch):
     z = from_graph(Graph(2, [(0, 1)]), validate=False).multimatroid
     original = multimatroids._closure_masks
 
-    def masks(z, miss, classes):
-        found = list(original(z, miss, classes))
+    def masks(z, miss):
+        found = list(original(z, miss))
         if miss == 1:
             found[0] &= found[0] - 1
         return found
@@ -579,7 +579,7 @@ def test_enumeration_bounds():
 
 def test_stored_verdict_keeps_the_bound_check(monkeypatch, tightness_scans):
     z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid  # validated
-    assert tightness_scans == [("is_tight", True)]
+    assert tightness_scans == ["is_tight"]
     monkeypatch.setenv("MMLAB_MAX_ORDER", "2")
     with pytest.raises(TooLarge, match=r"^is_tight: order 3 exceeds bound 2$"):
         is_tight(z)
@@ -590,34 +590,36 @@ def test_stored_verdict_keeps_the_bound_check(monkeypatch, tightness_scans):
         is_tight(z)
     monkeypatch.delenv("MMLAB_MAX_ORDER")
     assert is_tight(z) == is_multimatroid(z) == (True, None)
-    assert tightness_scans == [("is_tight", True)]  # the build's scan, kept
+    assert tightness_scans == ["is_tight"]  # the build's scan, kept
 
 
 def test_unchecked_scans_store_no_verdict(tightness_scans, cross_check_calls):
+    # tight_quick reads the closure tables only: no scan, no cross-check,
+    # no verdict; the first checked call scans once and keeps its pair
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
-    assert tight_quick(z) and is_tight(z, cross_check=False) == (True, None)
-    assert is_multimatroid(z, cross_check=False) == (True, None)
+    assert tight_quick(z) and tight_quick(z)
+    assert tightness_scans == [] and cross_check_calls[0] == [] and z._scan is None
     assert is_tight(z) == (True, None)
     assert is_tight(z) == is_multimatroid(z) == (True, None)
     assert tight_quick(z)
-    assert tightness_scans == [("is_tight", False)] * 2 + [("is_multimatroid", False),
-                                                          ("is_tight", True)]
+    assert tightness_scans == ["is_tight"]
     assert len(cross_check_calls[0]) == 27
 
 
 def test_derived_multimatroids_start_without_a_verdict(monkeypatch, tightness_scans):
     z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid
-    assert tight_quick(z) and tightness_scans == [("is_tight", True)]
+    assert tight_quick(z) and tightness_scans == ["is_tight"]
     m = z.sheltering_matroid
     derived = [z.minor([(0, 0)]), z.restrict([e for e in z.carrier.elements() if e != (1, 2)]),
                z.delete(transversal_slot(z, 0)), free_sum([m, m]),
                Multimatroid(z.carrier, matroid=m),
                Multimatroid(z.carrier, circuits=z.circuits(), validate=False).minor([(0, 0)])]
     monkeypatch.setenv("MMLAB_MAX_ORDER", "9")  # the free sum has one class per element
+    assert all(d._scan is None and d._closures == {} for d in derived)
     tightness_scans.clear()
     for d in derived:
-        tight_quick(d)
-    assert tightness_scans == [("is_tight", False)] * len(derived)
+        is_tight(d)
+    assert tightness_scans == ["is_tight"] * len(derived)
 
 
 def test_non_tight_witnesses_are_stored_unchanged(tightness_scans):
@@ -626,11 +628,11 @@ def test_non_tight_witnesses_are_stored_unchanged(tightness_scans):
     by_circuits = catalog.fixture("s1")
     for y, witness in ((packed, (((0, 0), (2, 2)), 1)),
                        (by_circuits, (((1, 0), (2, 0)), 0))):
-        assert is_tight(y, cross_check=False) == (False, witness)
+        assert not tight_quick(y)
         tightness_scans.clear()
-        assert is_tight(y) == is_tight(y) == is_tight(y, cross_check=False) == (False, witness)
+        assert is_tight(y) == is_tight(y) == (False, witness) and not tight_quick(y)
         assert is_multimatroid(y) == (True, None)
-        assert tightness_scans == [("is_tight", True)]
+        assert tightness_scans == ["is_tight"]
 
 
 def test_sheltering_by_circuits_beyond_the_enumeration_bound(monkeypatch):

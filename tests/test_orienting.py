@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_graph, random_standard_form
-from mmlab import catalog
+from conftest import (random_graph, random_inv_symmetric, random_standard_form,
+                      random_symmetric)
+from mmlab import catalog, fields
 from mmlab.errors import Degenerate, NotBinaryTight3, NotOrienting, NotTight
-from mmlab.fields import GF4
-from mmlab.isotropic import Graph, from_graph, z_quaternary
+from mmlab.fields import GF2, GF4
+from mmlab.isotropic import Graph, from_graph, isotropic_multimatroid, z_quaternary
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, dual_pair, free_sum,
                                  is_multimatroid, is_tight, sum_subtransversals,
@@ -98,6 +99,34 @@ def test_orienting_from_seed_agrees(rng):
         assert brute == fast
 
 
+@pytest.mark.parametrize("field", ["gf2", "gf4"])
+def test_coset_route_holds_exactly_on_binary_tight_3_matroids(field):
+    """Random isotropic builds, not validated: from every orienting seed the
+    coset route gives brute force's list on a binary tight 3-matroid, and
+    raises NotBinaryTight3 on the others, as the validator does."""
+    rng = random.Random(15)
+    rejected = 0
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        a = random_symmetric(rng, GF2, n) if field == "gf2" else random_inv_symmetric(rng, n)
+        z = isotropic_multimatroid(a, validate=False).multimatroid
+        brute = orienting_transversals(z)
+        try:
+            _validate_binary_tight3(z)
+        except NotBinaryTight3 as exc:
+            reason = str(exc)
+        else:
+            reason = None
+        for seed in brute:
+            if reason is None:
+                assert orienting_from_seed(z, seed) == brute
+            else:
+                with pytest.raises(NotBinaryTight3, match=f"^{reason}$"):
+                    orienting_from_seed(z, seed)
+        rejected += reason is not None and bool(brute)
+    assert rejected > 0 if field == "gf4" else rejected == 0
+
+
 def test_orienting_from_seed_trivial_cycle_space():
     # a graph whose pair deletion has trivial cycle space: one vertex
     g = Graph(1, [])
@@ -137,13 +166,14 @@ def test_orienting_coset_within_fixed_transversal(rng):
 
 
 def test_each_multimatroid_enumerates_its_circuits_once(circuit_enumerations):
-    # the coset route reads the circuits of the seed's deletion, the suite's
-    # parity check those of z; a second read of either enumerates nothing
+    # the coset route's parity check reads the circuits of z, then its
+    # cycle space those of the seed's deletion; a second read of either,
+    # the suite's parity check included, enumerates nothing
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     ort = orienting_transversals(z)
     assert orienting_from_seed(z, ort[0]) == ort
     assert evaluation_suite(z, transversal_slot(z, 0)).passed
-    deletion, whole = circuit_enumerations
+    whole, deletion = circuit_enumerations
     assert whole is z and deletion.carrier.class_sizes == (2,) * z.order
     deletion.circuits()
     z.circuits()
@@ -315,11 +345,32 @@ def test_one_kept_scan_answers_every_validator(cross_check_calls):
     assert len(loops_at) == 27
 
 
+def test_each_class_closure_table_is_walked_once_per_object(monkeypatch):
+    # brute force, the coset route's seed check and validation, and the
+    # suite's validation and minor counts all read z's kept tables
+    calls = []
+    walk = fields.span_masks
+
+    def counted(field, levels, targets):
+        calls.append(len(levels))
+        return walk(field, levels, targets)
+
+    monkeypatch.setattr(fields, "span_masks", counted)
+    for n in range(1, 5):
+        calls.clear()
+        z = from_graph(Graph(n, [(v, v + 1) for v in range(n - 1)]), validate=False).multimatroid
+        ort = orienting_transversals(z)
+        assert len(calls) == n
+        assert orienting_from_seed(z, ort[0]) == ort
+        assert evaluation_suite(z, transversal_slot(z, 0)).passed
+        assert calls == [n - 1] * n
+
+
 def test_suite_scans_a_z_that_is_not_tight_once(tightness_scans):
     free = Multimatroid(Carrier.uniform(2, 3), circuits=[])
     with pytest.raises(NotBinaryTight3, match="not tight"):
         evaluation_suite(free, ((0, 0), (1, 0)))
-    assert tightness_scans == [("is_tight", True)]
+    assert tightness_scans == ["is_tight"]
 
 
 @pytest.mark.parametrize("seed", range(6))
