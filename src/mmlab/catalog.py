@@ -17,7 +17,7 @@ from .fields import GF2, GF4, GFMatrix
 from .isotropic import IsotropicBuild, isotropic_multimatroid, pair_multimatroid
 from .matroids import Matroid, minimal_sets
 from .multimatroids import (Carrier, Element, Multimatroid, as_subtransversal,
-                            dual_pair, element_name, is_tight, isomorphic,
+                            carrier_elements, dual_pair, is_tight, isomorphic,
                             odd_skew_pair, same_rank_oracle, tight_quick)
 
 _A = 0
@@ -358,9 +358,7 @@ def basis_parity(z: Multimatroid, x: Iterable[Element],
     multimatroids of odd class size at least 3."""
     xs = set(x)
     ys = set(y)
-    for e in xs | ys:
-        if not z.carrier.contains(e):
-            raise UnknownElement(f"{element_name(e)} is not a carrier element")
+    carrier_elements(z.carrier, xs | ys)
     touched = {c for c, _ in ys}
     for c in touched:
         if not set(z.carrier.skew_class(c)) <= ys:

@@ -6,7 +6,10 @@ Rows are bit-packed: one machine word (Python int) per coefficient plane,
 so GF(2) rows are single ints and GF(4) rows are (lo, hi) plane pairs.
 All arithmetic is exact; there is no floating point anywhere.  There is one
 pivoting routine, _echelon (with _reduce_gf4 over GF(4)): rank, contraction
-and rref call it, and the three walks inline its GF(2) step.
+and rref call it.  The three walks inline its GF(2) step alone: over GF(4)
+a span is the GF(2) span of the vectors and their a-multiples, so _doubled
+packs each (lo, hi) as one GF(2) int and each new basis vector brings its
+a-multiple along.
 """
 
 from __future__ import annotations
@@ -278,6 +281,39 @@ def contract_columns(field: int, contract: Iterable[tuple[int, int]],
     return len(basis), out
 
 
+def _doubled(field: int, groups: Sequence[Sequence], width: int = 0) -> tuple:
+    """A walk's groups of vectors as GF(2) ints, w and the a-multiple map.
+
+    Over GF(2) the groups pass through, w is width and the map is None.
+    Over GF(4) each (lo, hi) becomes lo | hi << w, w the widest plane in the
+    groups and at least width, and the map is _scale_row(2, ·) on such ints;
+    it acts alike on a second pair of w-bit planes above the first, where
+    circuit_picks puts the rows above their tag pairs."""
+    if field == GF2:
+        return groups, width, None
+    w = max([width] + [(lo | hi).bit_length() for g in groups for lo, hi in g])
+    lows = ((1 << w) - 1) * (1 | 1 << 2 * w)
+
+    def amul(v: int) -> int:
+        hi = v >> w
+        return hi & lows | ((v ^ hi) & lows) << w
+
+    return [[lo | hi << w for lo, hi in g] for g in groups], w, amul
+
+
+def _with_a_multiple(basis: tuple, v: int, amul) -> tuple:
+    """A GF(4) walk's basis grown by v, a remainder modulo it, and then by
+    v's a-multiple reduced modulo both: the GF(2) span of the basis stays a
+    GF(4) span.  That remainder is never zero, as v lies outside the span."""
+    basis += (v,)
+    v = amul(v)
+    for b in basis:
+        r = v ^ b
+        if r < v:
+            v = r
+    return basis + (v,)
+
+
 def nullity_histogram(field: int, levels: Sequence[Sequence],
                       weights: Sequence[Sequence] | None = None) -> list:
     """Nullity histogram of every way to pick one vector per level.
@@ -290,31 +326,30 @@ def nullity_histogram(field: int, levels: Sequence[Sequence],
     Zero-weight candidates are pruned, so hist[n] stays int 0 where no leaf
     landed.
 
-    One depth-first walk carries the echelon basis of the prefix picked so
-    far, so each node reduces one vector instead of re-eliminating the
-    whole leaf.
+    One depth-first walk carries the GF(2) echelon basis of the prefix
+    picked so far (over GF(4), of the doubled vectors and their
+    a-multiples), so each node reduces one vector instead of re-eliminating
+    the whole leaf.
     """
+    levels, _, amul = _doubled(field, levels)
     if weights is None:
         picks = [[(v, 1) for v in c] for c in levels]
     else:
         picks = [[(v, x) for v, x in zip(c, ws) if x] for c, ws in zip(levels, weights)]
     hist = [0] * (len(picks) + 1)
     last = len(picks) - 1
-    gf2 = field == GF2
 
     def walk(i, basis, null, w):
         for v, x in picks[i]:
-            if gf2:  # the reduction of rank_of_vectors, inlined
-                for b in basis:
-                    r = v ^ b
-                    if r < v:
-                        v = r
-            else:
-                v = _reduce_gf4(basis, *v)
+            for b in basis:  # the reduction of _echelon, inlined
+                r = v ^ b
+                if r < v:
+                    v = r
             if i == last:
                 hist[null if v else null + 1] += w * x
             elif v:
-                walk(i + 1, basis + (v,), null, w * x)
+                walk(i + 1, _with_a_multiple(basis, v, amul) if amul else basis + (v,),
+                     null, w * x)
             else:
                 walk(i + 1, basis, null + 1, w * x)
 
@@ -331,37 +366,34 @@ def span_masks(field: int, levels: Sequence[Sequence], targets: Sequence) -> lis
     when targets[j] is.  Vectors are packed as in nullity_histogram; with
     no levels there is one leaf, whose span is zero.
 
-    One depth-first walk carries the echelon basis of the prefix, as
+    One depth-first walk carries the GF(2) echelon basis of the prefix, as
     nullity_histogram's does, and reduces the targets at each leaf.
     """
+    (*levels, targets), _, amul = _doubled(field, (*levels, targets))
     masks: list[int] = []
     depth = len(levels)
-    gf2 = field == GF2
 
     def walk(i, basis):
         if i == depth:
             mask = 0
             for j, v in enumerate(targets):
-                if gf2:  # the reduction of rank_of_vectors, inlined
-                    for b in basis:
-                        r = v ^ b
-                        if r < v:
-                            v = r
-                else:
-                    v = _reduce_gf4(basis, *v)
+                for b in basis:  # the reduction of _echelon, inlined
+                    r = v ^ b
+                    if r < v:
+                        v = r
                 if not v:
                     mask |= 1 << j
             masks.append(mask)
             return
         for v in levels[i]:
-            if gf2:
-                for b in basis:
-                    r = v ^ b
-                    if r < v:
-                        v = r
+            for b in basis:
+                r = v ^ b
+                if r < v:
+                    v = r
+            if not v:
+                walk(i + 1, basis)
             else:
-                v = _reduce_gf4(basis, *v)
-            walk(i + 1, basis + (v,) if v else basis)
+                walk(i + 1, _with_a_multiple(basis, v, amul) if amul else basis + (v,))
 
     walk(0, ())
     return masks
@@ -373,35 +405,36 @@ def circuit_picks(field: int, levels: Sequence[Sequence]) -> list[tuple]:
     as in nullity_histogram.
 
     One depth-first walk skips each level or picks one of its candidates,
-    carrying the echelon basis of the prefix picked so far.  Each pick is
-    augmented: its vector shifted up by the level count, plus a unit tag bit
-    at its depth.  Pivots then stay in the shifted bits, and the tag bits of
-    a remainder record which picks it combines.  A pick whose shifted part
-    reduces to zero closes a circuit exactly when that dependency has full
-    support (popcount = depth + 1); a dependent prefix is never extended.
+    carrying the GF(2) echelon basis of the prefix picked so far.  Each
+    pick is augmented: its vector shifted up above a block of tag bits, plus
+    a unit tag bit at its depth.  Over GF(4) the tag block is a pair of
+    w-bit planes, w at least the level count, which the a-multiple map acts
+    on too, so each pick's tag pair records its GF(4) coefficient.  Pivots
+    then stay in the shifted bits, and the tags of a remainder record which
+    picks it combines.  A pick whose shifted part reduces to zero closes a
+    circuit exactly when that dependency has full support (every pick's tag
+    pair is nonzero); a dependent prefix is never extended.
     """
     n = len(levels)
-    gf2 = field == GF2
-    shifted = [[v << n if gf2 else (v[0] << n, v[1] << n) for v in c] for c in levels]
+    rows, w, amul = _doubled(field, levels, n)
+    shift = w if amul is None else 2 * w  # the tag block: one w-bit plane or two
+    tags = (1 << w) - 1
+    augmented = [[v << shift for v in c] for c in rows]
     out: list[tuple] = []
 
     def walk(start, basis, picks):
         tag, full = 1 << len(picks), len(picks) + 1
         for i in range(start, n):
-            for j, v in enumerate(shifted[i]):
-                if gf2:  # the reduction of rank_of_vectors, inlined
-                    v |= tag
-                    for b in basis:
-                        r = v ^ b
-                        if r < v:
-                            v = r
-                    row, support = v >> n, v
-                else:
-                    v = _reduce_gf4(basis, v[0] | tag, v[1])
-                    row, support = v[0] >= n, v[1] | v[2]
-                if row:
-                    walk(i + 1, basis + (v,), picks + ((i, j),))
-                elif support.bit_count() == full:
+            for j, v in enumerate(augmented[i]):
+                v |= tag
+                for b in basis:  # the reduction of _echelon, inlined
+                    r = v ^ b
+                    if r < v:
+                        v = r
+                if v >> shift:
+                    walk(i + 1, _with_a_multiple(basis, v, amul) if amul else basis + (v,),
+                         picks + ((i, j),))
+                elif ((v | v >> w) & tags).bit_count() == full:
                     out.append(picks + ((i, j),))
 
     walk(0, (), ())

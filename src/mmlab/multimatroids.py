@@ -34,6 +34,7 @@ from .matroids import Matroid, minimal_sets, rank_from_circuits
 Element = tuple[int, int]
 
 _SLOT_LETTERS = "abcd"
+_UNSEEN = object()  # a kept answer not computed yet, where None is an answer
 
 
 def element_label(e: Element) -> str:
@@ -90,8 +91,11 @@ class Carrier:
     def skew_class(self, c: int) -> tuple[Element, ...]:
         return tuple((c, s) for s in range(self.class_sizes[c]))
 
-    def contains(self, e: Element) -> bool:
-        return 0 <= e[0] < self.order and 0 <= e[1] < self.class_sizes[e[0]]
+    def contains(self, e) -> bool:
+        """Whether e is an element: a pair of ints naming a class and one of
+        its slots."""
+        return (type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int
+                and 0 <= e[0] < self.order and 0 <= e[1] < self.class_sizes[e[0]])
 
     def transversal_count(self) -> int:
         n = 1
@@ -144,13 +148,22 @@ def element_name(e) -> str:
     return repr(e)
 
 
+def carrier_elements(carrier: Carrier, elems: Iterable[Element]) -> frozenset:
+    """The elements as a set; UnknownElement names the first that is not a
+    carrier element."""
+    es = frozenset(elems)
+    for e in es:
+        if not carrier.contains(e):
+            raise UnknownElement(f"{element_name(e)} is not a carrier element")
+    return es
+
+
 def as_subtransversal(carrier: Carrier, elems: Iterable[Element]) -> tuple[Element, ...]:
-    """Normalize to a sorted element tuple; reject repeated skew classes."""
-    es = sorted(set(elems))
+    """Normalize to a sorted element tuple; reject unknown elements and
+    repeated skew classes."""
+    es = sorted(carrier_elements(carrier, elems))
     seen = set()
     for e in es:
-        if not isinstance(e, tuple) or len(e) != 2 or not carrier.contains(e):
-            raise UnknownElement(f"{element_name(e)} is not a carrier element")
         if e[0] in seen:
             raise NotSubtransversal(f"two elements in skew class {e[0]}")
         seen.add(e[0])
@@ -179,7 +192,7 @@ class Multimatroid:
     """A carrier plus a rank oracle, realized as sheltered or circuit-list."""
 
     __slots__ = ("carrier", "_circuits", "_rank_cache", "_field", "_rows", "_colvec",
-                 "_scan", "_closures")
+                 "_scan", "_closures", "_odd_pair")
 
     def __init__(self, carrier: Carrier, matroid: Matroid | None = None,
                  circuits: Iterable[frozenset] | None = None, validate: bool = True):
@@ -189,6 +202,7 @@ class Multimatroid:
         self._field = self._rows = self._colvec = None
         self._scan = None  # near_transversal_scan's cross-checked pair, once run
         self._closures: dict[int, bytes] = {}  # _closure_masks, by missing class
+        self._odd_pair = _UNSEEN  # odd_skew_pair's answer, once run
         if (matroid is None) == (circuits is None):
             raise MalformedInput("exactly one of matroid/circuits required")
         if matroid is not None:
@@ -222,7 +236,7 @@ class Multimatroid:
         z = cls.__new__(cls)
         z.carrier, z._circuits, z._rank_cache = carrier, None, {}
         z._field, z._rows, z._colvec = field, rows, colvec
-        z._scan, z._closures = None, {}
+        z._scan, z._closures, z._odd_pair = None, {}, _UNSEEN
         return z
 
     def _validate_semi_axioms(self):
@@ -351,7 +365,7 @@ class Multimatroid:
         """hist[n]: the number of transversals avoiding the banned elements
         with nullity n or, given element weights, the sum of their weight
         products.  A class emptied by the bans leaves every entry zero."""
-        bans = frozenset(banned)
+        bans = carrier_elements(self.carrier, banned)
         cands = [[e for e in self.carrier.skew_class(c) if e not in bans]
                  for c in range(self.order)]
         if self._colvec is not None:
@@ -387,10 +401,7 @@ class Multimatroid:
     def restrict(self, keep_elems: Iterable[Element]) -> "Multimatroid":
         """Restriction to a subset of the ground set; classes shrink and may
         vanish."""
-        keep = frozenset(keep_elems)
-        for e in keep:
-            if not self.carrier.contains(e):
-                raise UnknownElement(f"{element_name(e)} is not a carrier element")
+        keep = carrier_elements(self.carrier, keep_elems)
         carrier, emap = self._shrink(_slots_by_class(keep))
         if self._colvec is not None:
             return self._sheltered(carrier, self._field, self._rows,
@@ -400,11 +411,10 @@ class Multimatroid:
         return Multimatroid(carrier, circuits=circuits, validate=False)
 
     def delete(self, elems: Iterable[Element]) -> "Multimatroid":
-        drop = set(elems)
-        return self.restrict(set(self.carrier.elements()) - drop)
+        return self.restrict(set(self.carrier.elements()) - carrier_elements(self.carrier, elems))
 
     def deletion_map(self, elems: Iterable[Element]) -> dict[Element, Element]:
-        keep = frozenset(self.carrier.elements()) - set(elems)
+        keep = frozenset(self.carrier.elements()) - carrier_elements(self.carrier, elems)
         return self._shrink(_slots_by_class(keep))[1]
 
     def minor(self, x: Iterable[Element]) -> "Multimatroid":
@@ -557,12 +567,11 @@ def tight_quick(z: Multimatroid) -> bool:
 def odd_skew_pair(z: Multimatroid):
     """The first two circuits whose union has an odd number of skew pairs
     (classes it meets twice), with that number; None when every union is
-    even."""
-    for c1, c2 in combinations(z.circuits(), 2):
-        pairs = len(z.carrier.classes_with_pair(c1 | c2))
-        if pairs % 2:
-            return c1, c2, pairs
-    return None
+    even.  The answer is kept on z from the first call."""
+    if z._odd_pair is _UNSEEN:
+        z._odd_pair = next(((c1, c2, pairs) for c1, c2 in combinations(z.circuits(), 2)
+                            if (pairs := len(z.carrier.classes_with_pair(c1 | c2))) % 2), None)
+    return z._odd_pair
 
 
 # -- free sums and matroid pairs ----------------------------------------------

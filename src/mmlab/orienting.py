@@ -191,7 +191,7 @@ class EvalReport:
 def _validate_binary_tight3(z: Multimatroid) -> None:
     """Raise NotBinaryTight3 unless z is a binary tight 3-matroid.  One
     near_transversal_scan, or the one kept on z, tells "not tight" from "not
-    a multimatroid"."""
+    a multimatroid"; odd_skew_pair, also kept on z, tests binarity."""
     if not z.carrier.is_uniform(3):
         raise NotBinaryTight3("carrier must have class size 3 throughout")
     excess, loose = near_transversal_scan(z, "is_tight")

@@ -39,7 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 KERNELS = {
-    "fields": ("_echelon", "_reduce_gf4", "rref", "contract_columns"),
+    "fields": ("_echelon", "_reduce_gf4", "rref", "contract_columns", "_doubled",
+               "_with_a_multiple", "nullity_histogram", "span_masks", "circuit_picks"),
     "multimatroids": ("_closure_masks", "_order_one_minor_loops", "_near_transversal_flats",
                       "near_transversal_scan", "tight_quick"),
     "matroids": ("minimal_sets",),
@@ -79,6 +80,28 @@ EQUIVALENT = {
         "the mask then also keeps bit p, a pivot row, which the reduction left zero",
     "fields.contract_columns+20:48 1->2":
         "the mask then also keeps bit p, a pivot row, which the reduction left zero",
+    "fields._doubled+11:29 BitOr->BitXor":
+        "1 and 1 << 2w are different bits for w > 0, and at w = 0 the other factor is 0",
+    "fields._doubled+15:15 BitOr->BitXor":
+        "the two halves of the a-multiple sit in different planes",
+    "fields._doubled+17:13 BitOr->BitXor":
+        "lo has at most w bits, below hi << w",
+    "fields._with_a_multiple+8:11 Lt->LtE":
+        "as in _echelon: no basis vector is zero",
+    "fields.nullity_histogram+29:19 Lt->LtE":
+        "as in _echelon: no basis vector is zero",
+    "fields.nullity_histogram+42:13 0->-1":
+        "with no levels the histogram has one entry, so hist[-1] is hist[0]",
+    "fields.span_masks+19:23 Lt->LtE":
+        "as in _echelon: no basis vector is zero",
+    "fields.span_masks+22:20 BitOr->BitXor":
+        "each target sets its own bit, once",
+    "fields.span_masks+28:19 Lt->LtE":
+        "as in _echelon: no basis vector is zero",
+    "fields.circuit_picks+27:16 BitOr->BitXor":
+        "a candidate is shifted above the tag block, so its tag bit is clear",
+    "fields.circuit_picks+30:23 Lt->LtE":
+        "as in _echelon: no basis vector is zero",
     "matroids.minimal_sets+5:19 LtE->Lt":
         "the candidates are deduplicated, so no kept set equals a later one",
     "orienting._DeletionTables+23:32 1->2":

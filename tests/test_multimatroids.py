@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import pkgutil
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,11 @@ from mmlab.isotropic import Graph, from_graph
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, as_subtransversal,
                                  cycle_space, cycle_space_avoiding, dual_pair,
-                                 element_label, free_sum, is_multimatroid,
+                                 element_label, element_name, free_sum, is_multimatroid,
                                  is_tight, isomorphic, parse_element_label,
                                  same_rank_oracle, sum_subtransversals,
                                  tight_quick, transversal_slot)
+from mmlab.polynomials import q1_avoiding
 
 
 def free_mm(sizes):
@@ -105,6 +107,28 @@ def test_restrict_and_delete():
     assert dropped.order == 3
     kept = z.restrict([(0, 0), (0, 1), (1, 0), (1, 1)])
     assert kept.order == 2
+
+
+_AT_ELEMENTS = {
+    "q1_avoiding": lambda z, e: q1_avoiding(z, [e]),
+    "nullity_histogram": lambda z, e: z.nullity_histogram([e]),
+    "restrict": lambda z, e: z.restrict([e]),
+    "delete": lambda z, e: z.delete([e]),
+    "deletion_map": lambda z, e: z.deletion_map([e]),
+    "cycle_space_avoiding": lambda z, e: cycle_space_avoiding(z, [e]),
+}
+
+
+@pytest.mark.parametrize("realization", ["packed", "circuits"])
+@pytest.mark.parametrize("e", ["junk", (7, 1), (9, 9), (0, 3), (-1, 0), ("1", 0), (0, 0, 0)])
+@pytest.mark.parametrize("entry", sorted(_AT_ELEMENTS))
+def test_elements_outside_the_carrier_are_named(realization, e, entry):
+    # bans and deletions name an unknown element, as restrict does
+    z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid
+    if realization == "circuits":
+        z = Multimatroid(z.carrier, circuits=z.circuits())
+    with pytest.raises(UnknownElement, match=f"^{re.escape(element_name(e))} is not a carrier"):
+        _AT_ELEMENTS[entry](z, e)
 
 
 def test_delete_then_minor_commutes(rng):

@@ -366,6 +366,28 @@ def test_each_class_closure_table_is_walked_once_per_object(monkeypatch):
         assert calls == [n - 1] * n
 
 
+def test_the_skew_pair_parity_is_kept_on_z(monkeypatch):
+    # orienting_from_seed and evaluation_suite both validate z, and
+    # classification tests the same parity: one pass over the circuit pairs
+    pair_unions = []
+    count = Carrier.classes_with_pair
+
+    def counted(carrier, w):
+        pair_unions.append(w)
+        return count(carrier, w)
+
+    monkeypatch.setattr(Carrier, "classes_with_pair", counted)
+    z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
+    circuits = z.circuits()
+    assert orienting_from_seed(z, transversal_slot(z, 2))
+    assert sum(w in {c1 | c2 for c1 in circuits for c2 in circuits} for w in pair_unions) \
+        == len(circuits) * (len(circuits) - 1) // 2
+    pair_unions.clear()
+    assert evaluation_suite(z, transversal_slot(z, 0)).passed
+    assert catalog.classify_binary_tight3(z).binary
+    assert pair_unions == []
+
+
 def test_suite_scans_a_z_that_is_not_tight_once(tightness_scans):
     free = Multimatroid(Carrier.uniform(2, 3), circuits=[])
     with pytest.raises(NotBinaryTight3, match="not tight"):

@@ -1,14 +1,20 @@
 """Property tests for the prefix-echelon walks.
 
-The nullity walk (fields.nullity_histogram, reached through
-Multimatroid.nullity_histogram and the graph polynomials) is checked against
-per-leaf references: one full elimination per leaf, one rank-oracle nullity
-per transversal, and one Graph.nullity_mask per (vertex mask, loop toggle).
-The circuit walk (fields.circuit_picks, behind the circuits() of packed
-multimatroids and represented matroids) is checked against the brute-force
-minimal-dependent-set enumeration under the rank oracle.  The
-near-transversal scan, which reads its closures from the span walk
-(fields.span_masks), is checked against the rank oracle's closures.
+The walks eliminate over GF(2) alone: GF(4) vectors enter them doubled,
+with their a-multiples (fields._doubled), while rank_of_vectors keeps the
+two-plane GF(4) step, so every per-leaf reference below shares no GF(4)
+arithmetic with the walk it checks.  The doubling itself is checked against
+_scale_row and rank_of_vectors.  The nullity walk (fields.nullity_histogram,
+reached through Multimatroid.nullity_histogram and the graph polynomials) is
+checked against per-leaf references: one full elimination per leaf, one
+rank-oracle nullity per transversal, and one Graph.nullity_mask per (vertex
+mask, loop toggle).  The span walk (fields.span_masks) is checked against
+one rank_of_vectors per leaf and target, on levels and targets of unequal
+widths.  The circuit walk (fields.circuit_picks, behind the circuits() of
+packed multimatroids and represented matroids) is checked against the
+brute-force minimal-dependent-set enumeration under the rank oracle.  The
+near-transversal scan, which reads its closures from the span walk, is
+checked against the rank oracle's closures.
 """
 
 import random
@@ -20,8 +26,8 @@ from hypothesis import strategies as st
 
 from conftest import KINDS, build, random_graph, random_standard_form
 from mmlab import catalog
-from mmlab.fields import (GF2, GF4, GFMatrix, circuit_picks, nullity_histogram,
-                          rank_of_vectors)
+from mmlab.fields import (GF2, GF4, GFMatrix, _doubled, _scale_row, circuit_picks,
+                          nullity_histogram, rank_of_vectors, span_masks)
 from mmlab.matroids import Matroid, minimal_sets
 from mmlab.multimatroids import (Carrier, Multimatroid, is_multimatroid, is_tight,
                                  near_transversal_scan, tight_quick)
@@ -72,6 +78,64 @@ def test_kernel_matches_per_leaf_elimination(field, seed, depth, weighted):
             picked = [pairs[i][j] for i, j in enumerate(idx)]
             want[depth - rank_of_vectors(field, picked)] += w
     assert nullity_histogram(field, levels, weights) == want
+
+
+planes = st.tuples(st.integers(0, 255), st.integers(0, 255))
+
+
+@given(st.lists(st.lists(planes, max_size=4), max_size=3), st.integers(0, 9))
+@settings(max_examples=80, deadline=None)
+def test_doubled_vectors_span_the_gf4_span(groups, width):
+    # each (lo, hi) packs as lo | hi << w, w the widest plane (at least
+    # width), and the map is _scale_row(2, ...) on such ints, on the tag
+    # block below the rows too
+    doubled, w, amul = _doubled(GF4, groups, width)
+    widest = max([0] + [(lo | hi).bit_length() for g in groups for lo, hi in g])
+    assert w == max(width, widest) and _doubled(GF4, groups)[1] == widest
+    assert doubled == [[lo | hi << w for lo, hi in g] for g in groups]
+    vectors = [v for g in groups for v in g]
+    for lo, hi in vectors + [(lo ^ hi, lo) for lo, hi in vectors]:
+        alo, ahi = _scale_row(2, lo, hi)
+        assert amul(lo | hi << w) == alo | ahi << w
+        for tlo, thi in vectors[:2]:
+            tags = tlo | thi << w
+            assert amul((lo | hi << w) << 2 * w | tags) == (alo | ahi << w) << 2 * w | amul(tags)
+    both = [v for g in doubled for v in g] + [amul(v) for g in doubled for v in g]
+    assert rank_of_vectors(GF2, ((v, 0) for v in both)) == 2 * rank_of_vectors(GF4, vectors)
+    assert _doubled(GF2, groups, width) == (groups, width, None)
+
+
+@given(st.sampled_from((GF2, GF4)), seeds, st.integers(0, 4), st.integers(0, 5),
+       st.integers(0, 7))
+@settings(max_examples=80, deadline=None)
+def test_span_walk_matches_per_leaf_rank(field, seed, depth, level_bits, target_bits):
+    # narrow planes give zero vectors and empty levels often; targets may be
+    # wider or narrower than every level vector
+    rng = random.Random(seed)
+
+    def vector(bits):
+        return rng.getrandbits(bits), rng.getrandbits(bits) if field == GF4 else 0
+
+    levels = [[vector(level_bits) for _ in range(rng.randint(0, 3))] for _ in range(depth)]
+    targets = [vector(target_bits) for _ in range(rng.randint(0, 4))]
+    want = []
+    for picked in product(*levels):
+        r = rank_of_vectors(field, picked)
+        want.append(sum(1 << j for j, t in enumerate(targets)
+                        if rank_of_vectors(field, picked + (t,)) == r))
+
+    def packed(vs):
+        return list(vs) if field == GF4 else [lo for lo, _ in vs]
+
+    assert span_masks(field, [packed(c) for c in levels], packed(targets)) == want
+
+
+def test_span_walk_packs_targets_wider_than_the_levels():
+    # over GF(4), (1, 1) = b spans only multiples of the first unit vector
+    assert span_masks(GF4, [[(1, 1)]], [(2, 0), (1, 0), (0, 1), (3, 3)]) == [0b0110]
+    assert span_masks(GF4, [], [(0, 0), (4, 0)]) == [0b01]
+    assert span_masks(GF4, [[(0, 0)], []], [(0, 0)]) == []
+    assert span_masks(GF2, [[0, 1]], [8, 0, 1]) == [0b010, 0b110]
 
 
 @given(st.sampled_from(KINDS), seeds, st.integers(0, 4))
