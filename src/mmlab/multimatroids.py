@@ -10,10 +10,12 @@ demand.  A sheltering matroid given by circuits is kept as its subtransversal
 circuits, and a circuit list's minors read theirs from that list, not from
 the rank oracle.  Algorithms go through the rank oracle, except that on packed
 realizations the closures of near-transversals, which the validators and the
-orienting test read, come from one echelon walk per missing class, and the
-circuits from one subtransversal walk.  Each object keeps its circuits, its
-closure table per missing class and the one cross-checked near-transversal
-scan that both validators read.  The two realizations are interchangeable.
+orienting test read, come from one echelon walk per missing class; the loops
+of the order-one minors, which the validators check those closures against,
+from one contraction walk per missing class; and the circuits from one
+subtransversal walk.  Each object keeps its circuits, its closure table per
+missing class and the one cross-checked near-transversal scan that both
+validators read.  The two realizations are interchangeable.
 A cycle space is spanned by the circuit list of the multimatroid it is taken
 in (`cycle_space_avoiding`: the deletion).
 """
@@ -476,37 +478,30 @@ def _closure_masks(z: Multimatroid, miss: int) -> bytes:
     return z._closures[miss]
 
 
-def _order_one_minor_loops(z: Multimatroid, s: tuple[Element, ...],
-                           miss: int) -> list[Element]:
-    """The loops of the order-one minor by the near-transversal S, as
-    elements of its missing class.  Packed realizations contract the columns
-    of S (their echelon basis, pivot rows dropped) and read the columns that
-    reduce to zero; circuit-list realizations build the minor and list its
-    circuits."""
-    if z._colvec is not None:
-        cv = z._colvec
-        cls = z.carrier.skew_class(miss)
-        _, cols = fields.contract_columns(z._field, [cv[e] for e in s], [cv[x] for x in cls])
-        return [x for x, col in zip(cls, cols) if col == (0, 0)]
-    return [(miss, x) for c in z.minor(s).circuits() for _, x in c]
+def _order_one_minor_loops(z: Multimatroid, miss: int) -> bytes:
+    """For every pick S of one element per other class, laid out as
+    _closure_masks(z, miss), the bit mask of the loops of the order-one
+    minor by S.  Packed realizations walk the picks depth first, contracting
+    one picked column per level out of the columns of the later classes and
+    of class miss, and read the zero columns of class miss at each leaf;
+    circuit-list realizations build each minor and read its circuits."""
+    others = [c for c in range(z.order) if c != miss]
+    sizes = [z.carrier.class_sizes[c] for c in others]
+    if z._colvec is None:
+        return bytes(sum(1 << x for c in z.minor(zip(others, picks)).circuits() for _, x in c)
+                     for picks in product(*map(range, sizes)))
+    found = []
 
+    def walk(i, cols):  # cols: the contracted columns of classes others[i:], then miss
+        if i == len(sizes):
+            found.append(sum(1 << x for x, col in enumerate(cols) if col == (0, 0)))
+            return
+        k = sizes[i]
+        for v in cols[:k]:
+            walk(i + 1, fields.contract_columns(z._field, (v,), cols[k:])[1])
 
-def _near_transversal_flats(z: Multimatroid, op: str):
-    """Yield (S, missing_class, closure) for every near-transversal S in
-    canonical order, where the closure lists the elements x of the missing
-    class with r(S + x) = r(S), read from the class's _closure_masks table.
-    The loops of the order-one minor by S, a second route through
-    contraction, must be exactly the closure at every S."""
-    masks, last = None, None
-    for s, miss in z.carrier.near_transversals():
-        if miss != last:
-            masks, last = iter(_closure_masks(z, miss)), miss
-        mask = next(masks)
-        flat = [x for x in z.carrier.skew_class(miss) if mask >> x[1] & 1]
-        if _order_one_minor_loops(z, s, miss) != flat:
-            raise InternalInconsistency(f"{op}: the order-one minor by {list(s)} "
-                                        "disagrees with the closure")
-        yield s, miss, flat
+    walk(0, [z._colvec[e] for c in (*others, miss) for e in z.carrier.skew_class(c)])
+    return bytes(found)
 
 
 def near_transversal_scan(z: Multimatroid, op: str):
@@ -516,16 +511,28 @@ def near_transversal_scan(z: Multimatroid, op: str):
     exclusion fails; the tightness witness is the first near-transversal
     whose closure is not exactly one element.
 
+    Each closure (the slots x of the missing class with r(S + x) = r(S)) is
+    read from the class's _closure_masks table, and must equal the loops of
+    the order-one minor by S, read from _order_one_minor_loops, a second
+    route through contraction, or the scan raises InternalInconsistency.
+
     The bounds are checked under op on every call.  The pair is kept on z
     for later calls; a scan that raises keeps none."""
     z._check_enum_bounds(ORDER_GENERAL, op)
     if z._scan is None:
-        excess = loose = None
-        for s, miss, flat in _near_transversal_flats(z, op):
-            if len(flat) >= 2:
+        excess = loose = last = None
+        for s, miss in z.carrier.near_transversals():
+            if miss != last:
+                pairs, last = zip(_closure_masks(z, miss), _order_one_minor_loops(z, miss)), miss
+            mask, loops = next(pairs)
+            if mask != loops:
+                raise InternalInconsistency(f"{op}: the order-one minor by {list(s)} "
+                                            "disagrees with the closure")
+            if mask.bit_count() >= 2:
+                flat = [x for x in z.carrier.skew_class(miss) if mask >> x[1] & 1]
                 excess, loose = (s, flat[0], flat[1]), loose or (s, miss)
                 break
-            if not flat and loose is None:
+            if not mask and loose is None:
                 loose = (s, miss)
         z._scan = excess, loose
     return z._scan
@@ -537,7 +544,8 @@ def is_multimatroid(z: Multimatroid):
 
     Returns (True, None) or (False, (S, x1, x2)), read from
     near_transversal_scan, which checks every closure against the loops of
-    its order-one minor: a contraction of the packed columns, or the built
+    its order-one minor: read from one walk per missing class that contracts
+    the packed columns one picked column at a time, or from the built
     minor's circuits on a circuit-list realization.
     """
     excess = near_transversal_scan(z, "is_multimatroid")[0]

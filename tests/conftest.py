@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 import mmlab
 from mmlab import catalog, fields, multimatroids, orienting
@@ -15,6 +17,10 @@ from mmlab.fields import GF2, GF4, GFMatrix, scalar_add, scalar_mul
 from mmlab.isotropic import Graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import Multimatroid, dual_pair
+
+# Loaded by tests/mutants.py (`--hypothesis-profile=no-shrink`): a mutant is
+# killed by its first failing example, so shrinking that example is wasted.
+settings.register_profile("no-shrink", phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -277,15 +283,16 @@ def matroids_built(monkeypatch):
 
 @pytest.fixture
 def cross_check_calls(monkeypatch):
-    """Two lists that gain, from now on, one entry per order-one minor's
-    loops read by the validator cross-check (its near-transversal S) and
-    one per Multimatroid.minor built (its subtransversal)."""
+    """Two lists that gain, from now on, one entry per table of order-one
+    minor loops read by the validator cross-check (its missing class; a
+    scan reads one per class) and one per Multimatroid.minor built (its
+    subtransversal)."""
     loops_at, minors = [], []
     read_loops, minor = multimatroids._order_one_minor_loops, Multimatroid.minor
 
-    def counted_loops(z, s, miss):
-        loops_at.append(frozenset(s))
-        return read_loops(z, s, miss)
+    def counted_loops(z, miss):
+        loops_at.append(miss)
+        return read_loops(z, miss)
 
     def counted_minor(self, x):
         minors.append(frozenset(x))
@@ -316,15 +323,22 @@ def closure_mask_calls(monkeypatch):
 @pytest.fixture
 def tightness_scans(monkeypatch):
     """A list that gains, from now on, one op entry per near-transversal
-    scan run; a kept scan read back adds nothing."""
+    scan run; a kept scan read back adds nothing.  A scan reads the table
+    of order-one minor loops of each class in turn, from class 0 on, so a
+    run is counted at its class-0 read (an order-0 scan reads none), with
+    the op of the near_transversal_scan call on the stack."""
     scans = []
-    flats = multimatroids._near_transversal_flats
+    read_loops = multimatroids._order_one_minor_loops
 
-    def counted(z, op):
-        scans.append(op)
-        return flats(z, op)
+    def counted(z, miss):
+        if miss == 0:
+            frame = sys._getframe(1)
+            while frame.f_code.co_name != "near_transversal_scan":
+                frame = frame.f_back
+            scans.append(frame.f_locals["op"])
+        return read_loops(z, miss)
 
-    monkeypatch.setattr(multimatroids, "_near_transversal_flats", counted)
+    monkeypatch.setattr(multimatroids, "_order_one_minor_loops", counted)
     return scans
 
 

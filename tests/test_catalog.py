@@ -377,22 +377,14 @@ def test_bases_within_class_extension_counts(rng):
     assert catalog.bases_within_class_extension(free2, ((0, 0),), 0) == 2
 
 
-def test_classify_runs_one_tightness_scan(monkeypatch):
+def test_classify_runs_one_tightness_scan(tightness_scans):
     # an unvalidated build is scanned once; the cached h33, validated when
     # it was built, answers from its stored verdict
-    from mmlab import multimatroids
     h33 = catalog.fixture("h33")
     z = isotropic_multimatroid(catalog.fixture_h33().source, validate=False).multimatroid
-    ops = []
-    original = multimatroids._near_transversal_flats
-
-    def scan(z, op):
-        ops.append(op)
-        return original(z, op)
-
-    monkeypatch.setattr(multimatroids, "_near_transversal_flats", scan)
+    tightness_scans.clear()
     assert catalog.classify_binary_tight3(z).binary is False
-    assert ops == ["is_tight"]
-    ops.clear()
+    assert tightness_scans == ["is_tight"]
+    tightness_scans.clear()
     assert catalog.classify_binary_tight3(h33).binary is False
-    assert ops == []
+    assert tightness_scans == []

@@ -6,12 +6,12 @@ read from one echelon walk per missing class (fields.span_masks) on packed
 realizations, and the evaluation suite reads the orienting counts of minors
 from the same tables, sliced; packed minors and restrictions are built
 straight from the parent's columns, and the validator reads the loops of
-each order-one minor from a contraction.  Each is checked against a
-labelled reference (the oracle route) that builds the deletion or the
-minor, against the rank comparisons of closure_in_class, or against the
-circuit-list route.  The evaluation
-suite's integer weights, scaled by their common denominator, are checked
-against the Fraction histogram of the circuit-list route.
+the order-one minors from one contraction walk per missing class, a table
+laid out like the closure table.  Each is checked against a labelled
+reference (the oracle route) that builds the deletion or the minor, against
+the rank comparisons of closure_in_class, or against the circuit-list route.
+The evaluation suite's integer weights, scaled by their common denominator,
+are checked against the Fraction histogram of the circuit-list route.
 """
 
 import random
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from conftest import build, random_standard_form
 from mmlab.fields import GF2, GF4, GFMatrix, span_masks
+from mmlab.isotropic import Graph, from_graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Multimatroid, _closure_masks, _order_one_minor_loops,
                                  dual_pair, free_sum, same_rank_oracle, tight_quick)
@@ -91,22 +92,56 @@ def test_sliced_minor_counts_match_built_minors(kind, seed, n):
             assert tables.minor_count(f) == len(orienting_transversals(z.minor(f))), f
 
 
+def closure_mask(z: Multimatroid, s, miss: int) -> int:
+    return sum(1 << x for _, x in z.closure_in_class(frozenset(s), miss))
+
+
+def check_order_one_minor_loops(z: Multimatroid) -> None:
+    """Every byte of every class's table of order-one minor loops, against
+    the loops of the minor built at that near-transversal and against the
+    rank-comparison closure there; each table has one byte per pick."""
+    tables = {miss: iter(_order_one_minor_loops(z, miss)) for miss in range(z.order)}
+    for s, miss in z.carrier.near_transversals():
+        loops = next(tables[miss])
+        assert loops == sum(1 << x for c in z.minor(s).circuits() for _, x in c), (s, miss)
+        assert loops == closure_mask(z, s, miss), (s, miss)
+    assert all(next(rest, None) is None for rest in tables.values())
+
+
 @given(st.sampled_from(ORT_KINDS), seeds, st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_order_one_minor_loops_match_minor_and_closure(kind, seed, n):
-    """The validator's contraction route, on class sizes 1-4 through a
-    restriction half the time, against the loops of the built minor and
-    the rank-comparison closure."""
+    """The validator's contraction walk, on class sizes 1-4 through a
+    restriction half the time, GF(2), GF(4) and circuit lists, against the
+    built minors and the rank-comparison closures."""
     rng = random.Random(seed)
-    z = restrict_half_the_time(rng, build_any(kind, rng, n))
-    for s, miss in z.carrier.near_transversals():
-        loops = _order_one_minor_loops(z, s, miss)
-        assert loops == [(miss, x) for c in z.minor(s).circuits() for _, x in c], (s, miss)
-        assert loops == z.closure_in_class(frozenset(s), miss), (s, miss)
+    check_order_one_minor_loops(restrict_half_the_time(rng, build_any(kind, rng, n)))
 
 
-def closure_mask(z: Multimatroid, s, miss: int) -> int:
-    return sum(1 << x for _, x in z.closure_in_class(frozenset(s), miss))
+def zero_column_builds():
+    """Builds with zero columns, of orders 0 to 3, packed and as circuit
+    lists, with classes of size 1 and 2 through restriction: isolated
+    vertices (zero adjacency columns) over GF(2) and GF(4), and a free sum
+    of rank-0 matroids, whose columns are all zero."""
+    zero = GFMatrix.from_entries(GF4, [[0, 0], [0, 0]], cols=2)
+    packed = [from_graph(Graph(n, edges), validate=False).multimatroid
+              for n, edges in ((0, []), (1, []), (3, [(0, 1)]))]
+    packed += [isotropic_multimatroid(zero, validate=False).multimatroid,
+               free_sum([random_standard_form(random.Random(0), GF2, 2, 0)] * 4)]
+    for z in packed:
+        yield z
+        yield Multimatroid(z.carrier, circuits=z.circuits(), validate=False)
+        for keep in (1, 2):
+            yield z.restrict([e for e in z.carrier.elements() if e[1] < keep])
+
+
+def test_order_one_minor_loops_on_zero_columns_and_low_orders():
+    """Order 0 has no table; order 1 has one leaf and no levels."""
+    orders = set()
+    for z in zero_column_builds():
+        orders.add(z.order)
+        check_order_one_minor_loops(z)
+    assert orders == {0, 1, 2, 3}
 
 
 @given(st.sampled_from(("gf2", "gf4", "free4", "mixed")), seeds, st.integers(0, 4))

@@ -292,12 +292,13 @@ def test_eval_suite_names_the_failed_condition():
 
 
 def test_validation_builds_one_minor_per_near_transversal(cross_check_calls):
-    # one order-one minor per near-transversal, its loops read from a
-    # contraction of the packed columns: no Multimatroid is built
+    # the order-one minors of the 27 near-transversals, their loops read
+    # from one contraction walk of the packed columns per missing class: no
+    # Multimatroid is built
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     loops_at, minors = cross_check_calls
     _validate_binary_tight3(z)
-    assert len(loops_at) == len(set(loops_at)) == len(list(z.carrier.near_transversals())) == 27
+    assert loops_at == list(range(z.order)) == [0, 1, 2]
     assert minors == []
 
 
@@ -314,9 +315,9 @@ def test_validated_build_is_not_scanned_again_by_the_suite(cross_check_calls):
     # the build keeps its cross-checked verdict; the suite reads it
     loops_at, _ = cross_check_calls
     z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid
-    assert len(loops_at) == 27
+    assert len(loops_at) == 3
     assert evaluation_suite(z, transversal_slot(z, 0)).passed
-    assert len(loops_at) == 27
+    assert len(loops_at) == 3
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -332,17 +333,18 @@ def test_suite_builds_no_minor_and_one_closure_table_per_class(
 
 
 def test_one_kept_scan_answers_every_validator(cross_check_calls):
-    # the build's 27 cross-checks are the only ones: classification, the
-    # suite and the exclusion check read the scan kept on z
+    # the build's cross-check (one contraction walk per class) is the only
+    # one: classification, the suite and the exclusion check read the scan
+    # kept on z
     loops_at, _ = cross_check_calls
     catalog.fixture("h33")  # the classifier's pattern, validated once per session
     loops_at.clear()
     z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid
-    assert len(loops_at) == 27
+    assert len(loops_at) == 3
     assert catalog.classify_binary_tight3(z).binary
     assert evaluation_suite(z, transversal_slot(z, 0)).passed
     assert is_multimatroid(z) == (True, None)
-    assert len(loops_at) == 27
+    assert len(loops_at) == 3
 
 
 def test_each_class_closure_table_is_walked_once_per_object(monkeypatch):
