@@ -6,10 +6,11 @@ Rows are bit-packed: one machine word (Python int) per coefficient plane,
 so GF(2) rows are single ints and GF(4) rows are (lo, hi) plane pairs.
 All arithmetic is exact; there is no floating point anywhere.  There is one
 pivoting routine, _echelon (with _reduce_gf4 over GF(4)): rank, contraction
-and rref call it.  The three walks inline its GF(2) step alone: over GF(4)
-a span is the GF(2) span of the vectors and their a-multiples, so _doubled
-packs each (lo, hi) as one GF(2) int and each new basis vector brings its
-a-multiple along.
+(which builds packed minors) and rref call it; the validators' second route
+reduces rows in multimatroids, with only the scalar arithmetic from here.
+The three walks inline its GF(2) step alone: over GF(4) a span is the GF(2)
+span of the vectors and their a-multiples, so _doubled packs each (lo, hi)
+as one GF(2) int and each new basis vector brings its a-multiple along.
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ the rank oracle.  Algorithms go through the rank oracle, except that on packed
 realizations the closures of near-transversals, which the validators and the
 orienting test read, come from one echelon walk per missing class; the loops
 of the order-one minors, which the validators check those closures against,
-from one contraction walk per missing class; and the circuits from one
-subtransversal walk.  Each object keeps its circuits, its closure table per
-missing class and the one cross-checked near-transversal scan that both
-validators read.  The two realizations are interchangeable.
+from one walk per missing class that row-reduces the matrix one picked
+column at a time; and the circuits from one subtransversal walk.  Each
+object keeps its circuits, its closure table per missing class, the one
+cross-checked near-transversal scan that both validators read, and the
+orienting test's deletion tables.  The two realizations are interchangeable.
 A cycle space is spanned by the circuit list of the multimatroid it is taken
 in (`cycle_space_avoiding`: the deletion).
 """
@@ -194,7 +195,7 @@ class Multimatroid:
     """A carrier plus a rank oracle, realized as sheltered or circuit-list."""
 
     __slots__ = ("carrier", "_circuits", "_rank_cache", "_field", "_rows", "_colvec",
-                 "_scan", "_closures", "_odd_pair")
+                 "_scan", "_closures", "_odd_pair", "_deletion")
 
     def __init__(self, carrier: Carrier, matroid: Matroid | None = None,
                  circuits: Iterable[frozenset] | None = None, validate: bool = True):
@@ -205,6 +206,7 @@ class Multimatroid:
         self._scan = None  # near_transversal_scan's cross-checked pair, once run
         self._closures: dict[int, bytes] = {}  # _closure_masks, by missing class
         self._odd_pair = _UNSEEN  # odd_skew_pair's answer, once run
+        self._deletion = None  # orienting's deletion tables, once built
         if (matroid is None) == (circuits is None):
             raise MalformedInput("exactly one of matroid/circuits required")
         if matroid is not None:
@@ -238,7 +240,7 @@ class Multimatroid:
         z = cls.__new__(cls)
         z.carrier, z._circuits, z._rank_cache = carrier, None, {}
         z._field, z._rows, z._colvec = field, rows, colvec
-        z._scan, z._closures, z._odd_pair = None, {}, _UNSEEN
+        z._scan, z._closures, z._odd_pair, z._deletion = None, {}, _UNSEEN, None
         return z
 
     def _validate_semi_axioms(self):
@@ -481,26 +483,53 @@ def _closure_masks(z: Multimatroid, miss: int) -> bytes:
 def _order_one_minor_loops(z: Multimatroid, miss: int) -> bytes:
     """For every pick S of one element per other class, laid out as
     _closure_masks(z, miss), the bit mask of the loops of the order-one
-    minor by S.  Packed realizations walk the picks depth first, contracting
-    one picked column per level out of the columns of the later classes and
-    of class miss, and read the zero columns of class miss at each leaf;
-    circuit-list realizations build each minor and read its circuits."""
+    minor by S.  Packed realizations walk the picks depth first over the
+    rows of the matrix whose columns are classes others, then miss: picking
+    column j pivots on the first row nonzero at j, clears j from the other
+    rows and drops the pivot row, so a zero column passes the rows down
+    unchanged.  At each leaf the loops of class miss are its columns that
+    no row sets.  Circuit-list realizations build each minor and read its
+    circuits."""
     others = [c for c in range(z.order) if c != miss]
     sizes = [z.carrier.class_sizes[c] for c in others]
     if z._colvec is None:
         return bytes(sum(1 << x for c in z.minor(zip(others, picks)).circuits() for _, x in c)
                      for picks in product(*map(range, sizes)))
-    found = []
+    m = fields.GFMatrix.from_columns(z._field, z._rows, [
+        z._colvec[e] for c in (*others, miss) for e in z.carrier.skew_class(c)])
+    k_miss, found = z.carrier.class_sizes[miss], []
+    miss_col = m.cols - k_miss  # class miss's first column
 
-    def walk(i, cols):  # cols: the contracted columns of classes others[i:], then miss
+    def walk(i, j, rows):  # rows: (lo, hi) pairs, bit c at column c; j: others[i]'s first
         if i == len(sizes):
-            found.append(sum(1 << x for x, col in enumerate(cols) if col == (0, 0)))
+            seen = 0
+            for lo, hi in rows:
+                seen |= lo | hi
+            found.append(~seen >> miss_col & (1 << k_miss) - 1)
             return
         k = sizes[i]
-        for v in cols[:k]:
-            walk(i + 1, fields.contract_columns(z._field, (v,), cols[k:])[1])
+        for t in range(k):
+            bit = 1 << j + t
+            for p, (plo, phi) in enumerate(rows):
+                if (plo | phi) & bit:
+                    break
+            else:  # a zero column: the minor keeps every row
+                walk(i + 1, j + k, rows)
+                continue
+            cp = (1 if plo & bit else 0) | (2 if phi & bit else 0)
+            out = rows[:p]  # zero at j, as the pivot is the first row that is not
+            for lo, hi in rows[p + 1:]:
+                c = (1 if lo & bit else 0) | (2 if hi & bit else 0)
+                if c == cp:  # always so over GF(2)
+                    lo, hi = lo ^ plo, hi ^ phi
+                elif c:
+                    slo, shi = fields._scale_row(
+                        fields.scalar_mul(c, fields.scalar_inverse(cp)), plo, phi)
+                    lo, hi = lo ^ slo, hi ^ shi
+                out.append((lo, hi))
+            walk(i + 1, j + k, out)
 
-    walk(0, [z._colvec[e] for c in (*others, miss) for e in z.carrier.skew_class(c)])
+    walk(0, 0, list(zip(m.row_lo, m.row_hi)))
     return bytes(found)
 
 
@@ -514,7 +543,8 @@ def near_transversal_scan(z: Multimatroid, op: str):
     Each closure (the slots x of the missing class with r(S + x) = r(S)) is
     read from the class's _closure_masks table, and must equal the loops of
     the order-one minor by S, read from _order_one_minor_loops, a second
-    route through contraction, or the scan raises InternalInconsistency.
+    route that row-reduces the matrix, or the scan raises
+    InternalInconsistency.
 
     The bounds are checked under op on every call.  The pair is kept on z
     for later calls; a scan that raises keeps none."""
@@ -544,8 +574,8 @@ def is_multimatroid(z: Multimatroid):
 
     Returns (True, None) or (False, (S, x1, x2)), read from
     near_transversal_scan, which checks every closure against the loops of
-    its order-one minor: read from one walk per missing class that contracts
-    the packed columns one picked column at a time, or from the built
+    its order-one minor: read from one walk per missing class that pivots
+    the matrix's rows on one picked column at a time, or from the built
     minor's circuits on a circuit-list realization.
     """
     excess = near_transversal_scan(z, "is_multimatroid")[0]

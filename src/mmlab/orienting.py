@@ -5,7 +5,8 @@ Brute-force enumeration tests that definition on every transversal at once,
 bit-parallel over one bit set per missing class; it builds no deletion, but
 reads the closure tables that the multimatroid keeps for its validators
 (multimatroids._closure_masks), so each class's closures are walked once
-per object.  The coset construction over one seed transversal is the
+per object, and the deletion tables themselves are built once per object
+and kept on it.  The coset construction over one seed transversal is the
 accelerated route, for binary tight 3-matroids only, and the two must agree
 set for set.
 
@@ -42,7 +43,16 @@ def orienting_transversals(z: Multimatroid) -> list[tuple[Element, ...]]:
     if not z.is_nondegenerate():
         raise Degenerate("orienting transversals need a nondegenerate multimatroid")
     z._check_enum_bounds(ORDER_ORT, "orienting_transversals")
-    return _DeletionTables(z).transversals()
+    return _deletion_tables(z).transversals()
+
+
+def _deletion_tables(z: Multimatroid) -> "_DeletionTables":
+    """The deletion tables of a nondegenerate z, kept on z from the first
+    call: brute force, the coset route's seed check and the evaluation suite
+    read the same one."""
+    if z._deletion is None:
+        z._deletion = _DeletionTables(z)
+    return z._deletion
 
 
 class _DeletionTables:
@@ -139,7 +149,7 @@ def orienting_from_seed(z: Multimatroid, seed: Iterable[Element]) -> list[tuple[
     t0 = as_subtransversal(z.carrier, seed)
     if len(t0) != z.order:
         raise NotOrienting("seed must be a transversal")
-    if t0 not in _DeletionTables(z).transversals():
+    if t0 not in _deletion_tables(z).transversals():
         raise NotOrienting("seed transversal is not orienting")
     if not z.carrier.is_uniform(3):
         raise NotTriple("sum needs class size 3 everywhere")
@@ -236,7 +246,7 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element]) -> EvalReport:
         raise NotBinaryTight3("reference transversal must be total")
 
     ell = z.order
-    tables = _DeletionTables(z)
+    tables = _deletion_tables(z)
     ort_all = [frozenset(y) for y in tables.transversals()]
     report = EvalReport(order=ell, transversal=tt, ort_count=len(ort_all))
     ids = report.identities
@@ -254,12 +264,16 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element]) -> EvalReport:
     at_2, at_4, *at_halving_ys = _transition_eval(z, weights, [2, 4] + halving_ys)
     q1_at_2, q1_at_4, q1_at_m4 = _q1_eval(z, (2, 4, -4))
 
-    def class_sum(cls: int, excluded: frozenset) -> int:
-        return sum(weights[x] for x in z.carrier.skew_class(cls) if x not in excluded)
+    totals = [sum(weights[x] for x in z.carrier.skew_class(c)) for c in range(ell)]
 
     @cache  # the unions y1 | y2 repeat
     def class_product(excluded: frozenset) -> int:
-        return prod(class_sum(cls, excluded) for cls in range(ell))
+        """The product over the classes of their weight totals less the
+        excluded elements' weights."""
+        sums = totals[:]
+        for c, s in excluded:
+            sums[c] -= weights[c, s]
+        return prod(sums)
 
     # weighted power-of-two evaluations, one and two orienting layers deep
     layers = (ort_all, [y1 | y2 for y1 in ort_all for y2 in ort_all])
@@ -269,7 +283,7 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element]) -> EvalReport:
 
     # the depth-one evaluation, reformulated per orienting transversal
     check("weighted_at_2_per_class", at_2,
-          sum(prod(class_sum(c, frozenset([(c, s)])) for (c, s) in y1) for y1 in ort_all),
+          sum(prod(totals[c] - weights[c, s] for c, s in y1) for y1 in ort_all),
           scale)
 
     # unweighted evaluation at 2

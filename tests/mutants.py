@@ -103,6 +103,14 @@ EQUIVALENT = {
         "a candidate is shifted above the tag block, so its tag bit is clear",
     "fields.circuit_picks+30:23 Lt->LtE":
         "as in _echelon: no basis vector is zero",
+    "multimatroids._order_one_minor_loops+36:17 BitOr->BitXor":
+        "the two bits of the coefficient sit at different positions",
+    "multimatroids._order_one_minor_loops+36:64 0->1":
+        "the pivot is nonzero at the picked column, so its lo bit is set when its hi bit is not",
+    "multimatroids._order_one_minor_loops+38:35 1->0":
+        "the pivot row then reduces itself to a zero row, never a pivot and setting no bit",
+    "multimatroids._order_one_minor_loops+39:20 BitOr->BitXor":
+        "the two bits of the coefficient sit at different positions",
     "matroids.minimal_sets+5:19 LtE->Lt":
         "the candidates are deduplicated, so no kept set equals a later one",
     "orienting._DeletionTables+23:32 1->2":

@@ -549,7 +549,7 @@ def test_cross_checked_scan_builds_no_matroid(matroids_built):
 
 @pytest.mark.parametrize("realization", ["packed", "circuits"])
 def test_cross_checked_scan_reads_one_closure_table_per_class(monkeypatch, realization):
-    # packed columns: three echelon walks, three contraction walks, no
+    # packed columns: three echelon walks, three row-reduction walks, no
     # rank comparison and no minor; circuit lists: closure_in_class and one
     # built minor per near-transversal, as before
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid

@@ -6,7 +6,7 @@ read from one echelon walk per missing class (fields.span_masks) on packed
 realizations, and the evaluation suite reads the orienting counts of minors
 from the same tables, sliced; packed minors and restrictions are built
 straight from the parent's columns, and the validator reads the loops of
-the order-one minors from one contraction walk per missing class, a table
+the order-one minors from one row-reduction walk per missing class, a table
 laid out like the closure table.  Each is checked against a labelled
 reference (the oracle route) that builds the deletion or the minor, against
 the rank comparisons of closure_in_class, or against the circuit-list route.
@@ -22,10 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build, random_standard_form
+from mmlab import fields
 from mmlab.fields import GF2, GF4, GFMatrix, span_masks
 from mmlab.isotropic import Graph, from_graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
-from mmlab.multimatroids import (Multimatroid, _closure_masks, _order_one_minor_loops,
+from mmlab.multimatroids import (Carrier, Multimatroid, _closure_masks, _order_one_minor_loops,
                                  dual_pair, free_sum, same_rank_oracle, tight_quick)
 from mmlab.orienting import _DeletionTables, _scaled_weights, orienting_transversals
 
@@ -98,9 +99,12 @@ def closure_mask(z: Multimatroid, s, miss: int) -> int:
 
 def check_order_one_minor_loops(z: Multimatroid) -> None:
     """Every byte of every class's table of order-one minor loops, against
-    the loops of the minor built at that near-transversal and against the
-    rank-comparison closure there; each table has one byte per pick."""
-    tables = {miss: iter(_order_one_minor_loops(z, miss)) for miss in range(z.order)}
+    the echelon walk's closure table, the loops of the minor built at that
+    near-transversal and the rank-comparison closure there; each table has
+    one byte per pick."""
+    tables = {miss: _order_one_minor_loops(z, miss) for miss in range(z.order)}
+    assert tables == {miss: _closure_masks(z, miss) for miss in range(z.order)}
+    tables = {miss: iter(table) for miss, table in tables.items()}
     for s, miss in z.carrier.near_transversals():
         loops = next(tables[miss])
         assert loops == sum(1 << x for c in z.minor(s).circuits() for _, x in c), (s, miss)
@@ -111,23 +115,55 @@ def check_order_one_minor_loops(z: Multimatroid) -> None:
 @given(st.sampled_from(ORT_KINDS), seeds, st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_order_one_minor_loops_match_minor_and_closure(kind, seed, n):
-    """The validator's contraction walk, on class sizes 1-4 through a
+    """The validator's row-reduction walk, on class sizes 1-4 through a
     restriction half the time, GF(2), GF(4) and circuit lists, against the
     built minors and the rank-comparison closures."""
     rng = random.Random(seed)
     check_order_one_minor_loops(restrict_half_the_time(rng, build_any(kind, rng, n)))
 
 
-def zero_column_builds():
-    """Builds with zero columns, of orders 0 to 3, packed and as circuit
-    lists, with classes of size 1 and 2 through restriction: isolated
-    vertices (zero adjacency columns) over GF(2) and GF(4), and a free sum
-    of rank-0 matroids, whose columns are all zero."""
+def sheltered(sizes, field: int, entries) -> Multimatroid:
+    """The multimatroid on the carrier of the class sizes sheltered by the
+    matrix of the entry rows, its columns in ground order."""
+    carrier = Carrier(sizes)
+    mat = GFMatrix.from_entries(field, entries, cols=carrier.ground_size)
+    return Multimatroid(carrier, matroid=Matroid.from_matrix(mat, ground=carrier.elements()))
+
+
+# Explicit matrices for the row walk, each with whether some row is reduced
+# by a pivot row whose entry at the picked column differs from its own, so
+# that the pivot row is scaled (never over GF(2)).
+ROW_WALK_BUILDS = [
+    # every other row differs from row 0 at column (0, 0), by a and by b
+    (sheltered((2, 2, 2), GF4, [[1, 2, 0, 1, 3, 1], [2, 1, 1, 0, 1, 0],
+                                [3, 3, 2, 1, 0, 2]]), True),
+    # more rows than rank: row 1 is a times row 0, so it becomes zero at
+    # the first pick of class 0, and row 2 is zero throughout
+    (sheltered((2, 2), GF4, [[1, 2, 1, 3], [2, 3, 2, 1], [0, 0, 0, 0], [0, 1, 1, 0]]), True),
+    # zero columns (0, 1) and (1, 0), picked at the first and second of
+    # three levels; the rows differ by b at column (0, 0)
+    (sheltered((2, 2, 2), GF4, [[1, 0, 0, 1, 2, 3], [3, 0, 0, 2, 1, 1]]), True),
+    # classes of size 3, every entry of row 1 differs from row 0's
+    (sheltered((3, 3), GF4, [[1, 2, 3, 1, 2, 3], [2, 2, 1, 2, 3, 1],
+                             [3, 1, 2, 1, 0, 0]]), True),
+    # GF(2): a repeated row, which becomes zero at the first pick of class
+    # 0, a zero row, and zero columns (0, 1) and (1, 0)
+    (sheltered((2, 2, 2), GF2, [[1, 0, 0, 1, 1, 0], [1, 0, 0, 1, 1, 0],
+                                [0, 0, 0, 0, 0, 0], [1, 0, 0, 1, 0, 1]]), False),
+]
+
+
+def explicit_builds():
+    """Builds of orders 0 to 3, packed and as circuit lists, with classes of
+    size 1 and 2 through restriction: isolated vertices (zero adjacency
+    columns) over GF(2) and GF(4), a free sum of rank-0 matroids, whose
+    columns are all zero, and ROW_WALK_BUILDS."""
     zero = GFMatrix.from_entries(GF4, [[0, 0], [0, 0]], cols=2)
     packed = [from_graph(Graph(n, edges), validate=False).multimatroid
               for n, edges in ((0, []), (1, []), (3, [(0, 1)]))]
     packed += [isotropic_multimatroid(zero, validate=False).multimatroid,
                free_sum([random_standard_form(random.Random(0), GF2, 2, 0)] * 4)]
+    packed += [z for z, _ in ROW_WALK_BUILDS]
     for z in packed:
         yield z
         yield Multimatroid(z.carrier, circuits=z.circuits(), validate=False)
@@ -136,12 +172,46 @@ def zero_column_builds():
 
 
 def test_order_one_minor_loops_on_zero_columns_and_low_orders():
-    """Order 0 has no table; order 1 has one leaf and no levels."""
+    """Order 0 has no table; order 1 has one leaf and no levels; the row
+    walk meets zero rows, rows that become zero and scaled pivot rows."""
     orders = set()
-    for z in zero_column_builds():
+    for z in explicit_builds():
         orders.add(z.order)
         check_order_one_minor_loops(z)
     assert orders == {0, 1, 2, 3}
+
+
+def test_row_walk_scales_the_pivot_row_on_gf4_builds(monkeypatch):
+    """The explicit builds reduce some row by a scaled pivot row exactly
+    when ROW_WALK_BUILDS says so; explicit_builds holds their tables' test."""
+    scaled = []
+    scale = fields._scale_row
+    monkeypatch.setattr(fields, "_scale_row", lambda *a: scaled.append(a) or scale(*a))
+    for z, scales in ROW_WALK_BUILDS:
+        scaled.clear()
+        for miss in range(z.order):
+            _order_one_minor_loops(z, miss)
+        assert bool(scaled) == scales
+
+
+@given(st.sampled_from((GF2, GF4)), seeds)
+@settings(max_examples=40, deadline=None)
+def test_order_one_minor_loops_on_random_matrices(field, seed):
+    """Random matrices of up to six rows over class sizes 1-3, orders 0-3,
+    with zero columns, zero rows and rows that are multiples of others."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(0, 3))]
+    vals = (0, 1) if field == GF2 else (0, 1, 2, 3)
+    zero_cols = {j for j in range(sum(sizes)) if rng.random() < 0.2}
+    entries = []
+    for _ in range(rng.randint(0, 6)):
+        if entries and rng.random() < 0.3:
+            c = rng.choice(vals[1:])
+            entries.append([fields.scalar_mul(c, v) for v in rng.choice(entries)])
+        else:
+            entries.append([0 if j in zero_cols or rng.random() < 0.2 else rng.choice(vals)
+                            for j in range(sum(sizes))])
+    check_order_one_minor_loops(sheltered(sizes, field, entries))
 
 
 @given(st.sampled_from(("gf2", "gf4", "free4", "mixed")), seeds, st.integers(0, 4))

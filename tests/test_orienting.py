@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (random_graph, random_inv_symmetric, random_standard_form,
                       random_symmetric)
-from mmlab import catalog, fields
+from mmlab import catalog, fields, orienting
 from mmlab.errors import Degenerate, NotBinaryTight3, NotOrienting, NotTight
 from mmlab.fields import GF2, GF4
 from mmlab.isotropic import Graph, from_graph, isotropic_multimatroid, z_quaternary
@@ -293,7 +293,7 @@ def test_eval_suite_names_the_failed_condition():
 
 def test_validation_builds_one_minor_per_near_transversal(cross_check_calls):
     # the order-one minors of the 27 near-transversals, their loops read
-    # from one contraction walk of the packed columns per missing class: no
+    # from one row-reduction walk of the matrix per missing class: no
     # Multimatroid is built
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     loops_at, minors = cross_check_calls
@@ -333,7 +333,7 @@ def test_suite_builds_no_minor_and_one_closure_table_per_class(
 
 
 def test_one_kept_scan_answers_every_validator(cross_check_calls):
-    # the build's cross-check (one contraction walk per class) is the only
+    # the build's cross-check (one row-reduction walk per class) is the only
     # one: classification, the suite and the exclusion check read the scan
     # kept on z
     loops_at, _ = cross_check_calls
@@ -366,6 +366,27 @@ def test_each_class_closure_table_is_walked_once_per_object(monkeypatch):
         assert orienting_from_seed(z, ort[0]) == ort
         assert evaluation_suite(z, transversal_slot(z, 0)).passed
         assert calls == [n - 1] * n
+
+
+def test_one_deletion_table_per_object(monkeypatch):
+    # brute force, the coset route's seed check and the suite's minor counts
+    # read the deletion tables kept on z
+    built = []
+    init = orienting._DeletionTables.__init__
+
+    def counted(self, z):
+        built.append(z)
+        init(self, z)
+
+    monkeypatch.setattr(orienting._DeletionTables, "__init__", counted)
+    for n in range(1, 4):
+        built.clear()
+        z = from_graph(Graph(n, [(v, v + 1) for v in range(n - 1)]), validate=False).multimatroid
+        ort = orienting_transversals(z)
+        assert orienting_from_seed(z, ort[0]) == ort
+        assert evaluation_suite(z, transversal_slot(z, 0)).passed
+        assert orienting_transversals(z) == ort
+        assert built == [z]
 
 
 def test_the_skew_pair_parity_is_kept_on_z(monkeypatch):
