@@ -17,13 +17,15 @@ column at a time; and the circuits from one subtransversal walk.  Each
 object keeps its circuits, its closure table per missing class, the one
 cross-checked near-transversal scan that both validators read, and the
 orienting test's deletion tables.  The two realizations are interchangeable.
-A cycle space is spanned by the circuit list of the multimatroid it is taken
-in (`cycle_space_avoiding`: the deletion).
+The skew-pair parity, the cycle spaces and the orienting test read the
+circuits as ints with one bit per ground element (_masks).  A cycle space is
+spanned by XOR over z's own circuits; those of a deletion are z's circuits
+inside the kept set, so `cycle_space_avoiding` builds no deletion.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -325,9 +327,11 @@ class Multimatroid:
         a packed realization enumerates them on the first call and keeps them."""
         self._check_enum_bounds(ORDER_GENERAL, "circuits")
         if self._circuits is None:
+            # a pick (class, slot) is its element, and picks run in class
+            # order, so sorting them sorts the circuits as key=sorted would
             found = fields.circuit_picks(self._field, self._packed(
                 map(self.carrier.skew_class, range(self.order))))
-            self._circuits = tuple(sorted(map(frozenset, found), key=sorted))
+            self._circuits = tuple(map(frozenset, sorted(found)))
         return list(self._circuits)
 
     def _packed(self, groups: Iterable[Iterable[Element]]) -> list[list]:
@@ -602,13 +606,38 @@ def tight_quick(z: Multimatroid) -> bool:
     return all(m.bit_count() == 1 for miss in range(z.order) for m in _closure_masks(z, miss))
 
 
+def _masks(carrier: Carrier, sets: Iterable[Iterable[Element]]) -> list[int]:
+    """Each set of elements as an int with one bit per ground element: bit
+    o + s for element (c, s), where o is the size of the classes before c
+    (3c on class size 3)."""
+    offsets = list(accumulate(carrier.class_sizes, initial=0))
+    return [sum(1 << offsets[c] + s for c, s in es) for es in sets]
+
+
+def _skew_pair_counts(masks: Sequence[int], order: int) -> Iterator[int]:
+    """For each pair of subtransversals given as masks over 3-bit classes
+    (_masks on class size 3), in combinations order, the number of classes
+    their union meets twice: bit 3c of the majority of class c's three bits,
+    one popcount per pair."""
+    low = (1 << 3 * order) // 7  # bit 3c of every class c
+    for m1, m2 in combinations(masks, 2):
+        u = m1 | m2
+        yield ((u & (u >> 1 | u >> 2) | u >> 1 & u >> 2) & low).bit_count()
+
+
 def odd_skew_pair(z: Multimatroid):
     """The first two circuits whose union has an odd number of skew pairs
     (classes it meets twice), with that number; None when every union is
-    even.  The answer is kept on z from the first call."""
+    even.  Class size 3 only (NotTriple otherwise): the pairs are counted on
+    the circuits' bit masks by _skew_pair_counts.  The answer is kept on z
+    from the first call."""
+    if not z.carrier.is_uniform(3):
+        raise NotTriple("skew-pair parity needs class size 3 everywhere")
     if z._odd_pair is _UNSEEN:
-        z._odd_pair = next(((c1, c2, pairs) for c1, c2 in combinations(z.circuits(), 2)
-                            if (pairs := len(z.carrier.classes_with_pair(c1 | c2))) % 2), None)
+        circuits = z.circuits()
+        counts = _skew_pair_counts(_masks(z.carrier, circuits), z.order)
+        z._odd_pair = next(((c1, c2, pairs) for (c1, c2), pairs
+                            in zip(combinations(circuits, 2), counts) if pairs % 2), None)
     return z._odd_pair
 
 
@@ -658,19 +687,27 @@ def transversal_slot(z: Multimatroid, slot: int) -> tuple[Element, ...]:
 # -- cycle space ----------------------------------------------------------------
 
 
-def _cycle_space(z: Multimatroid) -> list[frozenset]:
-    """Union over the transversals t of z of the symmetric-difference span
-    of the circuits of z inside t."""
-    circuits = z.circuits()
-    out: set[frozenset] = set()
-    for t in z.carrier.transversals():
-        ts = frozenset(t)
-        space = {frozenset()}
-        for c in circuits:
-            if c <= ts and c not in space:
-                space |= {s ^ c for s in space}
+def _cycle_space(z: Multimatroid, avoid: Iterable[Element] = ()) -> list[frozenset]:
+    """Union over the transversals t of z avoiding `avoid` of the
+    symmetric-difference span of the circuits of z inside t, on bit masks
+    (_masks); a class avoided whole leaves no transversal, so no cycle."""
+    avoid = carrier_elements(z.carrier, avoid)
+    ground = z.carrier.elements()
+    picks = [[1 << i for i, e in enumerate(ground) if e[0] == c and e not in avoid]
+             for c in range(z.order)]
+    if not all(picks):
+        return []
+    (banned,) = _masks(z.carrier, [avoid])
+    circuits = [m for m in _masks(z.carrier, z.circuits()) if not m & banned]
+    out: set[int] = set()
+    for t in map(sum, product(*picks)):
+        space = {0}
+        for m in circuits:
+            if m & t == m and m not in space:
+                space |= {s ^ m for s in space}
         out |= space
-    return sorted(out, key=lambda c: (len(c), sorted(c)))
+    cycles = (frozenset(e for i, e in enumerate(ground) if m >> i & 1) for m in out)
+    return sorted(cycles, key=lambda c: (len(c), sorted(c)))
 
 
 def cycle_space(z: Multimatroid) -> list[frozenset]:
@@ -680,15 +717,11 @@ def cycle_space(z: Multimatroid) -> list[frozenset]:
 
 
 def cycle_space_avoiding(z: Multimatroid, avoid: Iterable[Element]) -> list[frozenset]:
-    """Cycle space of the deletion of `avoid` (from the deletion's circuits),
-    in the original labels."""
+    """Cycle space of the deletion of `avoid`: the union over the
+    transversals avoiding it of the spans of z's own circuits inside them,
+    which are exactly the deletion's circuits, so no deletion is built."""
     check_order(z.order, ORDER_ORT, "cycle_space_avoiding")
-    avoid = set(avoid)
-    d = z.delete(avoid)
-    if d.order < z.order:  # a whole class avoided: no transversal of z avoids it
-        return []
-    back = {v: k for k, v in z.deletion_map(avoid).items()}  # keeps the order
-    return [frozenset(map(back.get, c)) for c in _cycle_space(d)]
+    return _cycle_space(z, avoid)
 
 
 # -- equality and isomorphism ----------------------------------------------------

@@ -28,10 +28,9 @@ from typing import Iterable, Mapping
 
 from .bounds import ORDER_EVALS, ORDER_ORT, check_order
 from .errors import Degenerate, NotBinaryTight3, NotOrienting, NotTight, NotTriple
-from .multimatroids import (Element, Multimatroid, _closure_masks, as_subtransversal,
+from .multimatroids import (Element, Multimatroid, _closure_masks, _masks, as_subtransversal,
                             cycle_space_avoiding, element_label,
-                            near_transversal_scan, odd_skew_pair,
-                            sum_subtransversals, tight_quick)
+                            near_transversal_scan, odd_skew_pair, tight_quick)
 from .polynomials import Polynomial
 from .serialize import fraction_str
 
@@ -130,19 +129,25 @@ def disjoint_orienting(z: Multimatroid, t: Iterable[Element]) -> list[tuple[Elem
 def is_orienting(z: Multimatroid, t: Iterable[Element]) -> bool:
     """Circuit-intersection test on a tight nondegenerate multimatroid: a
     transversal is orienting iff it never meets a circuit in exactly one
-    element."""
+    element, read on bit masks.  Anything but a transversal raises
+    NotOrienting."""
     if not z.is_nondegenerate():
         raise Degenerate("is_orienting needs a nondegenerate multimatroid")
     if not tight_quick(z):
         raise NotTight("is_orienting needs a tight multimatroid")
-    tt = set(as_subtransversal(z.carrier, t))
-    return all(len(tt & c) != 1 for c in z.circuits())
+    tt = as_subtransversal(z.carrier, t)
+    if len(tt) != z.order:
+        raise NotOrienting("tested set must be a transversal")
+    (tmask,) = _masks(z.carrier, [tt])
+    return all((m & tmask).bit_count() != 1 for m in _masks(z.carrier, z.circuits()))
 
 
 def orienting_from_seed(z: Multimatroid, seed: Iterable[Element]) -> list[tuple[Element, ...]]:
     """Coset route: seed plus each cycle of the deletion of the seed, under
     the triple-carrier sum.  It holds on binary tight 3-matroids only, so
-    after the seed check z must pass _validate_binary_tight3."""
+    after the seed check z must pass _validate_binary_tight3.  A cycle
+    avoids the seed, so the sum flips the seed's slot s0 to 3 - s0 - s at
+    each element (c, s) of the cycle and keeps it elsewhere."""
     if not z.is_nondegenerate():
         raise Degenerate("orienting transversals need a nondegenerate multimatroid")
     z._check_enum_bounds(ORDER_ORT, "orienting_from_seed")
@@ -154,8 +159,13 @@ def orienting_from_seed(z: Multimatroid, seed: Iterable[Element]) -> list[tuple[
     if not z.carrier.is_uniform(3):
         raise NotTriple("sum needs class size 3 everywhere")
     _validate_binary_tight3(z)
-    cs = cycle_space_avoiding(z, t0)
-    return sorted(sum_subtransversals(z.carrier, t0, c) for c in cs)
+    out = []
+    for cycle in cycle_space_avoiding(z, t0):
+        slots = [s for _, s in t0]
+        for c, s in cycle:
+            slots[c] = 3 - slots[c] - s
+        out.append(tuple(enumerate(slots)))
+    return sorted(out)
 
 
 # -- evaluation suite ------------------------------------------------------------

@@ -43,7 +43,8 @@ KERNELS = {
     "fields": ("_echelon", "_reduce_gf4", "rref", "contract_columns", "_doubled",
                "_with_a_multiple", "nullity_histogram", "span_masks", "circuit_picks"),
     "multimatroids": ("_closure_masks", "_order_one_minor_loops", "near_transversal_scan",
-                      "tight_quick"),
+                      "tight_quick", "_masks", "_skew_pair_counts", "odd_skew_pair",
+                      "_cycle_space"),
     "matroids": ("minimal_sets",),
     "orienting": ("_DeletionTables",),
 }
@@ -111,6 +112,15 @@ EQUIVALENT = {
         "the pivot row then reduces itself to a zero row, never a pivot and setting no bit",
     "multimatroids._order_one_minor_loops+39:20 BitOr->BitXor":
         "the two bits of the coefficient sit at different positions",
+    "multimatroids._skew_pair_counts+7:12 BitOr->BitXor":
+        "a slot both subtransversals hold leaves one element or none in its class, no pair",
+    "multimatroids._skew_pair_counts+8:16 BitOr->BitXor":
+        "a union of two subtransversals meets a class at most twice, so the two terms never "
+        "both hold",
+    "multimatroids._skew_pair_counts+8:21 BitOr->BitXor":
+        "with slot 0 in the union at most one of slots 1 and 2 is, so | and ^ agree",
+    "multimatroids._cycle_space+17:16 BitOr->BitXor":
+        "m is not in the space, so its coset is disjoint from it",
     "matroids.minimal_sets+5:19 LtE->Lt":
         "the candidates are deduplicated, so no kept set equals a later one",
     "orienting._DeletionTables+23:32 1->2":

@@ -299,6 +299,14 @@ def test_cycle_space_avoiding_matches_deletion(rng):
         assert cycle_space_avoiding(z, z.carrier.skew_class(0)) == []
 
 
+def test_a_whole_class_avoided_enumerates_no_circuit(circuit_enumerations):
+    # no transversal avoids a whole class, so there is nothing to span
+    z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
+    for c in range(z.order):
+        assert cycle_space_avoiding(z, [*z.carrier.skew_class(c), (0, 0)]) == []
+    assert circuit_enumerations == []
+
+
 def test_cycle_spaces_match_the_null_space_route(rng):
     # GF(2) builds: the cycles inside a transversal t are the cycles of the
     # sheltering matroid restricted to t, read from its null space

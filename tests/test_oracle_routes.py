@@ -11,23 +11,30 @@ laid out like the closure table.  Each is checked against a labelled
 reference (the oracle route) that builds the deletion or the minor, against
 the rank comparisons of closure_in_class, or against the circuit-list route.
 The evaluation suite's integer weights, scaled by their common denominator,
-are checked against the Fraction histogram of the circuit-list route.
+are checked against the Fraction histogram of the circuit-list route.  The
+cycle spaces, spanned by bit masks of z's own circuits, are checked against
+the built deletion's cycle space and the per-transversal frozenset span, and
+the skew-pair popcounts against the carrier's frozenset count.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build, random_standard_form
-from mmlab import fields
+from mmlab import catalog, fields
+from mmlab.errors import NotTriple
 from mmlab.fields import GF2, GF4, GFMatrix, span_masks
 from mmlab.isotropic import Graph, from_graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
-from mmlab.multimatroids import (Carrier, Multimatroid, _closure_masks, _order_one_minor_loops,
-                                 dual_pair, free_sum, same_rank_oracle, tight_quick)
+from mmlab.multimatroids import (Carrier, Multimatroid, _closure_masks, _masks,
+                                 _order_one_minor_loops, _skew_pair_counts, cycle_space,
+                                 cycle_space_avoiding, dual_pair, free_sum, odd_skew_pair,
+                                 same_rank_oracle, tight_quick)
 from mmlab.orienting import _DeletionTables, _scaled_weights, orienting_transversals
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -352,3 +359,87 @@ def test_matroid_minor_rows_dual_and_standard_form(field, seed, n):
         sub = frozenset(e for e, bit in zip(mm.ground, b) if bit)
         if len(sub) == r and mm.is_independent(sub):
             assert dual.is_independent(frozenset(mm.ground) - sub)
+
+
+def frozenset_cycle_space(z: Multimatroid) -> list:
+    """Labelled reference (oracle route): the union over the transversals t
+    of the symmetric-difference span of the circuits inside t, on
+    frozensets, in cycle_space's order."""
+    circuits = z.circuits()
+    out = set()
+    for t in z.carrier.transversals():
+        ts, space = frozenset(t), {frozenset()}
+        for c in circuits:
+            if c <= ts and c not in space:
+                space |= {s ^ c for s in space}
+        out |= space
+    return sorted(out, key=lambda c: (len(c), sorted(c)))
+
+
+def deletion_cycle_space(z: Multimatroid, avoid) -> list:
+    """Labelled reference (oracle route): the cycle space of the built
+    deletion, from the deletion's own circuits, mapped back through
+    deletion_map; a class deleted whole leaves no transversal of z."""
+    d = z.delete(avoid)
+    if d.order < z.order:
+        return []
+    back = {v: k for k, v in z.deletion_map(avoid).items()}
+    return [frozenset(map(back.get, c)) for c in frozenset_cycle_space(d)]
+
+
+@given(st.sampled_from(("gf2", "gf4", "gf4_pair", "mixed", "circuits")), seeds,
+       st.integers(0, 4), st.sampled_from(("random", "class", "empty")))
+@settings(max_examples=40, deadline=None)
+def test_cycle_spaces_match_the_deletion_and_frozenset_routes(kind, seed, n, avoiding):
+    """The cycle spaces spanned by z's own circuit masks: cycle_space
+    against the per-transversal frozenset span, and cycle_space_avoiding,
+    on random sets, a whole class with more, and the empty set, against the
+    cycle space of the built deletion, in the same order."""
+    rng = random.Random(seed)
+    z = build_any(kind, rng, n)
+    avoid = [e for e in z.carrier.elements() if avoiding == "random" and rng.random() < 0.4]
+    if avoiding == "class" and z.order:
+        avoid = sorted({*avoid, *z.carrier.skew_class(rng.randrange(z.order)),
+                        *rng.sample(z.carrier.elements(), 2)})
+    assert cycle_space(z) == frozenset_cycle_space(z)
+    got = cycle_space_avoiding(z, avoid)
+    assert got == deletion_cycle_space(z, avoid)
+    assert (got == []) == any(set(z.carrier.skew_class(c)) <= set(avoid)
+                              for c in range(z.order))
+
+
+def frozenset_odd_pair(z: Multimatroid):
+    """Labelled reference (oracle route): odd_skew_pair from the carrier's
+    frozenset count of the classes each union meets twice."""
+    return next(((c1, c2, pairs) for c1, c2 in combinations(z.circuits(), 2)
+                 if (pairs := len(z.carrier.classes_with_pair(c1 | c2))) % 2), None)
+
+
+def check_skew_pair_counts(z: Multimatroid) -> None:
+    """Every pair's popcount against classes_with_pair, and the first odd
+    witness against the frozenset route."""
+    circuits = z.circuits()
+    counts = _skew_pair_counts(_masks(z.carrier, circuits), z.order)
+    assert list(counts) == [len(z.carrier.classes_with_pair(c1 | c2))
+                            for c1, c2 in combinations(circuits, 2)]
+    assert odd_skew_pair(z) == frozenset_odd_pair(z)
+
+
+@given(st.sampled_from(("gf2", "gf4", "gf4_pair", "circuits", "matroid_circuits", "fixture")),
+       seeds, st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_skew_pair_counts_match_classes_with_pair(kind, seed, n):
+    """On class size 3 the popcount route; on any other carrier NotTriple."""
+    z = build_any(kind, random.Random(seed), n)
+    if z.carrier.is_uniform(3):
+        check_skew_pair_counts(z)
+    else:
+        with pytest.raises(NotTriple):
+            odd_skew_pair(z)
+
+
+@pytest.mark.parametrize("name", ["z-u24-3", "h33"])
+def test_skew_pair_counts_on_the_non_binary_fixtures(name):
+    z = catalog.fixture(name)
+    check_skew_pair_counts(z)
+    assert odd_skew_pair(z) is not None

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (random_graph, random_inv_symmetric, random_standard_form,
                       random_symmetric)
-from mmlab import catalog, fields, orienting
+from mmlab import catalog, fields, multimatroids, orienting
 from mmlab.errors import Degenerate, NotBinaryTight3, NotOrienting, NotTight
 from mmlab.fields import GF2, GF4
 from mmlab.isotropic import Graph, from_graph, isotropic_multimatroid, z_quaternary
@@ -72,6 +72,14 @@ def test_is_orienting_circuit_test(rng):
         assert is_orienting(z, t) == (t in ort)
     with pytest.raises(NotTight):
         is_orienting(catalog.fixture("s2"), ((0, 0), (1, 0), (2, 0)))
+
+
+def test_is_orienting_rejects_a_partial_subtransversal():
+    # no circuit meets the empty set in one element, yet it is no transversal
+    z = from_graph(Graph(3, [(0, 1), (1, 2)])).multimatroid
+    for t in ([], [(0, 2)], transversal_slot(z, 2)[:2]):
+        with pytest.raises(NotOrienting, match="must be a transversal"):
+            is_orienting(z, t)
 
 
 def test_is_orienting_three_routes_agree(rng):
@@ -166,18 +174,16 @@ def test_orienting_coset_within_fixed_transversal(rng):
 
 
 def test_each_multimatroid_enumerates_its_circuits_once(circuit_enumerations):
-    # the coset route's parity check reads the circuits of z, then its
-    # cycle space those of the seed's deletion; a second read of either,
-    # the suite's parity check included, enumerates nothing
+    # the coset route's parity check reads the circuits of z, and its cycle
+    # space reads the same ones, as no deletion is built; a second read, the
+    # suite's parity check included, enumerates nothing
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     ort = orienting_transversals(z)
     assert orienting_from_seed(z, ort[0]) == ort
     assert evaluation_suite(z, transversal_slot(z, 0)).passed
-    whole, deletion = circuit_enumerations
-    assert whole is z and deletion.carrier.class_sizes == (2,) * z.order
-    deletion.circuits()
+    assert circuit_enumerations == [z]
     z.circuits()
-    assert len(circuit_enumerations) == 2
+    assert circuit_enumerations == [z]
     # the minor scan reads each candidate minor once and the pattern once
     circuit_enumerations.clear()
     z4 = from_graph(Graph(4, [(0, 1), (1, 2), (2, 3)]), validate=False).multimatroid
@@ -392,23 +398,22 @@ def test_one_deletion_table_per_object(monkeypatch):
 def test_the_skew_pair_parity_is_kept_on_z(monkeypatch):
     # orienting_from_seed and evaluation_suite both validate z, and
     # classification tests the same parity: one pass over the circuit pairs
-    pair_unions = []
-    count = Carrier.classes_with_pair
+    passes = []
+    count = multimatroids._skew_pair_counts
 
-    def counted(carrier, w):
-        pair_unions.append(w)
-        return count(carrier, w)
+    def counted(masks, order):
+        passes.append(len(masks))
+        return count(masks, order)
 
-    monkeypatch.setattr(Carrier, "classes_with_pair", counted)
+    monkeypatch.setattr(multimatroids, "_skew_pair_counts", counted)
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     circuits = z.circuits()
     assert orienting_from_seed(z, transversal_slot(z, 2))
-    assert sum(w in {c1 | c2 for c1 in circuits for c2 in circuits} for w in pair_unions) \
-        == len(circuits) * (len(circuits) - 1) // 2
-    pair_unions.clear()
+    assert passes == [len(circuits)]
+    passes.clear()
     assert evaluation_suite(z, transversal_slot(z, 0)).passed
     assert catalog.classify_binary_tight3(z).binary
-    assert pair_unions == []
+    assert passes == []
 
 
 def test_suite_scans_a_z_that_is_not_tight_once(tightness_scans):
