@@ -161,16 +161,22 @@ def neighborhood_parity(g: Graph, x: Iterable[int]) -> tuple[frozenset, frozense
 
 @dataclass(frozen=True)
 class IsotropicBuild:
-    """A matrix, its three-block sheltering matroid, and the derived tight
-    3-matroid, with the per-class block-to-slot assignment."""
+    """A matrix and the tight 3-matroid sheltered by its three blocks, with
+    the per-class block-to-slot assignment.  The build keeps the block
+    columns once, packed in its multimatroid; `matroid` is rebuilt from
+    them on each access."""
 
     source: GFMatrix
     matrix: GFMatrix  # normalized form actually used in the blocks
-    matroid: Matroid
     multimatroid: Multimatroid
     block_slots: tuple[tuple[int, int, int], ...]
     swapped_classes: frozenset
     graph: Graph | None = None
+
+    @property
+    def matroid(self) -> Matroid:
+        """The sheltering matroid of [I | A | A+I], labelled block by block."""
+        return self.multimatroid.sheltering_matroid
 
     @property
     def order(self) -> int:
@@ -202,17 +208,14 @@ def _is_inv_symmetric(a: GFMatrix) -> bool:
 def _build_from_blocks(a: GFMatrix, block_slots, source: GFMatrix,
                        swapped: frozenset, graph: Graph | None,
                        validate: bool) -> IsotropicBuild:
-    n = a.rows
-    ident = GFMatrix.identity(a.field, n)
-    big = ident.hstack(a).hstack(a.add(ident))
-    labels = []
-    for block in range(3):
-        for v in range(n):
-            labels.append((v, block_slots[v][block]))
-    matroid = Matroid(labels, matrix=big)
-    z = Multimatroid(Carrier.uniform(n, 3), matroid=matroid)
-    build = IsotropicBuild(source=source, matrix=a, matroid=matroid,
-                           multimatroid=z, block_slots=tuple(block_slots),
+    # column v of the three blocks: e_v, A's column v, and their sum
+    n, cols = a.rows, a.columns_packed()
+    blocks = ([(1 << v, 0) for v in range(n)], cols,
+              [(lo ^ 1 << v, hi) for v, (lo, hi) in enumerate(cols)])
+    z = Multimatroid._sheltered(Carrier.uniform(n, 3), a.field, n, {
+        (v, block_slots[v][b]): col
+        for b, block in enumerate(blocks) for v, col in enumerate(block)})
+    build = IsotropicBuild(source=source, matrix=a, multimatroid=z, block_slots=tuple(block_slots),
                            swapped_classes=swapped, graph=graph)
     if validate and not is_tight(z)[0]:  # tight implies the multimatroid exclusion
         raise InternalInconsistency("isotropic build failed validation")

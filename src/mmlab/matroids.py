@@ -5,11 +5,13 @@ fields.circuit_picks; circuit-list matroids use brute-force independence
 checking, fine because every circuit-list fixture here has at most 9 elements,
 and take the circuits of their minors and dual straight from the circuit list
 (minimal_sets over C - X, and over the sets meeting no circuit in exactly one
-element), with no rank query.
+element), with no rank query.  A matroid keeps no ranks: tutte, whose walk
+asks for the same ones again, keeps its own.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
@@ -49,7 +51,7 @@ def rank_from_circuits(circuits: Iterable[frozenset], xs: frozenset) -> int:
 class Matroid:
     """A matroid given either by a matrix representation or by its circuits."""
 
-    __slots__ = ("ground", "_matrix", "_circuits", "_rank_cache", "_index")
+    __slots__ = ("ground", "_matrix", "_circuits", "_index")
 
     def __init__(self, ground: Sequence[Label], matrix: GFMatrix | None = None,
                  circuits: Iterable[frozenset] | None = None, validate: bool = True):
@@ -76,7 +78,6 @@ class Matroid:
             if validate and len(self.ground) <= 12:
                 self._validate_circuit_axioms()
         self._index = {e: i for i, e in enumerate(self.ground)}
-        self._rank_cache: dict[frozenset, int] = {}
 
     @staticmethod
     def _key(label):
@@ -141,17 +142,10 @@ class Matroid:
 
     def rank_of(self, x: Iterable[Label]) -> int:
         xs = self._check_subset(x)
-        cached = self._rank_cache.get(xs)
-        if cached is not None:
-            return cached
-        if self._matrix is not None:
-            packed = self._matrix.columns_packed()
-            r = fields.rank_of_vectors(self._matrix.field,
-                                       (packed[self._index[e]] for e in xs))
-        else:
-            r = rank_from_circuits(self._circuits, xs)
-        self._rank_cache[xs] = r
-        return r
+        if self._matrix is None:
+            return rank_from_circuits(self._circuits, xs)
+        packed = self._matrix.columns_packed()
+        return fields.rank_of_vectors(self._matrix.field, (packed[self._index[e]] for e in xs))
 
     def nullity_of(self, x: Iterable[Label]) -> int:
         xs = self._check_subset(x)
@@ -321,9 +315,10 @@ class Matroid:
         at (x, y); loops contribute y, coloops x."""
         check_size(self.size, MATROID_ENUM_BOUND, "tutte")
         memo: dict[tuple[frozenset, frozenset], object] = {}
+        rank = cache(self.rank_of)
 
         def rank_minor(con: frozenset, xs: frozenset) -> int:
-            return self.rank_of(xs | con) - self.rank_of(con)
+            return rank(xs | con) - rank(con)
 
         def walk(con: frozenset, dele: frozenset):
             key = (con, dele)

@@ -13,14 +13,16 @@ realizations the closures of near-transversals, which the validators and the
 orienting test read, come from one echelon walk per missing class; the loops
 of the order-one minors, which the validators check those closures against,
 from one walk per missing class that row-reduces the matrix one picked
-column at a time; and the circuits from one subtransversal walk.  Each
-object keeps its circuits, its closure table per missing class, the one
-cross-checked near-transversal scan that both validators read, and the
-orienting test's deletion tables.  The two realizations are interchangeable.
-The skew-pair parity, the cycle spaces and the orienting test read the
-circuits as ints with one bit per ground element (_masks).  A cycle space is
-spanned by XOR over z's own circuits; those of a deletion are z's circuits
-inside the kept set, so `cycle_space_avoiding` builds no deletion.
+column at a time; and the circuits from one subtransversal walk.  The two
+realizations are interchangeable.  The skew-pair parity, the cycle spaces
+and the orienting test read the circuits as ints with one bit per ground
+element (_masks).  A cycle space is spanned by XOR over z's own circuits;
+those of a deletion are z's circuits inside the kept set, so
+`cycle_space_avoiding` builds no deletion.
+
+Besides its carrier and realization, an object keeps the ranks it was asked
+for and one memo, `Multimatroid._kept`, of every derived answer (listed
+there), each computed on its first read; a build that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .matroids import Matroid, minimal_sets, rank_from_circuits
 Element = tuple[int, int]
 
 _SLOT_LETTERS = "abcd"
-_UNSEEN = object()  # a kept answer not computed yet, where None is an answer
 
 
 def element_label(e: Element) -> str:
@@ -196,19 +197,21 @@ def sum_subtransversals(carrier: Carrier, x: Iterable[Element],
 class Multimatroid:
     """A carrier plus a rank oracle, realized as sheltered or circuit-list."""
 
-    __slots__ = ("carrier", "_circuits", "_rank_cache", "_field", "_rows", "_colvec",
-                 "_scan", "_closures", "_odd_pair", "_deletion")
+    # _kept's keys; `key in z._kept` tells "not built yet" from a None answer:
+    #   ("closures", miss)  _closure_masks's table for missing class miss
+    #   "scan"              near_transversal_scan's cross-checked pair
+    #   "odd_pair"          odd_skew_pair's answer, None when every union is even
+    #   "circuits"          a packed realization's circuits
+    #   "deletion"          mmlab.orienting's deletion tables
+    __slots__ = ("carrier", "_circuits", "_rank_cache", "_field", "_rows", "_colvec", "_kept")
 
     def __init__(self, carrier: Carrier, matroid: Matroid | None = None,
                  circuits: Iterable[frozenset] | None = None, validate: bool = True):
         self.carrier = carrier
-        self._circuits = None  # the circuit list; packed: circuits(), once run
+        self._circuits = None  # a circuit-list realization's circuits
         self._rank_cache: dict[frozenset, int] = {}
         self._field = self._rows = self._colvec = None
-        self._scan = None  # near_transversal_scan's cross-checked pair, once run
-        self._closures: dict[int, bytes] = {}  # _closure_masks, by missing class
-        self._odd_pair = _UNSEEN  # odd_skew_pair's answer, once run
-        self._deletion = None  # orienting's deletion tables, once built
+        self._kept: dict = {}
         if (matroid is None) == (circuits is None):
             raise MalformedInput("exactly one of matroid/circuits required")
         if matroid is not None:
@@ -238,11 +241,11 @@ class Multimatroid:
     def _sheltered(cls, carrier: Carrier, field: int, rows: int,
                    colvec: dict[Element, tuple[int, int]]) -> "Multimatroid":
         """Sheltered multimatroid on packed columns over `rows` rows, keyed
-        by exactly the carrier's elements in ground order."""
+        by exactly the carrier's elements in the sheltering matroid's ground
+        order."""
         z = cls.__new__(cls)
         z.carrier, z._circuits, z._rank_cache = carrier, None, {}
-        z._field, z._rows, z._colvec = field, rows, colvec
-        z._scan, z._closures, z._odd_pair, z._deletion = None, {}, _UNSEEN, None
+        z._field, z._rows, z._colvec, z._kept = field, rows, colvec, {}
         return z
 
     def _validate_semi_axioms(self):
@@ -326,13 +329,15 @@ class Multimatroid:
         """All minimal dependent subtransversals, lexicographically sorted;
         a packed realization enumerates them on the first call and keeps them."""
         self._check_enum_bounds(ORDER_GENERAL, "circuits")
-        if self._circuits is None:
+        if self._circuits is not None:
+            return list(self._circuits)
+        if "circuits" not in self._kept:
             # a pick (class, slot) is its element, and picks run in class
             # order, so sorting them sorts the circuits as key=sorted would
             found = fields.circuit_picks(self._field, self._packed(
                 map(self.carrier.skew_class, range(self.order))))
-            self._circuits = tuple(map(frozenset, sorted(found)))
-        return list(self._circuits)
+            self._kept["circuits"] = tuple(map(frozenset, sorted(found)))
+        return list(self._kept["circuits"])
 
     def _packed(self, groups: Iterable[Iterable[Element]]) -> list[list]:
         """The packed columns of each group of elements, as the fields walks
@@ -471,7 +476,8 @@ def _closure_masks(z: Multimatroid, miss: int) -> bytes:
     S, kept on z from the first call.  Packed realizations read all of them
     from one walk of fields.span_masks; circuit-list ones ask
     closure_in_class at each S."""
-    if miss not in z._closures:
+    key = "closures", miss
+    if key not in z._kept:
         others = [c for c in range(z.order) if c != miss]
         if z._colvec is not None:
             cols = z._packed(map(z.carrier.skew_class, (*others, miss)))
@@ -480,8 +486,8 @@ def _closure_masks(z: Multimatroid, miss: int) -> bytes:
             sizes = z.carrier.class_sizes
             found = (sum(1 << x for _, x in z.closure_in_class(frozenset(zip(others, picks)), miss))
                      for picks in product(*[range(sizes[c]) for c in others]))
-        z._closures[miss] = bytes(found)
-    return z._closures[miss]
+        z._kept[key] = bytes(found)
+    return z._kept[key]
 
 
 def _order_one_minor_loops(z: Multimatroid, miss: int) -> bytes:
@@ -553,7 +559,7 @@ def near_transversal_scan(z: Multimatroid, op: str):
     The bounds are checked under op on every call.  The pair is kept on z
     for later calls; a scan that raises keeps none."""
     z._check_enum_bounds(ORDER_GENERAL, op)
-    if z._scan is None:
+    if "scan" not in z._kept:
         excess = loose = last = None
         for s, miss in z.carrier.near_transversals():
             if miss != last:
@@ -568,8 +574,8 @@ def near_transversal_scan(z: Multimatroid, op: str):
                 break
             if not mask and loose is None:
                 loose = (s, miss)
-        z._scan = excess, loose
-    return z._scan
+        z._kept["scan"] = excess, loose
+    return z._kept["scan"]
 
 
 def is_multimatroid(z: Multimatroid):
@@ -633,12 +639,12 @@ def odd_skew_pair(z: Multimatroid):
     from the first call."""
     if not z.carrier.is_uniform(3):
         raise NotTriple("skew-pair parity needs class size 3 everywhere")
-    if z._odd_pair is _UNSEEN:
+    if "odd_pair" not in z._kept:
         circuits = z.circuits()
         counts = _skew_pair_counts(_masks(z.carrier, circuits), z.order)
-        z._odd_pair = next(((c1, c2, pairs) for (c1, c2), pairs
-                            in zip(combinations(circuits, 2), counts) if pairs % 2), None)
-    return z._odd_pair
+        z._kept["odd_pair"] = next(((c1, c2, pairs) for (c1, c2), pairs
+                                    in zip(combinations(circuits, 2), counts) if pairs % 2), None)
+    return z._kept["odd_pair"]
 
 
 # -- free sums and matroid pairs ----------------------------------------------
@@ -747,45 +753,41 @@ def isomorphic(z1: Multimatroid, z2: Multimatroid):
     sizes = z1.carrier.class_sizes + z2.carrier.class_sizes
     if sizes and max(sizes) > ISO_CLASS_SIZE:
         raise TooLarge(f"isomorphism search handles class sizes up to {ISO_CLASS_SIZE}")
-    if z1.order != z2.order:
-        return None
     if sorted(z1.carrier.class_sizes) != sorted(z2.carrier.class_sizes):
         return None
     cs1, cs2 = z1.circuits(), z2.circuits()
-    if len(cs1) != len(cs2):
-        return None
+    # the invariants below imply this, but has_minor's many misses end here
     if sorted(map(len, cs1)) != sorted(map(len, cs2)):
         return None
     set2 = set(cs2)
 
-    def elem_inv(z, circuits, e):
+    def elem_inv(circuits, e):
         return tuple(sorted(len(c) for c in circuits if e in c))
 
     def class_inv(z, circuits, c):
         return (z.carrier.class_sizes[c],
-                tuple(sorted(elem_inv(z, circuits, (c, s))
+                tuple(sorted(elem_inv(circuits, (c, s))
                              for s in range(z.carrier.class_sizes[c]))))
 
     inv1 = [class_inv(z1, cs1, c) for c in range(z1.order)]
     inv2 = [class_inv(z2, cs2, c) for c in range(z2.order)]
     if sorted(inv1) != sorted(inv2):
         return None
-    einv1 = {e: elem_inv(z1, cs1, e) for e in z1.carrier.elements()}
-    einv2 = {e: elem_inv(z2, cs2, e) for e in z2.carrier.elements()}
+    einv1 = {e: elem_inv(cs1, e) for e in z1.carrier.elements()}
+    einv2 = {e: elem_inv(cs2, e) for e in z2.carrier.elements()}
 
     n = z1.order
+    closing = [[] for _ in range(n)]  # closing[c]: z1's circuits whose last class is c
+    for c in cs1:
+        closing[max(c)[0]].append(c)
     emap: dict[Element, Element] = {}
     used = [False] * n
 
-    def compatible_so_far(done_classes: set) -> bool:
-        for c in cs1:
-            if all(e[0] in done_classes for e in c):
-                img = frozenset(emap[e] for e in c)
-                if img not in set2:
-                    return False
-        return True
-
-    def assign(c1: int, done: set) -> bool:
+    def assign(c1: int) -> bool:
+        """Map classes c1, c1 + 1, ... in order, each by an unused class and
+        slot bijection with equal invariants, checking each circuit once,
+        when its last class is mapped; emap's entries of the classes from
+        c1 on are stale until then."""
         if c1 == n:
             return True
         k = z1.carrier.class_sizes[c1]
@@ -793,23 +795,15 @@ def isomorphic(z1: Multimatroid, z2: Multimatroid):
             if used[c2] or inv2[c2] != inv1[c1]:
                 continue
             for perm in permutations(range(k)):
-                ok = True
-                for s in range(k):
-                    if einv1[(c1, s)] != einv2[(c2, perm[s])]:
-                        ok = False
-                        break
-                if not ok:
+                if any(einv1[c1, s] != einv2[c2, perm[s]] for s in range(k)):
                     continue
                 for s in range(k):
-                    emap[(c1, s)] = (c2, perm[s])
+                    emap[c1, s] = (c2, perm[s])
                 used[c2] = True
-                if compatible_so_far(done | {c1}) and assign(c1 + 1, done | {c1}):
+                if all(frozenset(map(emap.get, c)) in set2 for c in closing[c1]) \
+                        and assign(c1 + 1):
                     return True
                 used[c2] = False
-                for s in range(k):
-                    del emap[(c1, s)]
         return False
 
-    if assign(0, set()):
-        return dict(emap)
-    return None
+    return dict(emap) if assign(0) else None

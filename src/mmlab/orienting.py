@@ -4,11 +4,13 @@ A transversal is orienting when deleting it leaves a tight multimatroid.
 Brute-force enumeration tests that definition on every transversal at once,
 bit-parallel over one bit set per missing class; it builds no deletion, but
 reads the closure tables that the multimatroid keeps for its validators
-(multimatroids._closure_masks), so each class's closures are walked once
-per object, and the deletion tables themselves are built once per object
-and kept on it.  The coset construction over one seed transversal is the
-accelerated route, for binary tight 3-matroids only, and the two must agree
-set for set.
+(multimatroids._closure_masks).  The coset construction over one seed
+transversal is the accelerated route, for binary tight 3-matroids only, and
+the two must agree set for set.
+
+A multimatroid keeps its deletion tables in its memo, and they keep its
+orienting bit set and that set's transversals, decoded once: brute force,
+the coset route's seed check and the evaluation suite all read them.
 
 The evaluation suite scales its rational weights to integers by their
 common denominator, so its sums are exact ints and only the reported sides
@@ -42,16 +44,14 @@ def orienting_transversals(z: Multimatroid) -> list[tuple[Element, ...]]:
     if not z.is_nondegenerate():
         raise Degenerate("orienting transversals need a nondegenerate multimatroid")
     z._check_enum_bounds(ORDER_ORT, "orienting_transversals")
-    return _deletion_tables(z).transversals()
+    return list(_deletion_tables(z).transversals)
 
 
 def _deletion_tables(z: Multimatroid) -> "_DeletionTables":
-    """The deletion tables of a nondegenerate z, kept on z from the first
-    call: brute force, the coset route's seed check and the evaluation suite
-    read the same one."""
-    if z._deletion is None:
-        z._deletion = _DeletionTables(z)
-    return z._deletion
+    """The deletion tables of a nondegenerate z, kept in its memo."""
+    if "deletion" not in z._kept:
+        z._kept["deletion"] = _DeletionTables(z)
+    return z._kept["deletion"]
 
 
 class _DeletionTables:
@@ -83,6 +83,9 @@ class _DeletionTables:
             # T's index is hi * k * s + t * s + lo, and its pick's hi * s + lo
             self._passing[miss, ()] = int(b"".join(
                 col[hi * s:hi * s + s] for hi in range(len(oks) // s) for col in cols)[::-1], 2)
+        self.bits = self.orienting()
+        self.transversals = [tuple((c, i // s % k) for c, (k, s) in enumerate(self.axes))
+                             for i, bit in enumerate(format(self.bits, "b")[::-1]) if bit == "1"]
 
     def passing(self, miss: int, axes: tuple) -> int:
         """ok[miss] after the AND along each axis, kept for the minors that
@@ -113,11 +116,6 @@ class _DeletionTables:
         for c, s in f:
             bits &= self.slot[c][s]
         return bits.bit_count()
-
-    def transversals(self) -> list[tuple[Element, ...]]:
-        bits = format(self.orienting(), "b")[::-1]  # bit i at index i
-        return [tuple((c, i // s % k) for c, (k, s) in enumerate(self.axes))
-                for i, bit in enumerate(bits) if bit == "1"]
 
 
 def disjoint_orienting(z: Multimatroid, t: Iterable[Element]) -> list[tuple[Element, ...]]:
@@ -154,7 +152,8 @@ def orienting_from_seed(z: Multimatroid, seed: Iterable[Element]) -> list[tuple[
     t0 = as_subtransversal(z.carrier, seed)
     if len(t0) != z.order:
         raise NotOrienting("seed must be a transversal")
-    if t0 not in _deletion_tables(z).transversals():
+    tables = _deletion_tables(z)
+    if not tables.bits >> sum(s * stride for (_, s), (_, stride) in zip(t0, tables.axes)) & 1:
         raise NotOrienting("seed transversal is not orienting")
     if not z.carrier.is_uniform(3):
         raise NotTriple("sum needs class size 3 everywhere")
@@ -257,7 +256,7 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element]) -> EvalReport:
 
     ell = z.order
     tables = _deletion_tables(z)
-    ort_all = [frozenset(y) for y in tables.transversals()]
+    ort_all = [frozenset(y) for y in tables.transversals]
     report = EvalReport(order=ell, transversal=tt, ort_count=len(ort_all))
     ids = report.identities
 

@@ -44,7 +44,7 @@ KERNELS = {
                "_with_a_multiple", "nullity_histogram", "span_masks", "circuit_picks"),
     "multimatroids": ("_closure_masks", "_order_one_minor_loops", "near_transversal_scan",
                       "tight_quick", "_masks", "_skew_pair_counts", "odd_skew_pair",
-                      "_cycle_space"),
+                      "_cycle_space", "isomorphic"),
     "matroids": ("minimal_sets",),
     "orienting": ("_DeletionTables",),
 }
@@ -121,13 +121,35 @@ EQUIVALENT = {
         "with slot 0 in the union at most one of slots 1 and 2 is, so | and ^ agree",
     "multimatroids._cycle_space+17:16 BitOr->BitXor":
         "m is not in the space, so its coset is disjoint from it",
+    "multimatroids.isomorphic+8:4 drop `if sorted(z1.carrier.class_sizes) != sor`":
+        "an early exit: the class invariants carry the class sizes, and unequal ones end "
+        "the search",
+    "multimatroids.isomorphic+9:8 drop `return None`":
+        "an early exit: the class invariants carry the class sizes, and unequal ones end "
+        "the search",
+    "multimatroids.isomorphic+12:4 drop `if sorted(map(len, cs1)) != sorted(map(l`":
+        "an early exit: the element invariants fix the multiset of circuit lengths",
+    "multimatroids.isomorphic+13:8 drop `return None`":
+        "an early exit: the element invariants fix the multiset of circuit lengths",
+    "multimatroids.isomorphic+26:4 drop `if sorted(inv1) != sorted(inv2):`":
+        "an early exit: each class maps onto an unused class of equal invariant, so the "
+        "search finds no map",
+    "multimatroids.isomorphic+27:8 drop `return None`":
+        "an early exit: each class maps onto an unused class of equal invariant, so the "
+        "search finds no map",
+    "multimatroids.isomorphic+50:16 drop `if any((einv1[c1, s] != einv2[c2, perm[s`":
+        "a pruning: an isomorphism keeps each element's invariant, so no cut branch maps",
+    "multimatroids.isomorphic+51:20 drop `continue`":
+        "a pruning: an isomorphism keeps each element's invariant, so no cut branch maps",
+    "multimatroids.isomorphic+59:8 drop `return False`":
+        "assign's result is only tested for truth, and None is false too",
     "matroids.minimal_sets+5:19 LtE->Lt":
         "the candidates are deduplicated, so no kept set equals a later one",
     "orienting._DeletionTables+23:32 1->2":
         "the ok-masks have k bits, so translation entries from 2^k up go unread",
-    "orienting._DeletionTables+39:54 Gt->GtE":
+    "orienting._DeletionTables+42:54 Gt->GtE":
         "t == p never reaches the shift: that slot is skipped",
-    "orienting._DeletionTables+40:16 BitOr->BitXor":
+    "orienting._DeletionTables+43:16 BitOr->BitXor":
         "each slot's bits are masked to that slot, so they are disjoint",
 }
 

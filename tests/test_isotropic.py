@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph, random_inv_symmetric, random_symmetric
 from mmlab import catalog
@@ -260,3 +264,29 @@ def test_pair_build_tight_iff_zero_diagonal(rng):
         assert ok
         zero_diag = all(a.entry(v, v) == 0 for v in range(n))
         assert is_tight(z)[0] == zero_diag
+
+
+def test_builds_make_no_matroid(matroids_built):
+    # a build packs its block columns straight into its multimatroid
+    from_graph(Graph(3, [(0, 1), (1, 2)]))
+    isotropic_multimatroid(random_symmetric(random.Random(1), GF2, 3))
+    isotropic_multimatroid(random_inv_symmetric(random.Random(2), 3))
+    assert matroids_built == []
+
+
+@given(st.sampled_from((GF2, GF4)), st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_build_matroid_is_the_explicit_block_matrix(field, seed, n):
+    """build.matroid against Matroid(labels, [I | A | A+I]) built here: a
+    GF(4) source has its diagonal ones cleared, and those classes take
+    blocks 2 and 3 in slots 2 and 1."""
+    rng = random.Random(seed)
+    source = random_symmetric(rng, GF2, n) if field == GF2 else random_inv_symmetric(rng, n)
+    swapped = {v for v in range(n) if field == GF4 and source.entry(v, v) == 1}
+    a = GFMatrix.from_entries(field, [[0 if i == j and i in swapped else source.entry(i, j)
+                                       for j in range(n)] for i in range(n)], cols=n)
+    ident = GFMatrix.identity(field, n)
+    labels = [(v, 3 - b if b and v in swapped else b) for b in range(3) for v in range(n)]
+    want = Matroid(labels, matrix=ident.hstack(a).hstack(a.add(ident)))
+    got = isotropic_multimatroid(source, validate=False).matroid
+    assert got.ground == want.ground and got.matrix == want.matrix

@@ -218,6 +218,30 @@ def test_isomorphic_self_and_dual(rng):
         assert isomorphic(z1, z2) is not None
 
 
+def test_isomorphic_checks_its_bounds(monkeypatch):
+    # either argument's order, or either's largest class
+    for z1, z2 in ((free_mm((2,) * 6), free_mm((2,) * 5)), (free_mm((2,) * 5), free_mm((2,) * 6))):
+        with pytest.raises(TooLarge, match=r"^isomorphic: order 6 exceeds bound 5$"):
+            isomorphic(z1, z2)
+    monkeypatch.setenv("MMLAB_MAX_ORDER", "6")
+    assert isomorphic(free_mm((2,) * 6), free_mm((2,) * 6)) is not None
+    for z1, z2 in ((free_mm((4, 2)), free_mm((2, 2))), (free_mm((2, 2)), free_mm((2, 4)))):
+        with pytest.raises(TooLarge, match=r"^isomorphism search handles class sizes up to 3$"):
+            isomorphic(z1, z2)
+
+
+def test_isomorphic_backtracks_to_a_class_it_tried():
+    # the classes pair up as 0-3 and 1-2 in z1 and as 0-1 and 2-3 in z2:
+    # class 1 onto class 1 fails a level deeper, and class 3 then needs it
+    def paired(pairs):
+        return Multimatroid(Carrier((2,) * 4), circuits=[
+            frozenset({(a, s), (b, s)}) for a, b in pairs for s in range(2)])
+
+    assert isomorphic(paired([(0, 3), (1, 2)]), paired([(0, 1), (2, 3)])) == {
+        (0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (2, 0), (1, 1): (2, 1),
+        (2, 0): (3, 0), (2, 1): (3, 1), (3, 0): (1, 0), (3, 1): (1, 1)}
+
+
 def test_isomorphic_distinguishes():
     assert isomorphic(catalog.fixture("s1"), catalog.fixture("s3")) is None
     assert isomorphic(catalog.fixture("s2"), catalog.fixture("s3")) is None
@@ -335,7 +359,7 @@ def test_circuits_are_kept_and_handed_out_as_copies():
         kept = list(first)
         first.clear()
         assert z.circuits() == kept == sorted(kept, key=sorted) != []
-        assert z._circuits == tuple(kept)
+        assert (z._kept["circuits"] if z.kind == "sheltered" else z._circuits) == tuple(kept)
 
 
 def test_kept_circuits_keep_the_bound_texts(monkeypatch):
@@ -357,10 +381,11 @@ def test_kept_circuits_keep_the_bound_texts(monkeypatch):
 def test_derived_packed_multimatroids_start_without_circuits():
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     z.circuits()
+    assert "circuits" in z._kept and z._circuits is None
     m = Matroid.from_matrix(GFMatrix.from_entries(GF2, [[1, 0, 1], [0, 1, 1]]))
     derived = [z.minor([(0, 0)]), z.restrict([e for e in z.carrier.elements() if e != (1, 2)]),
                z.delete(transversal_slot(z, 0)), free_sum([m, m])]
-    assert [d._circuits for d in derived] == [None] * len(derived)
+    assert [(d._circuits, d._kept) for d in derived] == [(None, {})] * len(derived)
     for d in derived:
         assert same_rank_oracle(d, Multimatroid(d.carrier, circuits=d.circuits()))
 
@@ -543,7 +568,7 @@ def test_validators_cross_check_each_near_transversal(monkeypatch):
             is_tight(z)
     with pytest.raises(InternalInconsistency, match=re.escape(f"by {list(target)} ")):
         is_multimatroid(z)
-    assert tight_quick(z) and z._scan is None
+    assert tight_quick(z) and "scan" not in z._kept
 
 
 def test_cross_checked_scan_builds_no_matroid(matroids_built):
@@ -630,7 +655,7 @@ def test_unchecked_scans_store_no_verdict(tightness_scans, cross_check_calls):
     # no verdict; the first checked call scans once and keeps its pair
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     assert tight_quick(z) and tight_quick(z)
-    assert tightness_scans == [] and cross_check_calls[0] == [] and z._scan is None
+    assert tightness_scans == [] and cross_check_calls[0] == [] and "scan" not in z._kept
     assert is_tight(z) == (True, None)
     assert is_tight(z) == is_multimatroid(z) == (True, None)
     assert tight_quick(z)
@@ -647,7 +672,7 @@ def test_derived_multimatroids_start_without_a_verdict(monkeypatch, tightness_sc
                Multimatroid(z.carrier, matroid=m),
                Multimatroid(z.carrier, circuits=z.circuits(), validate=False).minor([(0, 0)])]
     monkeypatch.setenv("MMLAB_MAX_ORDER", "9")  # the free sum has one class per element
-    assert all(d._scan is None and d._closures == {} for d in derived)
+    assert all(d._kept == {} for d in derived)  # no scan, no closure table
     tightness_scans.clear()
     for d in derived:
         is_tight(d)

@@ -14,12 +14,14 @@ The evaluation suite's integer weights, scaled by their common denominator,
 are checked against the Fraction histogram of the circuit-list route.  The
 cycle spaces, spanned by bit masks of z's own circuits, are checked against
 the built deletion's cycle space and the per-transversal frozenset span, and
-the skew-pair popcounts against the carrier's frozenset count.
+the skew-pair popcounts against the carrier's frozenset count.  The
+isomorphism search, which checks each circuit once, when its last class is
+mapped, is checked against an exhaustive search over every element map.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +35,8 @@ from mmlab.isotropic import Graph, from_graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, _closure_masks, _masks,
                                  _order_one_minor_loops, _skew_pair_counts, cycle_space,
-                                 cycle_space_avoiding, dual_pair, free_sum, odd_skew_pair,
-                                 same_rank_oracle, tight_quick)
+                                 cycle_space_avoiding, dual_pair, free_sum, isomorphic,
+                                 odd_skew_pair, same_rank_oracle, tight_quick)
 from mmlab.orienting import _DeletionTables, _scaled_weights, orienting_transversals
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -246,7 +248,7 @@ def test_span_masks_match_closure_in_class(kind, seed, n):
         picks = list(product(*[range(sizes[c]) for c in others]))
         assert list(_closure_masks(z, miss)) == \
             [closure_mask(z, zip(others, p), miss) for p in picks]
-        assert z._closures[miss] is _closure_masks(z, miss)
+        assert z._kept["closures", miss] is _closure_masks(z, miss)
 
 
 @given(st.sampled_from(ORT_KINDS), seeds, st.integers(0, 4))
@@ -443,3 +445,48 @@ def test_skew_pair_counts_on_the_non_binary_fixtures(name):
     z = catalog.fixture(name)
     check_skew_pair_counts(z)
     assert odd_skew_pair(z) is not None
+
+
+def exhaustive_isomorphism(z1: Multimatroid, z2: Multimatroid):
+    """The oracle route for isomorphic: the first element map carrying z1's
+    circuits onto z2's, each class c of z1 in turn taking a class of z2 of
+    its size (in range order) and a slot bijection (in permutations order),
+    the order in which the search backtracks; None when no map does."""
+    if z1.order != z2.order:
+        return None
+    sizes1, sizes2 = z1.carrier.class_sizes, z2.carrier.class_sizes
+    choices = [[(c2, perm) for c2 in range(z2.order) if sizes2[c2] == k
+                for perm in permutations(range(k))] for k in sizes1]
+    cs1, cs2 = z1.circuits(), set(z2.circuits())
+    for picks in product(*choices):
+        if len({c2 for c2, _ in picks}) < z1.order:
+            continue
+        emap = {(c1, s): (c2, perm[s]) for c1, (c2, perm) in enumerate(picks)
+                for s in range(len(perm))}
+        if {frozenset(emap[e] for e in c) for c in cs1} == cs2:
+            return emap
+    return None
+
+
+@given(st.sampled_from(("gf2", "gf4", "gf4_pair", "circuits", "matroid_circuits")), seeds,
+       st.integers(0, 3), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_isomorphic_finds_the_first_map_of_an_exhaustive_search(kind, seed, n, relabel):
+    """Against a relabelled copy (classes and slots permuted at random),
+    which is always isomorphic, or against a second build of the kind."""
+    rng = random.Random(seed)
+    z1 = build(kind, rng, n)
+    if relabel:
+        to_class = rng.sample(range(n), n)
+        to_slot = [rng.sample(range(k), k) for k in z1.carrier.class_sizes]
+        sizes = [0] * n
+        for c, k in enumerate(z1.carrier.class_sizes):
+            sizes[to_class[c]] = k
+        z2 = Multimatroid(Carrier(sizes), validate=False, circuits=[
+            frozenset((to_class[c], to_slot[c][s]) for c, s in circuit)
+            for circuit in z1.circuits()])
+    else:
+        z2 = build(kind, rng, n)
+    found = isomorphic(z1, z2)
+    assert found == exhaustive_isomorphism(z1, z2)
+    assert (found is not None) >= relabel

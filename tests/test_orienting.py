@@ -443,3 +443,29 @@ def test_suite_weighted_lhs_equal_transition_values(seed):
     assert got == [("weighted_pow2_depth1", p(2)), ("weighted_pow2_depth2", p(4))] + \
         [(f"halving_at_{y}", p(y)) for y in ys]
     assert all(type(i.lhs) is type(i.rhs) is Fraction for i in rep.identities)
+
+
+def test_the_orienting_set_is_decoded_once_per_object(monkeypatch):
+    # the deletion tables keep the orienting bit set and its decoded
+    # transversals: brute force hands out copies, the seed check tests the
+    # seed's bit and the suite reads the kept list
+    decoded = []
+
+    def counted_format(value, spec):
+        decoded.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(orienting, "format", counted_format, raising=False)
+    z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
+    ort = orienting_transversals(z)
+    kept = list(ort)
+    ort.clear()
+    assert orienting_transversals(z) == kept != []
+    for t in z.carrier.transversals():
+        if t in kept:
+            assert orienting_from_seed(z, t) == kept
+        else:
+            with pytest.raises(NotOrienting, match="^seed transversal is not orienting$"):
+                orienting_from_seed(z, t)
+    assert evaluation_suite(z, transversal_slot(z, 0)).ort_count == len(kept)
+    assert len(decoded) == 1
