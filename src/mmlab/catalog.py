@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
+from math import prod
 from typing import Iterable
 
 from .bounds import (ORDER_CLASSIFY, ORDER_EXTENSION, ORDER_MINOR_SCAN,
@@ -16,9 +17,10 @@ from .errors import (Degenerate, GroundMismatch, InternalInconsistency,
 from .fields import GF2, GF4, GFMatrix
 from .isotropic import IsotropicBuild, isotropic_multimatroid, pair_multimatroid
 from .matroids import Matroid, minimal_sets
-from .multimatroids import (Carrier, Element, Multimatroid, as_subtransversal,
-                            carrier_elements, dual_pair, is_tight, isomorphic,
-                            odd_skew_pair, same_rank_oracle, tight_quick)
+from .multimatroids import (Carrier, Element, Multimatroid, _nullity_table,
+                            as_subtransversal, carrier_elements, check_iso_bounds,
+                            dual_pair, is_tight, isomorphic, odd_skew_pair,
+                            same_rank_oracle, tight_quick)
 
 _A = 0
 _B = 1
@@ -112,19 +114,53 @@ def fixture(name: str) -> Multimatroid:
 # -- minor scanning ---------------------------------------------------------------
 
 
+def _minor_histograms(z: Multimatroid):
+    """The map from a subtransversal X of z to the nullity histogram of the
+    minor z/X, as its nullity_histogram gives it, read from z's nullity
+    table: each transversal T of z/X has nullity n(T + X) - n(X)."""
+    sizes = z.carrier.class_sizes
+    strides = [prod(sizes[c + 1:]) for c in range(z.order)]
+    leaves: dict[frozenset, list[int]] = {}
+
+    def histogram(x) -> list[int]:
+        touched = frozenset(c for c, _ in x)
+        if touched not in leaves:
+            offsets = [0]
+            for c in range(z.order):
+                if c not in touched:
+                    offsets = [o + s * strides[c] for o in offsets for s in range(sizes[c])]
+            leaves[touched] = offsets
+        table, base = _nullity_table(z), sum(s * strides[c] for c, s in x)
+        hist = [0] * (z.order + 1)
+        for o in leaves[touched]:
+            hist[table[base + o]] += 1
+        nx = len(x) - z._rank(frozenset(x))
+        return hist[nx:nx + z.order - len(x) + 1]
+
+    return histogram
+
+
 def has_minor(z: Multimatroid, pattern: Multimatroid):
     """First subtransversal X (lexicographically) whose minor is isomorphic
     to the pattern, with the witness map from pattern elements into original
-    elements of z; None when no minor matches."""
+    elements of z; None when no minor matches.  q1 is an isomorphism
+    invariant, so a minor is built and searched only when its carrier and
+    its nullity histogram, sliced from z's nullity table, equal the
+    pattern's."""
     z._check_enum_bounds(ORDER_MINOR_SCAN, "has_minor")
     drop = z.order - pattern.order
     if drop < 0:
         return None
+    want, histogram = pattern.nullity_histogram(), _minor_histograms(z)
     for x in sorted(s for s in z.carrier.subtransversals() if len(s) == drop):
-        zx = z.minor(x)
-        if zx.carrier != pattern.carrier:
+        touched = {c for c, _ in x}
+        if tuple(k for c, k in enumerate(z.carrier.class_sizes)
+                 if c not in touched) != pattern.carrier.class_sizes:
             continue
-        iso = isomorphic(pattern, zx)
+        check_iso_bounds(pattern)  # as isomorphic(pattern, z.minor(x)) would
+        if histogram(x) != want:
+            continue
+        iso = isomorphic(pattern, z.minor(x))
         if iso is not None:
             back = z.minor_class_map(x)
             witness = {pe: (back[ze[0]], ze[1]) for pe, ze in iso.items()}

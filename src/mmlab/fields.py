@@ -8,7 +8,7 @@ All arithmetic is exact; there is no floating point anywhere.  There is one
 pivoting routine, _echelon (with _reduce_gf4 over GF(4)): rank, contraction
 (which builds packed minors) and rref call it; the validators' second route
 reduces rows in multimatroids, with only the scalar arithmetic from here.
-The three walks inline its GF(2) step alone: over GF(4) a span is the GF(2)
+The walks inline its GF(2) step alone: over GF(4) a span is the GF(2)
 span of the vectors and their a-multiples, so _doubled packs each (lo, hi)
 as one GF(2) int and each new basis vector brings its a-multiple along.
 """
@@ -359,6 +359,34 @@ def nullity_histogram(field: int, levels: Sequence[Sequence],
     else:
         hist[0] = 1
     return hist
+
+
+def leaf_nullities(field: int, levels: Sequence[Sequence]) -> bytes:
+    """The nullity of every way to pick one vector per level, one byte per
+    leaf in product order: nullity_histogram's walk, writing each leaf
+    instead of counting it.  With no levels there is one leaf, of nullity 0."""
+    levels, _, amul = _doubled(field, levels)
+    out = bytearray()
+    last = len(levels) - 1
+
+    def walk(i, basis, null):
+        for v in levels[i]:
+            for b in basis:  # the reduction of _echelon, inlined
+                r = v ^ b
+                if r < v:
+                    v = r
+            if i == last:
+                out.append(null if v else null + 1)
+            elif v:
+                walk(i + 1, _with_a_multiple(basis, v, amul) if amul else basis + (v,), null)
+            else:
+                walk(i + 1, basis, null + 1)
+
+    if levels:
+        walk(0, (), 0)
+    else:
+        out.append(0)
+    return bytes(out)
 
 
 def span_masks(field: int, levels: Sequence[Sequence], targets: Sequence) -> list[int]:

@@ -13,10 +13,11 @@ realizations the closures of near-transversals, which the validators and the
 orienting test read, come from one echelon walk per missing class; the loops
 of the order-one minors, which the validators check those closures against,
 from one walk per missing class that row-reduces the matrix one picked
-column at a time; and the circuits from one subtransversal walk.  The two
-realizations are interchangeable.  The skew-pair parity, the cycle spaces
-and the orienting test read the circuits as ints with one bit per ground
-element (_masks).  A cycle space is spanned by XOR over z's own circuits;
+column at a time; the circuits from one subtransversal walk; and the
+nullities of all transversals, which the minor scan slices, from one walk.
+The two realizations are interchangeable.  The skew-pair parity, the cycle
+spaces and the orienting test read the circuits as ints with one bit per
+ground element (_masks).  A cycle space is spanned by XOR over z's own circuits;
 those of a deletion are z's circuits inside the kept set, so
 `cycle_space_avoiding` builds no deletion.
 
@@ -203,6 +204,7 @@ class Multimatroid:
     #   "odd_pair"          odd_skew_pair's answer, None when every union is even
     #   "circuits"          a packed realization's circuits
     #   "deletion"          mmlab.orienting's deletion tables
+    #   "nullities"         _nullity_table's per-transversal nullities
     __slots__ = ("carrier", "_circuits", "_rank_cache", "_field", "_rows", "_colvec", "_kept")
 
     def __init__(self, carrier: Carrier, matroid: Matroid | None = None,
@@ -490,6 +492,21 @@ def _closure_masks(z: Multimatroid, miss: int) -> bytes:
     return z._kept[key]
 
 
+def _nullity_table(z: Multimatroid) -> bytes:
+    """The nullity of every transversal of z, one byte each in product order
+    (class 0 slowest, slots in ground order), kept on z from the first call.
+    Packed realizations read them from one walk of fields.leaf_nullities;
+    circuit-list ones ask the rank oracle at each transversal."""
+    if "nullities" not in z._kept:
+        classes = [z.carrier.skew_class(c) for c in range(z.order)]
+        if z._colvec is not None:
+            found = fields.leaf_nullities(z._field, z._packed(classes))
+        else:
+            found = (len(t) - z._rank(t) for t in map(frozenset, product(*classes)))
+        z._kept["nullities"] = bytes(found)
+    return z._kept["nullities"]
+
+
 def _order_one_minor_loops(z: Multimatroid, miss: int) -> bytes:
     """For every pick S of one element per other class, laid out as
     _closure_masks(z, miss), the bit mask of the loops of the order-one
@@ -745,18 +762,23 @@ def same_rank_oracle(z1: Multimatroid, z2: Multimatroid) -> bool:
     return True
 
 
+def check_iso_bounds(*zs: Multimatroid) -> None:
+    """isomorphic's bounds, on the order and class sizes of its arguments."""
+    check_order(max(z.order for z in zs), ORDER_ISO, "isomorphic")
+    sizes = [k for z in zs for k in z.carrier.class_sizes]
+    if sizes and max(sizes) > ISO_CLASS_SIZE:
+        raise TooLarge(f"isomorphism search handles class sizes up to {ISO_CLASS_SIZE}")
+
+
 def isomorphic(z1: Multimatroid, z2: Multimatroid):
     """Search for an isomorphism (class permutation plus per-class slot
     bijections) carrying circuits onto circuits; returns the element map or
     None."""
-    check_order(max(z1.order, z2.order), ORDER_ISO, "isomorphic")
-    sizes = z1.carrier.class_sizes + z2.carrier.class_sizes
-    if sizes and max(sizes) > ISO_CLASS_SIZE:
-        raise TooLarge(f"isomorphism search handles class sizes up to {ISO_CLASS_SIZE}")
+    check_iso_bounds(z1, z2)
     if sorted(z1.carrier.class_sizes) != sorted(z2.carrier.class_sizes):
         return None
     cs1, cs2 = z1.circuits(), z2.circuits()
-    # the invariants below imply this, but has_minor's many misses end here
+    # the invariants below imply this, but it ends a miss sooner
     if sorted(map(len, cs1)) != sorted(map(len, cs2)):
         return None
     set2 = set(cs2)

@@ -214,4 +214,4 @@ def global_interlace(g) -> Polynomial:
 def bracket(g) -> Polynomial:
     """Loop-toggle nullity polynomial over the full vertex set."""
     check_size(g.n, VERTEX_INTERLACE, "bracket")
-    return shifted_power_sum(_toggle_histogram(g, [(1 << g.n) - 1], True), 0)
+    return Polynomial(_toggle_histogram(g, [(1 << g.n) - 1], True).values())

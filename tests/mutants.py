@@ -41,16 +41,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 KERNELS = {
     "fields": ("_echelon", "_reduce_gf4", "rref", "contract_columns", "_doubled",
-               "_with_a_multiple", "nullity_histogram", "span_masks", "circuit_picks"),
-    "multimatroids": ("_closure_masks", "_order_one_minor_loops", "near_transversal_scan",
-                      "tight_quick", "_masks", "_skew_pair_counts", "odd_skew_pair",
-                      "_cycle_space", "isomorphic"),
+               "_with_a_multiple", "nullity_histogram", "leaf_nullities", "span_masks",
+               "circuit_picks"),
+    "multimatroids": ("_closure_masks", "_nullity_table", "_order_one_minor_loops",
+                      "near_transversal_scan", "tight_quick", "_masks", "_skew_pair_counts",
+                      "odd_skew_pair", "_cycle_space", "check_iso_bounds", "isomorphic"),
     "matroids": ("minimal_sets",),
     "orienting": ("_DeletionTables",),
+    "catalog": ("_minor_histograms", "has_minor"),
 }
 TEST_FILES = ("tests/test_fields.py", "tests/test_walk.py", "tests/test_matroids.py",
               "tests/test_multimatroids.py", "tests/test_isotropic.py", "tests/test_orienting.py",
-              "tests/test_oracle_routes.py")
+              "tests/test_oracle_routes.py", "tests/test_catalog.py")
 TIMEOUT_S = 300
 
 SWAPS = {ast.BitXor: ast.BitOr, ast.BitOr: ast.BitXor,
@@ -94,6 +96,8 @@ EQUIVALENT = {
         "as in _echelon: no basis vector is zero",
     "fields.nullity_histogram+42:13 0->-1":
         "with no levels the histogram has one entry, so hist[-1] is hist[0]",
+    "fields.leaf_nullities+12:19 Lt->LtE":
+        "as in _echelon: no basis vector is zero",
     "fields.span_masks+19:23 Lt->LtE":
         "as in _echelon: no basis vector is zero",
     "fields.span_masks+22:20 BitOr->BitXor":
@@ -121,28 +125,38 @@ EQUIVALENT = {
         "with slot 0 in the union at most one of slots 1 and 2 is, so | and ^ agree",
     "multimatroids._cycle_space+17:16 BitOr->BitXor":
         "m is not in the space, so its coset is disjoint from it",
-    "multimatroids.isomorphic+8:4 drop `if sorted(z1.carrier.class_sizes) != sor`":
+    "multimatroids.isomorphic+5:4 drop `if sorted(z1.carrier.class_sizes) != sor`":
         "an early exit: the class invariants carry the class sizes, and unequal ones end "
         "the search",
-    "multimatroids.isomorphic+9:8 drop `return None`":
+    "multimatroids.isomorphic+6:8 drop `return None`":
         "an early exit: the class invariants carry the class sizes, and unequal ones end "
         "the search",
-    "multimatroids.isomorphic+12:4 drop `if sorted(map(len, cs1)) != sorted(map(l`":
+    "multimatroids.isomorphic+9:4 drop `if sorted(map(len, cs1)) != sorted(map(l`":
         "an early exit: the element invariants fix the multiset of circuit lengths",
-    "multimatroids.isomorphic+13:8 drop `return None`":
+    "multimatroids.isomorphic+10:8 drop `return None`":
         "an early exit: the element invariants fix the multiset of circuit lengths",
-    "multimatroids.isomorphic+26:4 drop `if sorted(inv1) != sorted(inv2):`":
+    "multimatroids.isomorphic+23:4 drop `if sorted(inv1) != sorted(inv2):`":
         "an early exit: each class maps onto an unused class of equal invariant, so the "
         "search finds no map",
-    "multimatroids.isomorphic+27:8 drop `return None`":
+    "multimatroids.isomorphic+24:8 drop `return None`":
         "an early exit: each class maps onto an unused class of equal invariant, so the "
         "search finds no map",
-    "multimatroids.isomorphic+50:16 drop `if any((einv1[c1, s] != einv2[c2, perm[s`":
+    "multimatroids.isomorphic+47:16 drop `if any((einv1[c1, s] != einv2[c2, perm[s`":
         "a pruning: an isomorphism keeps each element's invariant, so no cut branch maps",
-    "multimatroids.isomorphic+51:20 drop `continue`":
+    "multimatroids.isomorphic+48:20 drop `continue`":
         "a pruning: an isomorphism keeps each element's invariant, so no cut branch maps",
-    "multimatroids.isomorphic+59:8 drop `return False`":
+    "multimatroids.isomorphic+56:8 drop `return False`":
         "assign's result is only tested for truth, and None is false too",
+    "catalog._minor_histograms+17:32 1->2":
+        "a table entry is at most z.order, so the extra last entry stays 0, past the slice",
+    "catalog.has_minor+9:4 drop `if drop < 0:`":
+        "an early exit: no subtransversal has a negative size, so the scan returns None",
+    "catalog.has_minor+10:8 drop `return None`":
+        "an early exit: no subtransversal has a negative size, so the scan returns None",
+    "catalog.has_minor+9:14 0->-1":
+        "drop = -1 then passes the exit, and no subtransversal has size -1",
+    "catalog.has_minor+25:4 drop `return None`":
+        "falling off the end returns None too",
     "matroids.minimal_sets+5:19 LtE->Lt":
         "the candidates are deduplicated, so no kept set equals a later one",
     "orienting._DeletionTables+23:32 1->2":
@@ -215,9 +229,9 @@ def _sites(fn: ast.FunctionDef):
     return out
 
 
-def mutants(module: str, name: str) -> list[str]:
-    """The ids of every mutant of module.name."""
-    tree = ast.parse((ROOT / "src" / "mmlab" / f"{module}.py").read_text())
+def mutants(root: Path, module: str, name: str) -> list[str]:
+    """The ids of every mutant of module.name in the tree at root."""
+    tree = ast.parse((root / "src" / "mmlab" / f"{module}.py").read_text())
     ids = [f"{module}.{name}{desc}" for desc, _ in _sites(_function(tree, name))]
     assert len(set(ids)) == len(ids), "two mutants share an id"
     return ids
@@ -230,9 +244,10 @@ def _function(tree: ast.Module, name: str) -> ast.FunctionDef | ast.ClassDef:
     raise SystemExit(f"no top-level function or class {name}")
 
 
-def mutated_source(module: str, name: str, index: int) -> str:
-    """The source of module with mutant `index` of function name applied."""
-    tree = ast.parse((ROOT / "src" / "mmlab" / f"{module}.py").read_text())
+def mutated_source(root: Path, module: str, name: str, index: int) -> str:
+    """The source of module in the tree at root with mutant `index` of
+    function name applied."""
+    tree = ast.parse((root / "src" / "mmlab" / f"{module}.py").read_text())
     _sites(_function(tree, name))[index][1]()
     return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
 
@@ -263,9 +278,9 @@ def main(argv=None) -> int:
                if args.only in (None, f"{m}.{f}")]
     if args.list:
         for m, f in targets:
-            print("\n".join(mutants(m, f)))
+            print("\n".join(mutants(ROOT, m, f)))
         return 0
-    survived, unlisted = [], []
+    survived, unlisted, total = [], [], 0
     # SIGTERM as SystemExit: subprocess.run then kills the running pytest and
     # the temporary copy is removed on the way out
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
@@ -276,11 +291,15 @@ def main(argv=None) -> int:
         if not run_tests(copy):
             print("the unmutated tests fail; nothing to measure")
             return 1
+        # the ids and the mutants both come from the copy, which holds the
+        # unmutated module whenever they are read, whatever happens to ROOT
         for m, f in targets:
             target = copy / "src" / "mmlab" / f"{m}.py"
             original = target.read_text()
-            for i, mid in enumerate(mutants(m, f)):
-                target.write_text(mutated_source(m, f, i))
+            ids = mutants(copy, m, f)
+            total += len(ids)
+            for i, mid in enumerate(ids):
+                target.write_text(mutated_source(copy, m, f, i))
                 start = time.perf_counter()
                 killed = not run_tests(copy)
                 target.write_text(original)
@@ -291,7 +310,6 @@ def main(argv=None) -> int:
                     survived.append(mid)
                     if mid not in EQUIVALENT:
                         unlisted.append(mid)
-    total = sum(len(mutants(m, f)) for m, f in targets)
     print(f"{total} mutants: {total - len(survived)} killed, {len(survived)} survived, "
           f"{len(survived) - len(unlisted)} of them listed as equivalent")
     return 1 if unlisted else 0

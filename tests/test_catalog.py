@@ -3,12 +3,12 @@ from importlib import resources
 
 import pytest
 
-from conftest import (binary_sheltering_exists,
+from conftest import (KINDS, binary_sheltering_exists, build,
                       is_binary_matroid_oracle, random_graph,
                       random_standard_form, random_symmetric)
-from mmlab import catalog, serialize
+from mmlab import catalog, fields, serialize
 from mmlab.errors import (Degenerate, GroundMismatch, NotClassUnion,
-                          NotTight, NotTriple)
+                          NotTight, NotTriple, TooLarge)
 from mmlab.fields import GF2, GF4, GFMatrix
 from mmlab.isotropic import from_graph, isotropic_multimatroid, pair_multimatroid
 from mmlab.matroids import Matroid
@@ -388,3 +388,88 @@ def test_classify_runs_one_tightness_scan(tightness_scans):
     tightness_scans.clear()
     assert catalog.classify_binary_tight3(h33).binary is False
     assert tightness_scans == []
+
+
+def slice_matches(z, pattern):
+    """The subtransversals X that has_minor should build the minor by, in
+    its scan order: those whose built minor has the pattern's carrier and
+    nullity histogram, up to the first whose minor is isomorphic to it."""
+    out = []
+    for x in sorted(s for s in z.carrier.subtransversals()
+                    if len(s) == z.order - pattern.order):
+        zx = z.minor(x)
+        if zx.carrier == pattern.carrier and \
+                zx.nullity_histogram() == pattern.nullity_histogram():
+            out.append(frozenset(x))
+            if isomorphic(pattern, zx) is not None:
+                break
+    return out
+
+
+@pytest.fixture
+def table_walks(monkeypatch):
+    """A list that gains, from now on, one entry per fields.leaf_nullities
+    walk and one per rank-oracle miss on a circuit list."""
+    walks = []
+    leaf_nullities, rank_circuits = fields.leaf_nullities, Multimatroid._rank_circuits
+
+    def counted_walk(field, levels):
+        walks.append("walk")
+        return leaf_nullities(field, levels)
+
+    def counted_rank(self, s):
+        walks.append("rank")
+        return rank_circuits(self, s)
+
+    monkeypatch.setattr(fields, "leaf_nullities", counted_walk)
+    monkeypatch.setattr(Multimatroid, "_rank_circuits", counted_rank)
+    return walks
+
+
+def test_has_minor_builds_only_the_minors_whose_slice_matches(rng, cross_check_calls,
+                                                              table_walks):
+    _, minors = cross_check_calls
+    patterns = [catalog.fixture(name) for name in ("h33", "s4", "s5")]
+    zs = [catalog.fixture(name) for name in catalog.FIXTURE_NAMES]
+    zs += [build(kind, rng, n) for kind in KINDS for n in range(6)]
+    zs += [Multimatroid(z.carrier, circuits=z.circuits(), validate=False)
+           for z in (build("gf4", rng, n) for n in range(6))]
+    hits = 0
+    for z in zs:
+        for pattern in patterns:
+            want = slice_matches(z, pattern)
+            minors.clear()
+            table_walks.clear()
+            hit = catalog.has_minor(z, pattern)
+            assert minors == want
+            if table_walks and z.kind == "sheltered":
+                assert table_walks == ["walk"]
+            hits += hit is not None
+            table_walks.clear()
+            assert catalog.has_minor(z, pattern) == hit
+            assert table_walks == []  # the table and the ranks are kept on z
+    assert hits > 0
+
+
+def test_has_minor_checks_the_isomorphism_bounds_at_each_carrier_match():
+    # the slices differ, but isomorphic would have been asked, and refused
+    free = Multimatroid(Carrier((4,)), circuits=[])
+    looped = Multimatroid(Carrier((4,)), circuits=[frozenset({(0, 0)})])
+    with pytest.raises(TooLarge):
+        catalog.has_minor(free, looped)
+    assert catalog.has_minor(free, Multimatroid(Carrier((3,)), circuits=[])) is None
+    six = Multimatroid(Carrier.uniform(6, 2), circuits=[])
+    with pytest.raises(TooLarge):
+        catalog.has_minor(six, Multimatroid(Carrier.uniform(6, 2),
+                                            circuits=[frozenset({(0, 0)})]))
+    with pytest.raises(TooLarge):  # the scan's own bound, before any slice
+        catalog.has_minor(Multimatroid(Carrier.uniform(7, 2), circuits=[]), catalog.fixture("s4"))
+
+
+def test_has_minor_needs_the_pattern_carrier_class_by_class():
+    # (2, 3) and (3, 2) are isomorphic as free multimatroids, and their
+    # histograms agree, but a minor has the pattern's carrier only in order
+    z = Multimatroid(Carrier((2, 3)), circuits=[])
+    assert catalog.has_minor(z, Multimatroid(Carrier((3, 2)), circuits=[])) is None
+    assert catalog.has_minor(z, Multimatroid(Carrier((2, 3)), circuits=[])) == \
+        ((), {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (1, 0), (1, 1): (1, 1), (1, 2): (1, 2)})

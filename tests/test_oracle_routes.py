@@ -17,6 +17,10 @@ the built deletion's cycle space and the per-transversal frozenset span, and
 the skew-pair popcounts against the carrier's frozenset count.  The
 isomorphism search, which checks each circuit once, when its last class is
 mapped, is checked against an exhaustive search over every element map.
+The minor histograms that has_minor slices from z's table of transversal
+nullities are checked against q1 of the built minors, and has_minor, which
+builds only the minors whose slice matches the pattern's, against the scan
+that builds every minor and searches each for an isomorphism.
 """
 
 import random
@@ -29,15 +33,17 @@ from hypothesis import strategies as st
 
 from conftest import build, random_standard_form
 from mmlab import catalog, fields
+from mmlab.catalog import _minor_histograms, has_minor
 from mmlab.errors import NotTriple
 from mmlab.fields import GF2, GF4, GFMatrix, span_masks
 from mmlab.isotropic import Graph, from_graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, _closure_masks, _masks,
-                                 _order_one_minor_loops, _skew_pair_counts, cycle_space,
+                                 _nullity_table, _order_one_minor_loops, _skew_pair_counts, cycle_space,
                                  cycle_space_avoiding, dual_pair, free_sum, isomorphic,
                                  odd_skew_pair, same_rank_oracle, tight_quick)
 from mmlab.orienting import _DeletionTables, _scaled_weights, orienting_transversals
+from mmlab.polynomials import q1
 
 seeds = st.integers(0, 2 ** 32 - 1)
 ORT_KINDS = ("gf2", "gf4", "gf4_pair", "gf2_pair", "free4", "mixed", "circuits",
@@ -490,3 +496,73 @@ def test_isomorphic_finds_the_first_map_of_an_exhaustive_search(kind, seed, n, r
     found = isomorphic(z1, z2)
     assert found == exhaustive_isomorphism(z1, z2)
     assert (found is not None) >= relabel
+
+
+@given(st.sampled_from(ORT_KINDS), seeds, st.integers(0, 4), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_sliced_minor_histograms_match_q1_of_built_minors(kind, seed, n, as_circuits):
+    """Every subtransversal X, drop 0 and drop = order included, on GF(2)
+    and GF(4) packed builds and on circuit lists (rebuilt from those too, so
+    with mixed class sizes): the histogram sliced from z's nullity table is
+    q1 of the built minor z/X, padded to the minor's order + 1 entries.  The
+    table holds the nullity of every transversal, in carrier order."""
+    rng = random.Random(seed)
+    z = build_any(kind, rng, n)
+    if as_circuits:
+        z = circuit_rebuild(z)
+    assert list(_nullity_table(z)) == [z.nullity(t) for t in z.carrier.transversals()]
+    histogram = _minor_histograms(z)
+    for x in z.carrier.subtransversals():
+        hist = histogram(x)
+        coeffs = list(q1(z.minor(x)).coeffs)
+        assert hist == coeffs + [0] * (z.order - len(x) + 1 - len(coeffs)), x
+
+
+def scan_every_minor(z: Multimatroid, pattern: Multimatroid):
+    """The oracle route for has_minor: build the minor by every
+    subtransversal X of the right size, in sorted order, and search each
+    one of the pattern's carrier for an isomorphism; the first X found, with
+    the witness map into z's elements, or None."""
+    drop = z.order - pattern.order
+    if drop < 0:
+        return None
+    for x in sorted(s for s in z.carrier.subtransversals() if len(s) == drop):
+        zx = z.minor(x)
+        if zx.carrier != pattern.carrier:
+            continue
+        iso = isomorphic(pattern, zx)
+        if iso is not None:
+            back = z.minor_class_map(x)
+            return x, [(pe, (back[ze[0]], ze[1])) for pe, ze in iso.items()]
+    return None
+
+
+def check_has_minor(z: Multimatroid, pattern: Multimatroid) -> None:
+    found = has_minor(z, pattern)
+    if found is not None:
+        found = found[0], list(found[1].items())
+    assert found == scan_every_minor(z, pattern)
+
+
+MINOR_PATTERNS = ("h33", "s4", "s5")
+
+
+@pytest.mark.parametrize("name", catalog.FIXTURE_NAMES)
+def test_has_minor_matches_the_scan_of_every_minor_on_the_fixtures(name):
+    for pattern in MINOR_PATTERNS:
+        check_has_minor(catalog.fixture(name), catalog.fixture(pattern))
+
+
+@given(st.sampled_from(("gf2", "gf4", "circuits", "matroid_circuits", "gf4_pair", "gf2_pair")),
+       seeds, st.integers(0, 5), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_has_minor_matches_the_scan_of_every_minor(kind, seed, n, as_circuits):
+    """The classifier's tight 3-matroids (GF(2), GF(4) and circuit-list
+    builds) and pairs over GF(2) and GF(4), each also rebuilt as a circuit
+    list, against the h33, s4 and s5 patterns: the same first X and the same
+    witness, entry for entry."""
+    z = build_any(kind, random.Random(seed), n)
+    if as_circuits:
+        z = circuit_rebuild(z)
+    for pattern in MINOR_PATTERNS:
+        check_has_minor(z, catalog.fixture(pattern))

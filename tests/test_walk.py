@@ -8,7 +8,8 @@ _scale_row and rank_of_vectors.  The nullity walk (fields.nullity_histogram,
 reached through Multimatroid.nullity_histogram and the graph polynomials) is
 checked against per-leaf references: one full elimination per leaf, one
 rank-oracle nullity per transversal, and one Graph.nullity_mask per (vertex
-mask, loop toggle).  The span walk (fields.span_masks) is checked against
+mask, loop toggle); its leaf-writing form (fields.leaf_nullities), against
+the same per-leaf eliminations, leaf by leaf.  The span walk (fields.span_masks) is checked against
 one rank_of_vectors per leaf and target, on levels and targets of unequal
 widths.  The circuit walk (fields.circuit_picks, behind the circuits() of
 packed multimatroids and represented matroids) is checked against the
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from conftest import KINDS, build, random_graph, random_standard_form
 from mmlab import catalog
 from mmlab.fields import (GF2, GF4, GFMatrix, _doubled, _scale_row, circuit_picks,
-                          nullity_histogram, rank_of_vectors, span_masks)
+                          leaf_nullities, nullity_histogram, rank_of_vectors, span_masks)
 from mmlab.matroids import Matroid, minimal_sets
 from mmlab.multimatroids import (Carrier, Multimatroid, is_multimatroid, is_tight,
                                  near_transversal_scan, tight_quick)
@@ -69,15 +70,17 @@ def test_kernel_matches_per_leaf_elimination(field, seed, depth, weighted):
     levels = pairs if field == GF4 else [[lo for lo, _ in c] for c in pairs]
     weights = ([[Fraction(rng.randint(-2, 2)) for _ in c] for c in levels]
                if weighted else None)
-    want = [0] * (depth + 1)
+    want, leaves = [0] * (depth + 1), []
     for idx in product(*[range(len(c)) for c in levels]):
+        picked = [pairs[i][j] for i, j in enumerate(idx)]
+        leaves.append(depth - rank_of_vectors(field, picked))
         w = 1
         for i, j in enumerate(idx):
             w *= weights[i][j] if weighted else 1
         if w:
-            picked = [pairs[i][j] for i, j in enumerate(idx)]
-            want[depth - rank_of_vectors(field, picked)] += w
+            want[leaves[-1]] += w
     assert nullity_histogram(field, levels, weights) == want
+    assert leaf_nullities(field, levels) == bytes(leaves)
 
 
 planes = st.tuples(st.integers(0, 255), st.integers(0, 255))
@@ -172,6 +175,7 @@ def test_order_zero():
     assert z.nullity_histogram(weights={}) == [1]
     assert nullity_histogram(GF2, []) == [1]
     assert nullity_histogram(GF4, [], []) == [1]
+    assert leaf_nullities(GF2, []) == leaf_nullities(GF4, []) == bytes(1)
 
 
 @given(st.sampled_from(KINDS), seeds, st.integers(1, 4))
