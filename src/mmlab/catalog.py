@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from math import prod
 from typing import Iterable
 
 from .bounds import (ORDER_CLASSIFY, ORDER_EXTENSION, ORDER_MINOR_SCAN,
@@ -17,7 +16,7 @@ from .errors import (Degenerate, GroundMismatch, InternalInconsistency,
 from .fields import GF2, GF4, GFMatrix
 from .isotropic import IsotropicBuild, isotropic_multimatroid, pair_multimatroid
 from .matroids import Matroid, minimal_sets
-from .multimatroids import (Carrier, Element, Multimatroid, _nullity_table,
+from .multimatroids import (Carrier, Element, Multimatroid, _nullity_table, _table_indices,
                             as_subtransversal, carrier_elements, check_iso_bounds,
                             dual_pair, is_tight, isomorphic, odd_skew_pair,
                             same_rank_oracle, tight_quick)
@@ -117,22 +116,22 @@ def fixture(name: str) -> Multimatroid:
 def _minor_histograms(z: Multimatroid):
     """The map from a subtransversal X of z to the nullity histogram of the
     minor z/X, as its nullity_histogram gives it, read from z's nullity
-    table: each transversal T of z/X has nullity n(T + X) - n(X)."""
+    table: each transversal T of z/X has nullity n(T + X) - n(X).  A
+    position in the table is linear in the slots, so T + X sits at X's
+    position (slot 0 off X) plus T's (slot 0 on X's classes), which is kept
+    per set of touched classes."""
     sizes = z.carrier.class_sizes
-    strides = [prod(sizes[c + 1:]) for c in range(z.order)]
-    leaves: dict[frozenset, list[int]] = {}
+    offsets: dict[frozenset, list[int]] = {}
 
     def histogram(x) -> list[int]:
-        touched = frozenset(c for c, _ in x)
-        if touched not in leaves:
-            offsets = [0]
-            for c in range(z.order):
-                if c not in touched:
-                    offsets = [o + s * strides[c] for o in offsets for s in range(sizes[c])]
-            leaves[touched] = offsets
-        table, base = _nullity_table(z), sum(s * strides[c] for c, s in x)
-        hist = [0] * (z.order + 1)
-        for o in leaves[touched]:
+        picked = dict(x)
+        touched = frozenset(picked)
+        if touched not in offsets:
+            offsets[touched] = _table_indices(
+                z.carrier, [(0,) if c in touched else range(k) for c, k in enumerate(sizes)])
+        (base,) = _table_indices(z.carrier, [(picked.get(c, 0),) for c in range(z.order)])
+        table, hist = _nullity_table(z), [0] * (z.order + 1)
+        for o in offsets[touched]:
             hist[table[base + o]] += 1
         nx = len(x) - z._rank(frozenset(x))
         return hist[nx:nx + z.order - len(x) + 1]

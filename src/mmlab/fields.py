@@ -8,7 +8,8 @@ All arithmetic is exact; there is no floating point anywhere.  There is one
 pivoting routine, _echelon (with _reduce_gf4 over GF(4)): rank, contraction
 (which builds packed minors) and rref call it; the validators' second route
 reduces rows in multimatroids, with only the scalar arithmetic from here.
-The walks inline its GF(2) step alone: over GF(4) a span is the GF(2)
+The three walks (leaf_nullities, the only nullity walk; span_masks;
+circuit_picks) inline its GF(2) step alone: over GF(4) a span is the GF(2)
 span of the vectors and their a-multiples, so _doubled packs each (lo, hi)
 as one GF(2) int and each new basis vector brings its a-multiple along.
 """
@@ -315,56 +316,18 @@ def _with_a_multiple(basis: tuple, v: int, amul) -> tuple:
     return basis + (v,)
 
 
-def nullity_histogram(field: int, levels: Sequence[Sequence],
-                      weights: Sequence[Sequence] | None = None) -> list:
-    """Nullity histogram of every way to pick one vector per level.
+def leaf_nullities(field: int, levels: Sequence[Sequence]) -> bytes:
+    """The nullity of every way to pick one vector per level, one byte per
+    leaf in product order.
 
     levels[i] lists the packed candidates of level i: ints over GF(2),
-    (lo, hi) pairs over GF(4).  A leaf picks one candidate per level; its
-    nullity is the level count minus the rank of the picked vectors.
-    hist[n] is the number of leaves of nullity n or, given weights[i][j]
-    for candidate j of level i, the sum of their weight products.
-    Zero-weight candidates are pruned, so hist[n] stays int 0 where no leaf
-    landed.
-
-    One depth-first walk carries the GF(2) echelon basis of the prefix
-    picked so far (over GF(4), of the doubled vectors and their
+    (lo, hi) pairs over GF(4).  A leaf's nullity is the level count minus
+    the rank of its picked vectors; with no levels there is one leaf, of
+    nullity 0.  One depth-first walk carries the GF(2) echelon basis of the
+    prefix picked so far (over GF(4), of the doubled vectors and their
     a-multiples), so each node reduces one vector instead of re-eliminating
     the whole leaf.
     """
-    levels, _, amul = _doubled(field, levels)
-    if weights is None:
-        picks = [[(v, 1) for v in c] for c in levels]
-    else:
-        picks = [[(v, x) for v, x in zip(c, ws) if x] for c, ws in zip(levels, weights)]
-    hist = [0] * (len(picks) + 1)
-    last = len(picks) - 1
-
-    def walk(i, basis, null, w):
-        for v, x in picks[i]:
-            for b in basis:  # the reduction of _echelon, inlined
-                r = v ^ b
-                if r < v:
-                    v = r
-            if i == last:
-                hist[null if v else null + 1] += w * x
-            elif v:
-                walk(i + 1, _with_a_multiple(basis, v, amul) if amul else basis + (v,),
-                     null, w * x)
-            else:
-                walk(i + 1, basis, null + 1, w * x)
-
-    if picks:
-        walk(0, (), 0, 1)
-    else:
-        hist[0] = 1
-    return hist
-
-
-def leaf_nullities(field: int, levels: Sequence[Sequence]) -> bytes:
-    """The nullity of every way to pick one vector per level, one byte per
-    leaf in product order: nullity_histogram's walk, writing each leaf
-    instead of counting it.  With no levels there is one leaf, of nullity 0."""
     levels, _, amul = _doubled(field, levels)
     out = bytearray()
     last = len(levels) - 1
@@ -392,11 +355,11 @@ def leaf_nullities(field: int, levels: Sequence[Sequence]) -> bytes:
 def span_masks(field: int, levels: Sequence[Sequence], targets: Sequence) -> list[int]:
     """For every way to pick one vector per level, in product order, the
     bit mask of the targets in the span of the picked vectors: bit j is set
-    when targets[j] is.  Vectors are packed as in nullity_histogram; with
+    when targets[j] is.  Vectors are packed as in leaf_nullities; with
     no levels there is one leaf, whose span is zero.
 
     One depth-first walk carries the GF(2) echelon basis of the prefix, as
-    nullity_histogram's does, and reduces the targets at each leaf.
+    leaf_nullities's does, and reduces the targets at each leaf.
     """
     (*levels, targets), _, amul = _doubled(field, (*levels, targets))
     masks: list[int] = []
@@ -431,7 +394,7 @@ def span_masks(field: int, levels: Sequence[Sequence], targets: Sequence) -> lis
 def circuit_picks(field: int, levels: Sequence[Sequence]) -> list[tuple]:
     """Every minimal dependent way to pick at most one vector per level, as
     its (level, candidate index) pairs in level order.  Vectors are packed
-    as in nullity_histogram.
+    as in leaf_nullities.
 
     One depth-first walk skips each level or picks one of its candidates,
     carrying the GF(2) echelon basis of the prefix picked so far.  Each

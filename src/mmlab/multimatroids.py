@@ -14,12 +14,13 @@ orienting test read, come from one echelon walk per missing class; the loops
 of the order-one minors, which the validators check those closures against,
 from one walk per missing class that row-reduces the matrix one picked
 column at a time; the circuits from one subtransversal walk; and the
-nullities of all transversals, which the minor scan slices, from one walk.
-The two realizations are interchangeable.  The skew-pair parity, the cycle
-spaces and the orienting test read the circuits as ints with one bit per
-ground element (_masks).  A cycle space is spanned by XOR over z's own circuits;
-those of a deletion are z's circuits inside the kept set, so
-`cycle_space_avoiding` builds no deletion.
+nullities of all transversals from one walk.  Every transversal sum (q1,
+the transition polynomials, the minor scan's histograms) slices that one
+table, on either realization.  The two realizations are interchangeable.
+The skew-pair parity, the cycle spaces and the orienting test read the
+circuits as ints with one bit per ground element (_masks).  A cycle space
+is spanned by XOR over z's own circuits; those of a deletion are z's
+circuits inside the kept set, so `cycle_space_avoiding` builds no deletion.
 
 Besides its carrier and realization, an object keeps the ranks it was asked
 for and one memo, `Multimatroid._kept`, of every derived answer (listed
@@ -29,7 +30,6 @@ there), each computed on its first read; a build that raises keeps nothing.
 from __future__ import annotations
 
 from itertools import accumulate, combinations, permutations, product
-from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import fields
@@ -204,7 +204,8 @@ class Multimatroid:
     #   "odd_pair"          odd_skew_pair's answer, None when every union is even
     #   "circuits"          a packed realization's circuits
     #   "deletion"          mmlab.orienting's deletion tables
-    #   "nullities"         _nullity_table's per-transversal nullities
+    #   "nullities"         _nullity_table's per-transversal nullities, which
+    #                       every transversal sum reads
     __slots__ = ("carrier", "_circuits", "_rank_cache", "_field", "_rows", "_colvec", "_kept")
 
     def __init__(self, carrier: Carrier, matroid: Matroid | None = None,
@@ -379,22 +380,22 @@ class Multimatroid:
                           weights: Mapping[Element, object] | None = None) -> list:
         """hist[n]: the number of transversals avoiding the banned elements
         with nullity n or, given element weights, the sum of their weight
-        products.  A class emptied by the bans leaves every entry zero."""
+        products, read from _nullity_table.  A zero weight acts as a ban, so
+        an entry that no transversal reaches stays int 0; a class emptied by
+        the bans leaves every entry zero."""
         bans = carrier_elements(self.carrier, banned)
-        cands = [[e for e in self.carrier.skew_class(c) if e not in bans]
-                 for c in range(self.order)]
-        if self._colvec is not None:
-            return fields.nullity_histogram(
-                self._field, self._packed(cands),
-                None if weights is None else [[weights[e] for e in es] for es in cands])
-        # Second path, for circuit-list realizations (including matroids
-        # given by circuits): one rank-oracle call per leaf.
-        hist = [0] * (self.order + 1)
-        for t in product(*cands):
-            w = 1 if weights is None else prod(weights[e] for e in t)
-            if w:
-                s = frozenset(t)
-                hist[len(s) - self._rank(s)] += w
+        slots = [[s for s in range(k) if (c, s) not in bans and (weights is None or weights[c, s])]
+                 for c, k in enumerate(self.carrier.class_sizes)]
+        table, hist = _nullity_table(self), [0] * (self.order + 1)
+        if weights is None:
+            for i in _table_indices(self.carrier, slots):
+                hist[table[i]] += 1
+            return hist
+        products = [1]  # each leaf's weight product, in _table_indices's order
+        for c, ss in enumerate(slots):
+            products = [w * weights[c, s] for w in products for s in ss]
+        for i, w in zip(_table_indices(self.carrier, slots), products):
+            hist[table[i]] += w
         return hist
 
     def basis_transversals(self) -> list[tuple[Element, ...]]:
@@ -490,6 +491,15 @@ def _closure_masks(z: Multimatroid, miss: int) -> bytes:
                      for picks in product(*[range(sizes[c]) for c in others]))
         z._kept[key] = bytes(found)
     return z._kept[key]
+
+
+def _table_indices(carrier: Carrier, slots: Sequence[Sequence[int]]) -> list[int]:
+    """The positions in _nullity_table of the transversals that pick a slot
+    of slots[c] in each class c, in product order."""
+    out = [0]
+    for k, ss in zip(carrier.class_sizes, slots):
+        out = [i * k + s for i in out for s in ss]
+    return out
 
 
 def _nullity_table(z: Multimatroid) -> bytes:

@@ -2,9 +2,10 @@
 
 The weighted transition polynomial of a multimatroid sums, over all
 transversals, the product of the element weights times y raised to the
-transversal's nullity.  The interlace, global interlace and bracket
-polynomials of a graph are subset sums of shifted powers over GF(2)
-nullities and are expanded to the standard y basis immediately.
+transversal's nullity, read from the one nullity table the multimatroid
+keeps.  The interlace, global interlace and bracket polynomials of a graph
+are subset sums of shifted powers over GF(2) nullities, counted from
+fields.leaf_nullities, and are expanded to the standard y basis immediately.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .bounds import (ORDER_GENERAL, TUTTE_DIAGONAL_SIZE, VERTEX_GLOBAL_INTERLACE
                      VERTEX_INTERLACE, check_order, check_size)
 from .errors import (Degenerate, IncompleteWeights, MalformedInput,
                      NotSubtransversal)
-from .fields import GF2, nullity_histogram
+from .fields import GF2, leaf_nullities
 from .matroids import Matroid
 from .multimatroids import Element, Multimatroid, as_subtransversal, dual_pair
 
@@ -194,8 +195,9 @@ def _toggle_histogram(g, xmasks: Iterable[int], toggled: bool) -> dict[int, int]
             if (xmask >> v) & 1:
                 row = g.adj_masks[v] & xmask
                 levels.append([row, row ^ (1 << v)] if toggled else [row])
-        for n, c in enumerate(nullity_histogram(GF2, levels)):
-            counts[n] += c
+        leaves = leaf_nullities(GF2, levels)
+        for n in range(len(levels) + 1):
+            counts[n] += leaves.count(n)
     return dict(enumerate(counts))
 
 

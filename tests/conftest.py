@@ -371,3 +371,23 @@ def circuit_enumerations(monkeypatch):
     monkeypatch.setattr(multimatroids, "minimal_sets", counted_sets)
     monkeypatch.setattr(fields, "circuit_picks", counted_walk)
     return made
+
+
+@pytest.fixture
+def table_walks(monkeypatch):
+    """A list that gains, from now on, one entry per fields.leaf_nullities
+    walk and one per rank-oracle miss on a circuit list."""
+    walks = []
+    leaf_nullities, rank_circuits = fields.leaf_nullities, Multimatroid._rank_circuits
+
+    def counted_walk(field, levels):
+        walks.append("walk")
+        return leaf_nullities(field, levels)
+
+    def counted_rank(self, s):
+        walks.append("rank")
+        return rank_circuits(self, s)
+
+    monkeypatch.setattr(fields, "leaf_nullities", counted_walk)
+    monkeypatch.setattr(Multimatroid, "_rank_circuits", counted_rank)
+    return walks

@@ -41,9 +41,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 KERNELS = {
     "fields": ("_echelon", "_reduce_gf4", "rref", "contract_columns", "_doubled",
-               "_with_a_multiple", "nullity_histogram", "leaf_nullities", "span_masks",
-               "circuit_picks"),
-    "multimatroids": ("_closure_masks", "_nullity_table", "_order_one_minor_loops",
+               "_with_a_multiple", "leaf_nullities", "span_masks", "circuit_picks"),
+    "multimatroids": ("Multimatroid.nullity_histogram", "_table_indices", "_closure_masks",
+                      "_nullity_table", "_order_one_minor_loops",
                       "near_transversal_scan", "tight_quick", "_masks", "_skew_pair_counts",
                       "odd_skew_pair", "_cycle_space", "check_iso_bounds", "isomorphic"),
     "matroids": ("minimal_sets",),
@@ -92,11 +92,7 @@ EQUIVALENT = {
         "lo has at most w bits, below hi << w",
     "fields._with_a_multiple+8:11 Lt->LtE":
         "as in _echelon: no basis vector is zero",
-    "fields.nullity_histogram+29:19 Lt->LtE":
-        "as in _echelon: no basis vector is zero",
-    "fields.nullity_histogram+42:13 0->-1":
-        "with no levels the histogram has one entry, so hist[-1] is hist[0]",
-    "fields.leaf_nullities+12:19 Lt->LtE":
+    "fields.leaf_nullities+20:19 Lt->LtE":
         "as in _echelon: no basis vector is zero",
     "fields.span_masks+19:23 Lt->LtE":
         "as in _echelon: no basis vector is zero",
@@ -147,7 +143,7 @@ EQUIVALENT = {
         "a pruning: an isomorphism keeps each element's invariant, so no cut branch maps",
     "multimatroids.isomorphic+56:8 drop `return False`":
         "assign's result is only tested for truth, and None is false too",
-    "catalog._minor_histograms+17:32 1->2":
+    "catalog._minor_histograms+17:58 1->2":
         "a table entry is at most z.order, so the extra last entry stays 0, past the slice",
     "catalog.has_minor+9:4 drop `if drop < 0:`":
         "an early exit: no subtransversal has a negative size, so the scan returns None",
@@ -238,10 +234,14 @@ def mutants(root: Path, module: str, name: str) -> list[str]:
 
 
 def _function(tree: ast.Module, name: str) -> ast.FunctionDef | ast.ClassDef:
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
-            return node
-    raise SystemExit(f"no top-level function or class {name}")
+    """The function or class named name, or Class.method for a method."""
+    node = tree
+    for part in name.split("."):
+        node = next((n for n in node.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                     and n.name == part), None)
+        if node is None:
+            raise SystemExit(f"no function or class {name}")
+    return node
 
 
 def mutated_source(root: Path, module: str, name: str, index: int) -> str:
@@ -272,7 +272,7 @@ def run_tests(copy: Path) -> bool:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--list", action="store_true", help="print the mutant ids and stop")
-    p.add_argument("--only", help="one kernel, as module.function")
+    p.add_argument("--only", help="one kernel, as module.function or module.Class.method")
     args = p.parse_args(argv)
     targets = [(m, f) for m, fs in KERNELS.items() for f in fs
                if args.only in (None, f"{m}.{f}")]

@@ -6,7 +6,7 @@ import pytest
 from conftest import (KINDS, binary_sheltering_exists, build,
                       is_binary_matroid_oracle, random_graph,
                       random_standard_form, random_symmetric)
-from mmlab import catalog, fields, serialize
+from mmlab import catalog, serialize
 from mmlab.errors import (Degenerate, GroundMismatch, NotClassUnion,
                           NotTight, NotTriple, TooLarge)
 from mmlab.fields import GF2, GF4, GFMatrix
@@ -404,26 +404,6 @@ def slice_matches(z, pattern):
             if isomorphic(pattern, zx) is not None:
                 break
     return out
-
-
-@pytest.fixture
-def table_walks(monkeypatch):
-    """A list that gains, from now on, one entry per fields.leaf_nullities
-    walk and one per rank-oracle miss on a circuit list."""
-    walks = []
-    leaf_nullities, rank_circuits = fields.leaf_nullities, Multimatroid._rank_circuits
-
-    def counted_walk(field, levels):
-        walks.append("walk")
-        return leaf_nullities(field, levels)
-
-    def counted_rank(self, s):
-        walks.append("rank")
-        return rank_circuits(self, s)
-
-    monkeypatch.setattr(fields, "leaf_nullities", counted_walk)
-    monkeypatch.setattr(Multimatroid, "_rank_circuits", counted_rank)
-    return walks
 
 
 def test_has_minor_builds_only_the_minors_whose_slice_matches(rng, cross_check_calls,

@@ -20,7 +20,11 @@ mapped, is checked against an exhaustive search over every element map.
 The minor histograms that has_minor slices from z's table of transversal
 nullities are checked against q1 of the built minors, and has_minor, which
 builds only the minors whose slice matches the pattern's, against the scan
-that builds every minor and searches each for an isomorphism.
+that builds every minor and searches each for an isomorphism.  q1 and the
+q1 of the third-slot deletion of a graph build, read from that table, are
+checked against kernel counting: the nullity of each transversal from the
+number of vertex sets the adjacency matrix, with its loops toggled, sends to
+zero, found by bit parity with no elimination.
 """
 
 import random
@@ -31,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build, random_standard_form
+from conftest import all_graphs, build, random_graph, random_standard_form
 from mmlab import catalog, fields
 from mmlab.catalog import _minor_histograms, has_minor
 from mmlab.errors import NotTriple
@@ -41,9 +45,9 @@ from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, _closure_masks, _masks,
                                  _nullity_table, _order_one_minor_loops, _skew_pair_counts, cycle_space,
                                  cycle_space_avoiding, dual_pair, free_sum, isomorphic,
-                                 odd_skew_pair, same_rank_oracle, tight_quick)
+                                 odd_skew_pair, same_rank_oracle, tight_quick, transversal_slot)
 from mmlab.orienting import _DeletionTables, _scaled_weights, orienting_transversals
-from mmlab.polynomials import q1
+from mmlab.polynomials import Polynomial, q1, q1_avoiding
 
 seeds = st.integers(0, 2 ** 32 - 1)
 ORT_KINDS = ("gf2", "gf4", "gf4_pair", "gf2_pair", "free4", "mixed", "circuits",
@@ -566,3 +570,46 @@ def test_has_minor_matches_the_scan_of_every_minor(kind, seed, n, as_circuits):
         z = circuit_rebuild(z)
     for pattern in MINOR_PATTERNS:
         check_has_minor(z, catalog.fixture(pattern))
+
+
+def q1_by_kernel_counting(g: Graph, avoid_slot: int | None = None) -> Polynomial:
+    """The oracle route for q1 of a graph build, with no elimination (after
+    Bouchet's isotropic systems).  Class v holds e_v, A's column v and their
+    sum at slots 0, 1 and 2, so the transversal that picks slot 0 off X,
+    slot 1 on X - D and slot 2 on D has nullity log2 of the number of
+    W ⊆ X with (A + D)[X]·1_W = 0: each W is tested by the parity of its
+    bits in every row.  Transversals holding avoid_slot are skipped."""
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    hist = [0] * (g.n + 1)
+    for slots in product(range(3), repeat=g.n):
+        if avoid_slot in slots:
+            continue
+        x = sum(1 << v for v, s in enumerate(slots) if s)
+        rows = [(adj[v] ^ (s == 2) << v) & x for v, s in enumerate(slots) if s]
+        kernel = sum(all((r & w).bit_count() % 2 == 0 for r in rows)
+                     for w in range(1 << g.n) if not w & ~x)
+        hist[kernel.bit_length() - 1] += 1
+    return Polynomial(hist)
+
+
+def check_q1_by_kernel_counting(g: Graph) -> None:
+    z = from_graph(g, validate=False).multimatroid
+    assert q1(z) == q1_by_kernel_counting(g), g
+    assert q1_avoiding(z, transversal_slot(z, 2)) == q1_by_kernel_counting(g, 2), g
+
+
+def test_q1_matches_kernel_counting_on_every_graph_up_to_4_vertices():
+    graphs = [g for n in range(5) for g in all_graphs(n, loops=True)]
+    assert len(graphs) == 1099
+    for g in graphs:
+        check_q1_by_kernel_counting(g)
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_q1_matches_kernel_counting_on_random_5_vertex_graphs(seed):
+    rng = random.Random(seed)
+    check_q1_by_kernel_counting(random_graph(rng, 5, loops=True, p=rng.choice((0.25, 0.5, 0.75))))

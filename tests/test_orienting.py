@@ -16,7 +16,7 @@ from mmlab.multimatroids import (Carrier, Multimatroid, dual_pair, free_sum,
 from mmlab.orienting import (_WEIGHT_SEED, _validate_binary_tight3, disjoint_orienting,
                              evaluation_suite, is_orienting,
                              orienting_from_seed, orienting_transversals)
-from mmlab.polynomials import q1, transition
+from mmlab.polynomials import q1, q1_avoiding, transition
 
 
 def test_ort_of_empty_multimatroid():
@@ -473,3 +473,15 @@ def test_the_orienting_set_is_decoded_once_per_object(monkeypatch):
                 orienting_from_seed(z, t)
     assert evaluation_suite(z, transversal_slot(z, 0)).ort_count == len(kept)
     assert len(decoded) == 1
+
+
+def test_every_transversal_sum_reads_one_nullity_walk(table_walks):
+    # q1, the deletion's q1, the transition polynomial and the suite's
+    # weighted and deleted sums all slice the one nullity table z keeps
+    z = from_graph(Graph(4, [(0, 0), (0, 1), (1, 2), (2, 3), (3, 0)]),
+                   validate=False).multimatroid
+    q1(z)
+    q1_avoiding(z, transversal_slot(z, 2))
+    transition(z, {e: Fraction(e[1] + 1, 2) for e in z.carrier.elements()})
+    assert evaluation_suite(z, transversal_slot(z, 0)).passed
+    assert table_walks == ["walk"]
