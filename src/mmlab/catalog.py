@@ -145,15 +145,18 @@ def has_minor(z: Multimatroid, pattern: Multimatroid):
     elements of z; None when no minor matches.  q1 is an isomorphism
     invariant, so a minor is built and searched only when its carrier and
     its nullity histogram, sliced from z's nullity table, equal the
-    pattern's."""
+    pattern's.  Only the subtransversals of size order(z) - order(pattern)
+    are made: one slot per class of each set of that many classes."""
     z._check_enum_bounds(ORDER_MINOR_SCAN, "has_minor")
     drop = z.order - pattern.order
     if drop < 0:
         return None
     want, histogram = pattern.nullity_histogram(), _minor_histograms(z)
-    for x in sorted(s for s in z.carrier.subtransversals() if len(s) == drop):
+    sizes = z.carrier.class_sizes
+    for x in sorted(tuple(zip(cs, ss)) for cs in combinations(range(z.order), drop)
+                    for ss in product(*[range(sizes[c]) for c in cs])):
         touched = {c for c, _ in x}
-        if tuple(k for c, k in enumerate(z.carrier.class_sizes)
+        if tuple(k for c, k in enumerate(sizes)
                  if c not in touched) != pattern.carrier.class_sizes:
             continue
         check_iso_bounds(pattern)  # as isomorphic(pattern, z.minor(x)) would

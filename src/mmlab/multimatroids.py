@@ -16,7 +16,9 @@ from one walk per missing class that row-reduces the matrix one picked
 column at a time; the circuits from one subtransversal walk; and the
 nullities of all transversals from one walk.  Every transversal sum (q1,
 the transition polynomials, the minor scan's histograms) slices that one
-table, on either realization.  The two realizations are interchangeable.
+table, on either realization.  Structural equality compares the ranks of
+all subtransversals, on packed realizations from one walk of that kernel.
+The two realizations are interchangeable.
 The skew-pair parity, the cycle spaces and the orienting test read the
 circuits as ints with one bit per ground element (_masks).  A cycle space
 is spanned by XOR over z's own circuits; those of a deletion are z's
@@ -569,6 +571,9 @@ def _order_one_minor_loops(z: Multimatroid, miss: int) -> bytes:
     return bytes(found)
 
 
+_ONE_BIT = bytes(1 << i for i in range(8))  # the bytes with exactly one bit set
+
+
 def near_transversal_scan(z: Multimatroid, op: str):
     """Both validators from one scan: (exclusion witness (S, x1, x2),
     tightness witness (S, missing_class)), each None when its check passes.
@@ -580,26 +585,33 @@ def near_transversal_scan(z: Multimatroid, op: str):
     read from the class's _closure_masks table, and must equal the loops of
     the order-one minor by S, read from _order_one_minor_loops, a second
     route that row-reduces the matrix, or the scan raises
-    InternalInconsistency.
+    InternalInconsistency.  A class's picks S are walked, to find the first
+    that fails, only when its two tables differ or a closure is not one slot.
 
     The bounds are checked under op on every call.  The pair is kept on z
     for later calls; a scan that raises keeps none."""
     z._check_enum_bounds(ORDER_GENERAL, op)
     if "scan" not in z._kept:
-        excess = loose = last = None
-        for s, miss in z.carrier.near_transversals():
-            if miss != last:
-                pairs, last = zip(_closure_masks(z, miss), _order_one_minor_loops(z, miss)), miss
-            mask, loops = next(pairs)
-            if mask != loops:
-                raise InternalInconsistency(f"{op}: the order-one minor by {list(s)} "
-                                            "disagrees with the closure")
-            if mask.bit_count() >= 2:
-                flat = [x for x in z.carrier.skew_class(miss) if mask >> x[1] & 1]
-                excess, loose = (s, flat[0], flat[1]), loose or (s, miss)
+        excess = loose = None
+        for miss in range(z.order):
+            masks, loops = _closure_masks(z, miss), _order_one_minor_loops(z, miss)
+            if masks == loops and not masks.translate(None, _ONE_BIT):
+                continue
+            others = [c for c in range(z.order) if c != miss]
+            picks = product(*[range(z.carrier.class_sizes[c]) for c in others])
+            for slots, mask, loop in zip(picks, masks, loops):
+                s = tuple(zip(others, slots))
+                if mask != loop:
+                    raise InternalInconsistency(f"{op}: the order-one minor by {list(s)} "
+                                                "disagrees with the closure")
+                if mask.bit_count() >= 2:
+                    flat = [x for x in z.carrier.skew_class(miss) if mask >> x[1] & 1]
+                    excess, loose = (s, flat[0], flat[1]), loose or (s, miss)
+                    break
+                if not mask and loose is None:
+                    loose = (s, miss)
+            if excess:
                 break
-            if not mask and loose is None:
-                loose = (s, miss)
         z._kept["scan"] = excess, loose
     return z._kept["scan"]
 
@@ -635,7 +647,7 @@ def tight_quick(z: Multimatroid) -> bool:
     """Tightness read from z's closure tables alone, with is_tight's bound
     check: every closure is exactly one slot.  No cross-check, no witness."""
     z._check_enum_bounds(ORDER_GENERAL, "is_tight")
-    return all(m.bit_count() == 1 for miss in range(z.order) for m in _closure_masks(z, miss))
+    return all(not _closure_masks(z, miss).translate(None, _ONE_BIT) for miss in range(z.order))
 
 
 def _masks(carrier: Carrier, sets: Iterable[Iterable[Element]]) -> list[int]:
@@ -759,16 +771,23 @@ def cycle_space_avoiding(z: Multimatroid, avoid: Iterable[Element]) -> list[froz
 # -- equality and isomorphism ----------------------------------------------------
 
 
+def _rank_table(z: Multimatroid) -> bytes:
+    """order - r(S) for every subtransversal S, one byte each in the order
+    of Carrier.subtransversals.  Packed realizations read them from one walk
+    of fields.leaf_nullities whose levels put a zero vector, the absent
+    class, before each class's columns; circuit-list ones ask the rank
+    oracle at each S."""
+    if z._colvec is not None:
+        zero = 0 if z._field == fields.GF2 else (0, 0)
+        classes = z._packed(map(z.carrier.skew_class, range(z.order)))
+        return fields.leaf_nullities(z._field, [[zero, *cols] for cols in classes])
+    return bytes(z.order - z._rank(frozenset(s)) for s in z.carrier.subtransversals())
+
+
 def same_rank_oracle(z1: Multimatroid, z2: Multimatroid) -> bool:
     """Structural equality: same carrier and same rank on every
-    subtransversal."""
-    if z1.carrier != z2.carrier:
-        return False
-    for s in z1.carrier.subtransversals():
-        fs = frozenset(s)
-        if z1._rank(fs) != z2._rank(fs):
-            return False
-    return True
+    subtransversal, compared as the two objects' _rank_table bytes."""
+    return z1.carrier == z2.carrier and _rank_table(z1) == _rank_table(z2)
 
 
 def check_iso_bounds(*zs: Multimatroid) -> None:

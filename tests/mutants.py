@@ -45,7 +45,8 @@ KERNELS = {
     "multimatroids": ("Multimatroid.nullity_histogram", "_table_indices", "_closure_masks",
                       "_nullity_table", "_order_one_minor_loops",
                       "near_transversal_scan", "tight_quick", "_masks", "_skew_pair_counts",
-                      "odd_skew_pair", "_cycle_space", "check_iso_bounds", "isomorphic"),
+                      "odd_skew_pair", "_cycle_space", "_rank_table", "same_rank_oracle",
+                      "check_iso_bounds", "isomorphic"),
     "matroids": ("minimal_sets",),
     "orienting": ("_DeletionTables",),
     "catalog": ("_minor_histograms", "has_minor"),
@@ -145,13 +146,7 @@ EQUIVALENT = {
         "assign's result is only tested for truth, and None is false too",
     "catalog._minor_histograms+17:58 1->2":
         "a table entry is at most z.order, so the extra last entry stays 0, past the slice",
-    "catalog.has_minor+9:4 drop `if drop < 0:`":
-        "an early exit: no subtransversal has a negative size, so the scan returns None",
-    "catalog.has_minor+10:8 drop `return None`":
-        "an early exit: no subtransversal has a negative size, so the scan returns None",
-    "catalog.has_minor+9:14 0->-1":
-        "drop = -1 then passes the exit, and no subtransversal has size -1",
-    "catalog.has_minor+25:4 drop `return None`":
+    "catalog.has_minor+28:4 drop `return None`":
         "falling off the end returns None too",
     "matroids.minimal_sets+5:19 LtE->Lt":
         "the candidates are deduplicated, so no kept set equals a later one",

@@ -431,6 +431,27 @@ def test_has_minor_builds_only_the_minors_whose_slice_matches(rng, cross_check_c
     assert hits > 0
 
 
+def test_has_minor_makes_only_the_subtransversals_of_its_size(rng, monkeypatch, cross_check_calls):
+    # the X of size order(z) - order(pattern) come from the classes they
+    # touch, not from a filter over every subtransversal
+    _, minors = cross_check_calls
+    patterns = [catalog.fixture(name) for name in ("h33", "s4", "s5")]
+    zs = [catalog.fixture(name) for name in catalog.FIXTURE_NAMES]
+    zs += [build(kind, rng, n) for kind in KINDS for n in range(6)]
+    calls = []
+    subtransversals = Carrier.subtransversals
+
+    def counted(self):
+        calls.append(self)
+        return subtransversals(self)
+
+    monkeypatch.setattr(Carrier, "subtransversals", counted)
+    for z in zs:
+        for pattern in patterns:
+            catalog.has_minor(z, pattern)
+    assert minors and calls == []
+
+
 def test_has_minor_checks_the_isomorphism_bounds_at_each_carrier_match():
     # the slices differ, but isomorphic would have been asked, and refused
     free = Multimatroid(Carrier((4,)), circuits=[])

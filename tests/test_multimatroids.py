@@ -12,7 +12,7 @@ import mmlab
 from mmlab import catalog, multimatroids, serialize
 from mmlab.errors import (GroundMismatch, InternalInconsistency, MalformedInput,
                           NotSubtransversal, NotTriple, TooLarge, UnknownElement)
-from mmlab.fields import GF2, GFMatrix
+from mmlab.fields import GF2, GF4, GFMatrix
 from mmlab.isotropic import Graph, from_graph
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, as_subtransversal,
@@ -547,6 +547,34 @@ def test_matroid_given_by_circuits_is_kept_as_circuit_list(rng):
         assert serialize.mm_to_dict(by_matroid) == serialize.mm_to_dict(listed)
 
 
+def test_same_rank_oracle_reads_one_walk_per_packed_side(monkeypatch, table_walks):
+    # packed builds over GF(2) and GF(4), equal and unequal: one nullity walk
+    # each and no rank-oracle call; a circuit list asks the oracle once per
+    # subtransversal
+    g = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
+    h = from_graph(Graph(3, [(0, 1)]), validate=False).multimatroid
+    u24 = catalog.fixture("z-u24")
+    parallel = Matroid.from_matrix(GFMatrix.from_entries(GF4, [[1, 0, 1, 0], [0, 1, 1, 2]]))
+    ranks = []
+    rank = Multimatroid._rank
+
+    def counted(self, s):
+        ranks.append(s)
+        return rank(self, s)
+
+    monkeypatch.setattr(Multimatroid, "_rank", counted)
+    for z1, z2, want in ((g, g.restrict(g.carrier.elements()), True), (g, h, False),
+                         (u24, dual_pair(catalog.u24_quaternary()), True),
+                         (u24, dual_pair(parallel), False)):
+        table_walks.clear()
+        assert same_rank_oracle(z1, z2) == want
+        assert table_walks == ["walk", "walk"] and ranks == []
+    listed = Multimatroid(g.carrier, circuits=g.circuits(), validate=False)
+    table_walks.clear()
+    assert same_rank_oracle(g, listed)
+    assert table_walks.count("walk") == 1 and len(ranks) == 4 ** 3
+
+
 def test_validators_cross_check_each_near_transversal(monkeypatch):
     # one extra loop at a single near-transversal leaves the tightness
     # verdicts of the two routes equal, but not their closures; z is built
@@ -584,7 +612,9 @@ def test_cross_checked_scan_builds_no_matroid(matroids_built):
 def test_cross_checked_scan_reads_one_closure_table_per_class(monkeypatch, realization):
     # packed columns: three echelon walks, three row-reduction walks, no
     # rank comparison and no minor; circuit lists: closure_in_class and one
-    # built minor per near-transversal, as before
+    # built minor per near-transversal, as before.  Every closure is one
+    # slot, so the scan walks no class's picks (itertools.product): only
+    # the circuit-list tables do, one walk each
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     if realization == "circuits":
         z = Multimatroid(z.carrier, circuits=z.circuits(), validate=False)
@@ -598,7 +628,7 @@ def test_cross_checked_scan_reads_one_closure_table_per_class(monkeypatch, reali
 
     for name in ("closure_in_class", "minor"):
         monkeypatch.setattr(Multimatroid, name, counted(name, getattr(Multimatroid, name)))
-    for name in ("_closure_masks", "_order_one_minor_loops"):
+    for name in ("_closure_masks", "_order_one_minor_loops", "product"):
         monkeypatch.setattr(multimatroids, name, counted(name, getattr(multimatroids, name)))
     assert is_tight(z) == (True, None)
     expected = {"_closure_masks": 3, "_order_one_minor_loops": 3}
@@ -606,6 +636,7 @@ def test_cross_checked_scan_reads_one_closure_table_per_class(monkeypatch, reali
         assert z._rank_cache == {}
     else:
         expected["closure_in_class"] = expected["minor"] = 27
+        expected["product"] = 6
     assert calls == expected
 
 

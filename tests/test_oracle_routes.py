@@ -24,7 +24,11 @@ that builds every minor and searches each for an isomorphism.  q1 and the
 q1 of the third-slot deletion of a graph build, read from that table, are
 checked against kernel counting: the nullity of each transversal from the
 number of vertex sets the adjacency matrix, with its loops toggled, sends to
-zero, found by bit parity with no elimination.
+zero, found by bit parity with no elimination.  same_rank_oracle, which
+compares two tables of subtransversal ranks, is checked against one
+rank-oracle call per subtransversal, and near_transversal_scan, which
+compares each class's two tables whole, against a step per near-transversal,
+also with a disagreement injected at a chosen pick.
 """
 
 import random
@@ -36,16 +40,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, build, random_graph, random_standard_form
-from mmlab import catalog, fields
+from mmlab import catalog, fields, multimatroids
 from mmlab.catalog import _minor_histograms, has_minor
-from mmlab.errors import NotTriple
+from mmlab.errors import InternalInconsistency, NotTriple
 from mmlab.fields import GF2, GF4, GFMatrix, span_masks
 from mmlab.isotropic import Graph, from_graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, _closure_masks, _masks,
                                  _nullity_table, _order_one_minor_loops, _skew_pair_counts, cycle_space,
                                  cycle_space_avoiding, dual_pair, free_sum, isomorphic,
-                                 odd_skew_pair, same_rank_oracle, tight_quick, transversal_slot)
+                                 near_transversal_scan, odd_skew_pair, same_rank_oracle,
+                                 tight_quick, transversal_slot)
 from mmlab.orienting import _DeletionTables, _scaled_weights, orienting_transversals
 from mmlab.polynomials import Polynomial, q1, q1_avoiding
 
@@ -613,3 +618,140 @@ def test_q1_matches_kernel_counting_on_every_graph_up_to_4_vertices():
 def test_q1_matches_kernel_counting_on_random_5_vertex_graphs(seed):
     rng = random.Random(seed)
     check_q1_by_kernel_counting(random_graph(rng, 5, loops=True, p=rng.choice((0.25, 0.5, 0.75))))
+
+
+def same_rank_by_subsets(z1: Multimatroid, z2: Multimatroid) -> bool:
+    """The oracle route for same_rank_oracle: the carriers, then one
+    rank-oracle call per subtransversal on each side, up to the first that
+    differs."""
+    if z1.carrier != z2.carrier:
+        return False
+    return all(z1._rank(frozenset(s)) == z2._rank(frozenset(s))
+               for s in z1.carrier.subtransversals())
+
+
+def sheltered_by(carrier: Carrier, ground, field: int, entries) -> Multimatroid:
+    return Multimatroid(carrier, matroid=Matroid(ground, matrix=GFMatrix.from_entries(
+        field, entries, cols=len(ground))))
+
+
+@given(st.sampled_from((GF2, GF4)), seeds, st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_rank_tables_match_the_ranks_of_each_subtransversal(field, seed, n):
+    """Random matrices over a random carrier of class sizes 1 to 4, packed
+    over GF(2) and GF(4) and as circuit lists, compared in equal pairs (a
+    circuit-list rebuild; GF(2) entries read over GF(4)), in unequal ones
+    (another matrix on the same carrier; another carrier), and in pairs that
+    differ at one subtransversal only: a transversal that is a basis made a
+    circuit, or a circuit that is a transversal dropped."""
+    rng = random.Random(seed)
+    carrier = Carrier([rng.randint(1, 4) for _ in range(n)])
+    ground = carrier.elements()
+    rng.shuffle(ground)
+
+    def entries(values):
+        return [[rng.randrange(values) for _ in ground] for _ in range(rng.randint(0, n + 1))]
+
+    binary = entries(GF2)
+    packed, over_gf4 = (sheltered_by(carrier, ground, f, binary) for f in (GF2, GF4))
+    other = sheltered_by(carrier, ground, field, entries(field))
+    listed, other_listed = circuit_rebuild(packed), circuit_rebuild(other)
+    pairs = {(packed, listed): True, (packed, over_gf4): True, (over_gf4, listed): True,
+             (packed, other): None, (listed, other_listed): None, (over_gf4, other_listed): None,
+             (listed, Multimatroid(Carrier([1, *carrier.class_sizes]), circuits=[])): False}
+    basis = next((t for t in carrier.transversals() if t and packed.nullity(t) == 0), None)
+    if basis is not None:
+        circuits = [*listed.circuits(), frozenset(basis)]
+        pairs[packed, Multimatroid(carrier, circuits=circuits, validate=False)] = False
+    whole = [c for c in listed.circuits() if len(c) == n]
+    if whole:
+        circuits = [c for c in listed.circuits() if c != whole[0]]
+        pairs[Multimatroid(carrier, circuits=circuits, validate=False), over_gf4] = False
+    for (z1, z2), want in pairs.items():
+        found = same_rank_oracle(z1, z2)
+        assert found == same_rank_by_subsets(z1, z2) == same_rank_oracle(z2, z1)
+        assert want is None or found == want
+
+
+def scan_each_near_transversal(z: Multimatroid, op: str):
+    """The oracle route for near_transversal_scan: one step per
+    near-transversal S, in canonical order, comparing S's closure mask with
+    its order-one minor's loops (InternalInconsistency at the first that
+    differ) and stopping at the first closure of two or more elements.
+    Nothing is kept on z."""
+    loose = last = None
+    for s, miss in z.carrier.near_transversals():
+        if miss != last:
+            pairs = zip(_closure_masks(z, miss), multimatroids._order_one_minor_loops(z, miss))
+            last = miss
+        mask, loops = next(pairs)
+        if mask != loops:
+            raise InternalInconsistency(f"{op}: the order-one minor by {list(s)} "
+                                        "disagrees with the closure")
+        if mask.bit_count() >= 2:
+            flat = [x for x in z.carrier.skew_class(miss) if mask >> x[1] & 1]
+            return (s, flat[0], flat[1]), loose or (s, miss)
+        if not mask and loose is None:
+            loose = (s, miss)
+    return None, loose
+
+
+def random_scan_input(rng: random.Random, n: int) -> Multimatroid:
+    """A tight build (GF(2), GF(4) or a circuit list), or a random matrix
+    over a random carrier of class sizes 1 to 3, packed or as a circuit
+    list: loose and non-multimatroid inputs too."""
+    if rng.random() < 0.4:
+        return build(rng.choice(("gf2", "gf4", "circuits")), rng, n)
+    carrier = Carrier([rng.randint(1, 3) for _ in range(n)])
+    ground = carrier.elements()
+    rng.shuffle(ground)
+    field = rng.choice((GF2, GF4))
+    z = sheltered_by(carrier, ground, field, [[rng.randrange(field) for _ in ground]
+                                              for _ in range(rng.randint(0, n + 1))])
+    return circuit_rebuild(z) if rng.random() < 0.5 else z
+
+
+def scan_outcome(scan, z: Multimatroid) -> tuple:
+    try:
+        return "returned", scan(z, "scan")
+    except InternalInconsistency as e:
+        return "raised", str(e)
+
+
+@given(seeds, st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_scan_matches_the_loop_over_each_near_transversal(seed, n):
+    z = random_scan_input(random.Random(seed), n)
+    assert "scan" not in z._kept
+    assert near_transversal_scan(z, "scan") == scan_each_near_transversal(z, "scan")
+
+
+@given(seeds, st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_an_injected_disagreement_is_named_by_both_scans(seed, n):
+    """One bit of one class's table of order-one minor loops flipped at a
+    chosen pick: both routes raise at the same first disagreement, or
+    return the same pair when an excess ends the scan before it.  On a
+    tight input nothing ends it first, so the chosen pick is named."""
+    rng = random.Random(seed)
+    z = random_scan_input(rng, n)
+    miss = rng.randrange(n)
+    picks = [s for s, m in z.carrier.near_transversals() if m == miss]
+    at, bit = rng.randrange(len(picks)), 1 << rng.randrange(z.carrier.class_sizes[miss])
+    original = multimatroids._order_one_minor_loops
+
+    def loops(z, c):
+        found = bytearray(original(z, c))
+        if c == miss:
+            found[at] ^= bit
+        return bytes(found)
+
+    tight = tight_quick(z)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multimatroids, "_order_one_minor_loops", loops)
+        found = scan_outcome(near_transversal_scan, z)
+        assert found == scan_outcome(scan_each_near_transversal, z)
+    assert "scan" not in z._kept or found[0] == "returned"
+    if tight:
+        assert found == ("raised", f"scan: the order-one minor by {list(picks[at])} "
+                                   "disagrees with the closure")
