@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
+from math import prod
 from typing import Iterable
 
 from .bounds import (ORDER_CLASSIFY, ORDER_EXTENSION, ORDER_MINOR_SCAN,
@@ -118,23 +119,22 @@ def _minor_histograms(z: Multimatroid):
     minor z/X, as its nullity_histogram gives it, read from z's nullity
     table: each transversal T of z/X has nullity n(T + X) - n(X).  A
     position in the table is linear in the slots, so T + X sits at X's
-    position (slot 0 off X) plus T's (slot 0 on X's classes), which is kept
-    per set of touched classes."""
-    sizes = z.carrier.class_sizes
+    position, the sum of its slots times their classes' strides, plus T's
+    (slot 0 on X's classes), which is kept per set of touched classes."""
+    sizes, table, order = z.carrier.class_sizes, _nullity_table(z), z.order
+    strides = [prod(sizes[c + 1:]) for c in range(order)]
     offsets: dict[frozenset, list[int]] = {}
 
     def histogram(x) -> list[int]:
-        picked = dict(x)
-        touched = frozenset(picked)
+        touched = frozenset(c for c, _ in x)
         if touched not in offsets:
             offsets[touched] = _table_indices(
                 z.carrier, [(0,) if c in touched else range(k) for c, k in enumerate(sizes)])
-        (base,) = _table_indices(z.carrier, [(picked.get(c, 0),) for c in range(z.order)])
-        table, hist = _nullity_table(z), [0] * (z.order + 1)
+        base, hist = sum(s * strides[c] for c, s in x), [0] * (order + 1)
         for o in offsets[touched]:
             hist[table[base + o]] += 1
         nx = len(x) - z._rank(frozenset(x))
-        return hist[nx:nx + z.order - len(x) + 1]
+        return hist[nx:nx + order - len(x) + 1]
 
     return histogram
 
@@ -151,15 +151,16 @@ def has_minor(z: Multimatroid, pattern: Multimatroid):
     drop = z.order - pattern.order
     if drop < 0:
         return None
-    want, histogram = pattern.nullity_histogram(), _minor_histograms(z)
-    sizes = z.carrier.class_sizes
+    want, histogram, sizes = pattern.nullity_histogram(), None, z.carrier.class_sizes
     for x in sorted(tuple(zip(cs, ss)) for cs in combinations(range(z.order), drop)
                     for ss in product(*[range(sizes[c]) for c in cs])):
         touched = {c for c, _ in x}
         if tuple(k for c, k in enumerate(sizes)
                  if c not in touched) != pattern.carrier.class_sizes:
             continue
-        check_iso_bounds(pattern)  # as isomorphic(pattern, z.minor(x)) would
+        if histogram is None:  # the first carrier match
+            check_iso_bounds(pattern)  # as isomorphic(pattern, z.minor(x)) would
+            histogram = _minor_histograms(z)
         if histogram(x) != want:
             continue
         iso = isomorphic(pattern, z.minor(x))

@@ -8,10 +8,10 @@ All arithmetic is exact; there is no floating point anywhere.  There is one
 pivoting routine, _echelon (with _reduce_gf4 over GF(4)): rank, contraction
 (which builds packed minors) and rref call it; the validators' second route
 reduces rows in multimatroids, with only the scalar arithmetic from here.
-The three walks (leaf_nullities, the only nullity walk; span_masks;
-circuit_picks) inline its GF(2) step alone: over GF(4) a span is the GF(2)
-span of the vectors and their a-multiples, so _doubled packs each (lo, hi)
-as one GF(2) int and each new basis vector brings its a-multiple along.
+The two walks (leaf_nullities, the only nullity walk, and circuit_picks)
+inline its GF(2) step alone: over GF(4) a span is the GF(2) span of the
+vectors and their a-multiples, so _doubled packs each (lo, hi) as one GF(2)
+int and each new basis vector brings its a-multiple along.
 """
 
 from __future__ import annotations
@@ -350,45 +350,6 @@ def leaf_nullities(field: int, levels: Sequence[Sequence]) -> bytes:
     else:
         out.append(0)
     return bytes(out)
-
-
-def span_masks(field: int, levels: Sequence[Sequence], targets: Sequence) -> list[int]:
-    """For every way to pick one vector per level, in product order, the
-    bit mask of the targets in the span of the picked vectors: bit j is set
-    when targets[j] is.  Vectors are packed as in leaf_nullities; with
-    no levels there is one leaf, whose span is zero.
-
-    One depth-first walk carries the GF(2) echelon basis of the prefix, as
-    leaf_nullities's does, and reduces the targets at each leaf.
-    """
-    (*levels, targets), _, amul = _doubled(field, (*levels, targets))
-    masks: list[int] = []
-    depth = len(levels)
-
-    def walk(i, basis):
-        if i == depth:
-            mask = 0
-            for j, v in enumerate(targets):
-                for b in basis:  # the reduction of _echelon, inlined
-                    r = v ^ b
-                    if r < v:
-                        v = r
-                if not v:
-                    mask |= 1 << j
-            masks.append(mask)
-            return
-        for v in levels[i]:
-            for b in basis:
-                r = v ^ b
-                if r < v:
-                    v = r
-            if not v:
-                walk(i + 1, basis)
-            else:
-                walk(i + 1, _with_a_multiple(basis, v, amul) if amul else basis + (v,))
-
-    walk(0, ())
-    return masks
 
 
 def circuit_picks(field: int, levels: Sequence[Sequence]) -> list[tuple]:

@@ -9,16 +9,16 @@ built straight from those, and the sheltering matroid is rebuilt from them on
 demand.  A sheltering matroid given by circuits is kept as its subtransversal
 circuits, and a circuit list's minors read theirs from that list, not from
 the rank oracle.  Algorithms go through the rank oracle, except that on packed
-realizations the closures of near-transversals, which the validators and the
-orienting test read, come from one echelon walk per missing class; the loops
-of the order-one minors, which the validators check those closures against,
-from one walk per missing class that row-reduces the matrix one picked
-column at a time; the circuits from one subtransversal walk; and the
-nullities of all transversals from one walk.  Every transversal sum (q1,
-the transition polynomials, the minor scan's histograms) slices that one
-table, on either realization.  Structural equality compares the ranks of
-all subtransversals, on packed realizations from one walk of that kernel.
-The two realizations are interchangeable.
+realizations the nullities of all transversals come from one walk; the
+loops of the order-one minors, which the validators check the closures
+against, from one walk per missing class that row-reduces the matrix one
+picked column at a time; and the circuits from one subtransversal walk.
+Every transversal sum (q1, the transition polynomials, the minor scan's
+histograms) and the closures of near-transversals, which the validators and
+the orienting test read, slice that one table, on either realization.
+Structural equality compares the ranks of all subtransversals, on packed
+realizations from one walk of that kernel.  The two realizations are
+interchangeable.
 The skew-pair parity, the cycle spaces and the orienting test read the
 circuits as ints with one bit per ground element (_masks).  A cycle space
 is spanned by XOR over z's own circuits; those of a deletion are z's
@@ -31,7 +31,9 @@ there), each computed on its first read; a build that raises keeps nothing.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate, combinations, permutations, product
+from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import fields
@@ -201,7 +203,8 @@ class Multimatroid:
     """A carrier plus a rank oracle, realized as sheltered or circuit-list."""
 
     # _kept's keys; `key in z._kept` tells "not built yet" from a None answer:
-    #   ("closures", miss)  _closure_masks's table for missing class miss
+    #   ("closures", miss)  _closure_masks's table for missing class miss,
+    #                       sliced from "nullities"
     #   "scan"              near_transversal_scan's cross-checked pair
     #   "odd_pair"          odd_skew_pair's answer, None when every union is even
     #   "circuits"          a packed realization's circuits
@@ -476,22 +479,38 @@ def _slots_by_class(elems: Iterable[Element]) -> Iterable[tuple[int, list[int]]]
 
 def _closure_masks(z: Multimatroid, miss: int) -> bytes:
     """For every pick S of one element per other class, in ground and
-    product order, the bit mask of the slots of class miss in the closure of
-    S, kept on z from the first call.  Packed realizations read all of them
-    from one walk of fields.span_masks; circuit-list ones ask
-    closure_in_class at each S."""
+    product order, the bit mask of the slots x of class miss in the closure
+    of S (r(S + x) = r(S)), kept on z from the first call.  Each is read
+    from _nullity_table: n(S + x) is n(S) or n(S) + 1, and x is in the
+    closure when it is n(S) + 1.  So when the k entries of S differ, the
+    closure is the slots at their maximum; when they are all equal, it is
+    empty or the whole class, and the rank oracle's n(S) tells which."""
     key = "closures", miss
     if key not in z._kept:
-        others = [c for c in range(z.order) if c != miss]
-        if z._colvec is not None:
-            cols = z._packed(map(z.carrier.skew_class, (*others, miss)))
-            found = fields.span_masks(z._field, cols[:-1], cols[-1])
-        else:
-            sizes = z.carrier.class_sizes
-            found = (sum(1 << x for _, x in z.closure_in_class(frozenset(zip(others, picks)), miss))
-                     for picks in product(*[range(sizes[c]) for c in others]))
+        sizes, table = z.carrier.class_sizes, _nullity_table(z)
+        k, step = sizes[miss], prod(sizes[miss + 1:])
+        bases = _table_indices(z.carrier, [(0,) if c == miss else range(n)
+                                           for c, n in enumerate(sizes)])
+        differing = _closures_of_steps(k, z.order)
+        found = [differing.get(table[b:b + k * step:step]) for b in bases]
+        if None in found:
+            others = [c for c in range(z.order) if c != miss]
+            picks = product(*[range(sizes[c]) for c in others])
+            for i, (slots, mask) in enumerate(zip(picks, found)):
+                if mask is None:
+                    s = frozenset(zip(others, slots))
+                    found[i] = (1 << k) - 1 if table[bases[i]] > len(s) - z._rank(s) else 0
         z._kept[key] = bytes(found)
     return z._kept[key]
+
+
+@cache
+def _closures_of_steps(k: int, order: int) -> dict[bytes, int]:
+    """Each way the k entries n(S + x) of a near-transversal S can differ,
+    for a missing class of size k in a carrier of the given order, mapped
+    to the closure of S: the bit mask of the slots at their maximum, n(S) + 1."""
+    return {bytes(m + (mask >> x & 1) for x in range(k)): mask
+            for m in range(order) for mask in range(1, (1 << k) - 1)}
 
 
 def _table_indices(carrier: Carrier, slots: Sequence[Sequence[int]]) -> list[int]:
@@ -582,11 +601,12 @@ def near_transversal_scan(z: Multimatroid, op: str):
     whose closure is not exactly one element.
 
     Each closure (the slots x of the missing class with r(S + x) = r(S)) is
-    read from the class's _closure_masks table, and must equal the loops of
-    the order-one minor by S, read from _order_one_minor_loops, a second
-    route that row-reduces the matrix, or the scan raises
-    InternalInconsistency.  A class's picks S are walked, to find the first
-    that fails, only when its two tables differ or a closure is not one slot.
+    read from the class's _closure_masks table, sliced from the nullity
+    table, and must equal the loops of the order-one minor by S, read from
+    _order_one_minor_loops, a second route that row-reduces the matrix, or
+    the scan raises InternalInconsistency.  A class's picks S are walked, to
+    find the first that fails, only when its two tables differ or a closure
+    is not one slot.
 
     The bounds are checked under op on every call.  The pair is kept on z
     for later calls; a scan that raises keeps none."""
@@ -644,8 +664,9 @@ def is_tight(z: Multimatroid):
 
 
 def tight_quick(z: Multimatroid) -> bool:
-    """Tightness read from z's closure tables alone, with is_tight's bound
-    check: every closure is exactly one slot.  No cross-check, no witness."""
+    """Tightness read from z's closure tables alone, sliced from its nullity
+    table, with is_tight's bound check: every closure is exactly one slot.
+    No cross-check, no witness."""
     z._check_enum_bounds(ORDER_GENERAL, "is_tight")
     return all(not _closure_masks(z, miss).translate(None, _ONE_BIT) for miss in range(z.order))
 

@@ -4,9 +4,10 @@ A transversal is orienting when deleting it leaves a tight multimatroid.
 Brute-force enumeration tests that definition on every transversal at once,
 bit-parallel over one bit set per missing class; it builds no deletion, but
 reads the closure tables that the multimatroid keeps for its validators
-(multimatroids._closure_masks).  The coset construction over one seed
-transversal is the accelerated route, for binary tight 3-matroids only, and
-the two must agree set for set.
+(multimatroids._closure_masks, sliced from its table of transversal
+nullities).  The coset construction over one seed transversal is the
+accelerated route, for binary tight 3-matroids only, and the two must agree
+set for set.
 
 A multimatroid keeps its deletion tables in its memo, and they keep its
 orienting bit set and that set's transversals, decoded once: brute force,

@@ -152,6 +152,41 @@ def naive_rank(entries, field: int) -> int:
     return rank
 
 
+def span_masks(field: int, levels, targets) -> list[int]:
+    """An oracle route for the closure tables: for every way to pick one
+    vector per level, in product order, the bit mask of the targets in the
+    span of the picked vectors (bit j is set when targets[j] is).  Vectors
+    are packed as in fields.leaf_nullities; with no levels there is one
+    leaf, whose span is zero.
+
+    One depth-first walk carries the GF(2) echelon basis of the prefix, as
+    leaf_nullities's does, and reduces the targets at each leaf."""
+    (*levels, targets), _, amul = fields._doubled(field, (*levels, targets))
+    masks: list[int] = []
+    depth = len(levels)
+
+    def reduced(v, basis):
+        for b in basis:  # the reduction of fields._echelon
+            r = v ^ b
+            if r < v:
+                v = r
+        return v
+
+    def walk(i, basis):
+        if i == depth:
+            masks.append(sum(1 << j for j, v in enumerate(targets) if not reduced(v, basis)))
+            return
+        for v in levels[i]:
+            v = reduced(v, basis)
+            if not v:
+                walk(i + 1, basis)
+            else:
+                walk(i + 1, fields._with_a_multiple(basis, v, amul) if amul else basis + (v,))
+
+    walk(0, ())
+    return masks
+
+
 def permutation_determinant(entries) -> int:
     """Determinant by permutation expansion; signs vanish in
     characteristic 2."""

@@ -41,9 +41,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 KERNELS = {
     "fields": ("_echelon", "_reduce_gf4", "rref", "contract_columns", "_doubled",
-               "_with_a_multiple", "leaf_nullities", "span_masks", "circuit_picks"),
+               "_with_a_multiple", "leaf_nullities", "circuit_picks"),
     "multimatroids": ("Multimatroid.nullity_histogram", "_table_indices", "_closure_masks",
-                      "_nullity_table", "_order_one_minor_loops",
+                      "_closures_of_steps", "_nullity_table", "_order_one_minor_loops",
                       "near_transversal_scan", "tight_quick", "_masks", "_skew_pair_counts",
                       "odd_skew_pair", "_cycle_space", "_rank_table", "same_rank_oracle",
                       "check_iso_bounds", "isomorphic"),
@@ -95,12 +95,6 @@ EQUIVALENT = {
         "as in _echelon: no basis vector is zero",
     "fields.leaf_nullities+20:19 Lt->LtE":
         "as in _echelon: no basis vector is zero",
-    "fields.span_masks+19:23 Lt->LtE":
-        "as in _echelon: no basis vector is zero",
-    "fields.span_masks+22:20 BitOr->BitXor":
-        "each target sets its own bit, once",
-    "fields.span_masks+28:19 Lt->LtE":
-        "as in _echelon: no basis vector is zero",
     "fields.circuit_picks+27:16 BitOr->BitXor":
         "a candidate is shifted above the tag block, so its tag bit is clear",
     "fields.circuit_picks+30:23 Lt->LtE":
@@ -144,9 +138,9 @@ EQUIVALENT = {
         "a pruning: an isomorphism keeps each element's invariant, so no cut branch maps",
     "multimatroids.isomorphic+56:8 drop `return False`":
         "assign's result is only tested for truth, and None is false too",
-    "catalog._minor_histograms+17:58 1->2":
+    "catalog._minor_histograms+16:71 1->2":
         "a table entry is at most z.order, so the extra last entry stays 0, past the slice",
-    "catalog.has_minor+28:4 drop `return None`":
+    "catalog.has_minor+29:4 drop `return None`":
         "falling off the end returns None too",
     "matroids.minimal_sets+5:19 LtE->Lt":
         "the candidates are deduplicated, so no kept set equals a later one",

@@ -610,11 +610,13 @@ def test_cross_checked_scan_builds_no_matroid(matroids_built):
 
 @pytest.mark.parametrize("realization", ["packed", "circuits"])
 def test_cross_checked_scan_reads_one_closure_table_per_class(monkeypatch, realization):
-    # packed columns: three echelon walks, three row-reduction walks, no
-    # rank comparison and no minor; circuit lists: closure_in_class and one
-    # built minor per near-transversal, as before.  Every closure is one
-    # slot, so the scan walks no class's picks (itertools.product): only
-    # the circuit-list tables do, one walk each
+    # three closure tables, sliced from one nullity table, and three
+    # row-reduction walks; packed columns: no rank comparison and no minor;
+    # circuit lists: one rank call per transversal for the table, none for
+    # the closures, and one built minor per near-transversal.  Every closure
+    # is one slot, so no pick's entries are all equal, and the scan walks no
+    # class's picks (itertools.product): only the circuit-list tables do,
+    # one walk each
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     if realization == "circuits":
         z = Multimatroid(z.carrier, circuits=z.circuits(), validate=False)
@@ -626,7 +628,7 @@ def test_cross_checked_scan_reads_one_closure_table_per_class(monkeypatch, reali
             return fn(*args)
         return run
 
-    for name in ("closure_in_class", "minor"):
+    for name in ("closure_in_class", "minor", "_rank"):
         monkeypatch.setattr(Multimatroid, name, counted(name, getattr(Multimatroid, name)))
     for name in ("_closure_masks", "_order_one_minor_loops", "product"):
         monkeypatch.setattr(multimatroids, name, counted(name, getattr(multimatroids, name)))
@@ -635,8 +637,8 @@ def test_cross_checked_scan_reads_one_closure_table_per_class(monkeypatch, reali
     if realization == "packed":
         assert z._rank_cache == {}
     else:
-        expected["closure_in_class"] = expected["minor"] = 27
-        expected["product"] = 6
+        expected["_rank"] = expected["minor"] = 27
+        expected["product"] = 1 + 3  # the nullity table's transversals, the loop tables' picks
     assert calls == expected
 
 

@@ -2,14 +2,16 @@
 oracle.
 
 orienting_transversals tests each transversal's deletion through closures
-read from one echelon walk per missing class (fields.span_masks) on packed
-realizations, and the evaluation suite reads the orienting counts of minors
-from the same tables, sliced; packed minors and restrictions are built
-straight from the parent's columns, and the validator reads the loops of
-the order-one minors from one row-reduction walk per missing class, a table
-laid out like the closure table.  Each is checked against a labelled
-reference (the oracle route) that builds the deletion or the minor, against
-the rank comparisons of closure_in_class, or against the circuit-list route.
+sliced from the table of transversal nullities (a pick whose entries are
+all equal asks the rank oracle), and the evaluation suite reads the
+orienting counts of minors from the same tables, sliced; packed minors and
+restrictions are built straight from the parent's columns, and the
+validator reads the loops of the order-one minors from one row-reduction
+walk per missing class, a table laid out like the closure table.  Each is
+checked against a labelled reference (the oracle route) that builds the
+deletion or the minor, against the rank comparisons of closure_in_class,
+against an echelon walk per missing class (conftest.span_masks), or against
+the circuit-list route.
 The evaluation suite's integer weights, scaled by their common denominator,
 are checked against the Fraction histogram of the circuit-list route.  The
 cycle spaces, spanned by bit masks of z's own circuits, are checked against
@@ -39,11 +41,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, build, random_graph, random_standard_form
+from conftest import all_graphs, build, random_graph, random_standard_form, span_masks
 from mmlab import catalog, fields, multimatroids
 from mmlab.catalog import _minor_histograms, has_minor
 from mmlab.errors import InternalInconsistency, NotTriple
-from mmlab.fields import GF2, GF4, GFMatrix, span_masks
+from mmlab.fields import GF2, GF4, GFMatrix
 from mmlab.isotropic import Graph, from_graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, _closure_masks, _masks,
@@ -123,7 +125,7 @@ def closure_mask(z: Multimatroid, s, miss: int) -> int:
 
 def check_order_one_minor_loops(z: Multimatroid) -> None:
     """Every byte of every class's table of order-one minor loops, against
-    the echelon walk's closure table, the loops of the minor built at that
+    the sliced closure table, the loops of the minor built at that
     near-transversal and the rank-comparison closure there; each table has
     one byte per pick."""
     tables = {miss: _order_one_minor_loops(z, miss) for miss in range(z.order)}
@@ -241,7 +243,8 @@ def test_order_one_minor_loops_on_random_matrices(field, seed):
 @given(st.sampled_from(("gf2", "gf4", "free4", "mixed")), seeds, st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_span_masks_match_closure_in_class(kind, seed, n):
-    """The echelon walk of the closure tables, on class sizes 1-4 through a
+    """The echelon walk of the span oracle (span_masks) and the closure
+    tables sliced from the nullity table, on class sizes 1-4 through a
     restriction half the time, against the rank comparisons of
     closure_in_class at every near-transversal of z, read straight from
     span_masks and from the table _closure_masks keeps.  At order 1 the walk
@@ -264,6 +267,63 @@ def test_span_masks_match_closure_in_class(kind, seed, n):
         assert list(_closure_masks(z, miss)) == \
             [closure_mask(z, zip(others, p), miss) for p in picks]
         assert z._kept["closures", miss] is _closure_masks(z, miss)
+
+
+@given(st.sampled_from((GF2, GF4)), seeds, st.integers(1, 4), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_sliced_closures_match_closure_in_class(field, seed, n, as_circuits):
+    """The closure tables sliced from the nullity table, against the rank
+    comparisons of closure_in_class at every pick, on a random matrix over
+    a random carrier of class sizes 1 to 3, packed or as a circuit list.
+    Few rows give whole-class closures and many give empty ones: the picks
+    whose entries n(S + x) are all equal, which ask the rank oracle."""
+    rng = random.Random(seed)
+    carrier = Carrier([rng.randint(1, 3) for _ in range(n)])
+    ground = carrier.elements()
+    rng.shuffle(ground)
+    z = sheltered_by(carrier, ground, field, [[rng.randrange(field) for _ in ground]
+                                              for _ in range(rng.randint(0, n + 1))])
+    if as_circuits:
+        z = circuit_rebuild(z)
+    for miss in range(z.order):
+        others = [c for c in range(z.order) if c != miss]
+        picks = product(*[range(carrier.class_sizes[c]) for c in others])
+        assert list(_closure_masks(z, miss)) == \
+            [closure_mask(z, zip(others, p), miss) for p in picks]
+
+
+# (class sizes, GF(2) rows over the ground order, each missing class's
+# closure table, the picks whose entries n(S + x) are all equal)
+CLOSURE_BRANCHES = {
+    "entries differ": ((2, 2), [[1, 0, 1, 0], [0, 1, 0, 1]], [b"\1\2", b"\1\2"], 0),
+    "empty": ((2, 2), [[1 << i >> j & 1 for j in range(4)] for i in range(4)],
+              [b"\0\0", b"\0\0"], 4),
+    "whole class": ((2, 2), [], [b"\3\3", b"\3\3"], 4),
+    "class size 1": ((1, 2), [[1, 1, 0]], [b"\1\0", b"\3"], 3),
+}
+
+
+@pytest.mark.parametrize("as_circuits", [False, True])
+@pytest.mark.parametrize("branch", CLOSURE_BRANCHES)
+def test_each_closure_branch_asks_the_rank_oracle_only_at_equal_entries(
+        monkeypatch, branch, as_circuits):
+    # a pick whose entries differ reads its closure off them; one whose
+    # entries are all equal asks the rank oracle for n(S) once
+    sizes, rows, want, equal = CLOSURE_BRANCHES[branch]
+    z = sheltered(sizes, GF2, rows)
+    if as_circuits:
+        z = circuit_rebuild(z)
+    _nullity_table(z)  # a circuit list's table asks the oracle once per transversal
+    asked = []
+    rank = Multimatroid._rank
+
+    def counted(self, s):
+        asked.append(s)
+        return rank(self, s)
+
+    monkeypatch.setattr(Multimatroid, "_rank", counted)
+    assert [_closure_masks(z, miss) for miss in range(z.order)] == want
+    assert len(asked) == equal
 
 
 @given(st.sampled_from(ORT_KINDS), seeds, st.integers(0, 4))

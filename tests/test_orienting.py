@@ -357,25 +357,28 @@ def test_one_kept_scan_answers_every_validator(cross_check_calls):
     assert len(loops_at) == 3
 
 
-def test_each_class_closure_table_is_walked_once_per_object(monkeypatch):
+def test_each_class_closure_table_is_walked_once_per_object(monkeypatch, closure_mask_calls):
     # brute force, the coset route's seed check and validation, and the
-    # suite's validation and minor counts all read z's kept tables
-    calls = []
-    walk = fields.span_masks
+    # suite's validation, minor counts and sums all read z's kept tables:
+    # one closure table per class, each sliced from the one nullity table,
+    # which one walk of fields.leaf_nullities writes
+    walks = []
+    walk = fields.leaf_nullities
 
-    def counted(field, levels, targets):
-        calls.append(len(levels))
-        return walk(field, levels, targets)
+    def counted(field, levels):
+        walks.append(len(levels))
+        return walk(field, levels)
 
-    monkeypatch.setattr(fields, "span_masks", counted)
+    monkeypatch.setattr(fields, "leaf_nullities", counted)
     for n in range(1, 5):
-        calls.clear()
+        walks.clear()
+        closure_mask_calls.clear()
         z = from_graph(Graph(n, [(v, v + 1) for v in range(n - 1)]), validate=False).multimatroid
         ort = orienting_transversals(z)
-        assert len(calls) == n
+        assert walks == [n] and sorted(closure_mask_calls) == list(range(n))
         assert orienting_from_seed(z, ort[0]) == ort
         assert evaluation_suite(z, transversal_slot(z, 0)).passed
-        assert calls == [n - 1] * n
+        assert walks == [n]
 
 
 def test_one_deletion_table_per_object(monkeypatch):

@@ -9,12 +9,13 @@ is checked against one full elimination per leaf, and the sums read from it
 (Multimatroid.nullity_histogram, which slices the table the walk writes, and
 the graph polynomials) against one rank-oracle nullity per transversal and
 one Graph.nullity_mask per (vertex mask, loop toggle).  The span walk
-(fields.span_masks) is checked against one rank_of_vectors per leaf and
-target, on levels and targets of unequal widths.  The circuit walk (fields.circuit_picks, behind the circuits() of
-packed multimatroids and represented matroids) is checked against the
-brute-force minimal-dependent-set enumeration under the rank oracle.  The
-near-transversal scan, which reads its closures from the span walk, is
-checked against the rank oracle's closures.
+(conftest.span_masks, an oracle route for the closure tables) is checked
+against one rank_of_vectors per leaf and target, on levels and targets of
+unequal widths.  The circuit walk (fields.circuit_picks, behind the
+circuits() of packed multimatroids and represented matroids) is checked
+against the brute-force minimal-dependent-set enumeration under the rank
+oracle.  The near-transversal scan, which reads its closures from the
+nullity table, is checked against the rank oracle's closures.
 """
 
 import random
@@ -24,10 +25,10 @@ from itertools import combinations, product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KINDS, build, random_graph, random_standard_form
+from conftest import KINDS, build, random_graph, random_standard_form, span_masks
 from mmlab import catalog
 from mmlab.fields import (GF2, GF4, GFMatrix, _doubled, _scale_row, circuit_picks,
-                          leaf_nullities, rank_of_vectors, span_masks)
+                          leaf_nullities, rank_of_vectors)
 from mmlab.matroids import Matroid, minimal_sets
 from mmlab.multimatroids import (Carrier, Multimatroid, is_multimatroid, is_tight,
                                  near_transversal_scan, tight_quick)
