@@ -17,10 +17,10 @@ from .errors import (Degenerate, GroundMismatch, InternalInconsistency,
 from .fields import GF2, GF4, GFMatrix
 from .isotropic import IsotropicBuild, isotropic_multimatroid, pair_multimatroid
 from .matroids import Matroid, minimal_sets
-from .multimatroids import (Carrier, Element, Multimatroid, _nullity_table, _table_indices,
-                            as_subtransversal, carrier_elements, check_iso_bounds,
-                            dual_pair, is_tight, isomorphic, odd_skew_pair,
-                            same_rank_oracle, tight_quick)
+from .multimatroids import (Carrier, Element, Multimatroid, _nullity_table, _rank_table,
+                            _table_indices, as_subtransversal, carrier_elements,
+                            check_iso_bounds, dual_pair, is_tight, isomorphic,
+                            odd_skew_pair, same_rank_oracle, tight_quick)
 
 _A = 0
 _B = 1
@@ -309,13 +309,16 @@ def tight_extension(z: Multimatroid) -> Multimatroid | None:
     def elems_of(code):
         return tuple((c, s) for c, s in enumerate(code) if s >= 0)
 
+    # ell - r(S) for every subtransversal S of z, read from one table
+    ranks = dict(zip(product(range(-1, 2), repeat=ell), _rank_table(z)))
+
     # transversal nullities, propagated by the number of new slots used
     nu: dict[tuple, int] = {}
     by_level: dict[int, list[tuple]] = {}
     for code in product(range(3), repeat=ell):
         by_level.setdefault(sum(s == 2 for s in code), []).append(code)
     for code in by_level.get(0, []):
-        nu[code] = ell - z._rank(frozenset(elems_of(code)))
+        nu[code] = ranks[code]
     for level in range(1, ell + 1):
         for code in by_level.get(level, []):
             forced = None
@@ -352,9 +355,8 @@ def tight_extension(z: Multimatroid) -> Multimatroid | None:
 
     for code, n_s in null.items():
         size = sum(s >= 0 for s in code)
-        if all(-1 <= s <= 1 for s in code):  # agreement with the given ranks
-            if n_s != size - z._rank(frozenset(elems_of(code))):
-                return None
+        if code in ranks and n_s != size - ell + ranks[code]:  # agreement with z
+            return None
         raising: dict[int, list[tuple]] = {}
         for c, s2, ext in extensions(code):
             step = null[ext] - n_s

@@ -1,7 +1,8 @@
 """Exact linear algebra over GF(2) and GF(4).
 
 Scalars are small ints encoding coefficients in the basis {1, a} of GF(4)
-(a^2 = a + 1): 0 -> 0, 1 -> 1, 2 -> a, 3 -> b = a + 1.  GF(2) uses {0, 1}.
+(a^2 = a + 1): 0 -> 0, 1 -> 1, 2 -> a, 3 -> b = a + 1, so addition is XOR.
+GF(2) uses {0, 1}.
 Rows are bit-packed: one machine word (Python int) per coefficient plane,
 so GF(2) rows are single ints and GF(4) rows are (lo, hi) plane pairs.
 All arithmetic is exact; there is no floating point anywhere.  There is one
@@ -16,7 +17,6 @@ int and each new basis vector brings its a-multiple along.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatch, MalformedInput
@@ -27,10 +27,6 @@ GF4 = 4
 _SYMBOLS = {0: "0", 1: "1", 2: "a", 3: "b"}
 _VALUES = {"0": 0, "1": 1, "a": 2, "b": 3}
 _INVERSE = {1: 1, 2: 3, 3: 2}
-
-
-def scalar_add(x: int, y: int) -> int:
-    return x ^ y
 
 
 def scalar_mul(x: int, y: int) -> int:
@@ -49,38 +45,6 @@ def scalar_inverse(x: int) -> int:
 def conjugate(x: int) -> int:
     """The conjugation automorphism: fixes 0 and 1, swaps a and b."""
     return ((x & 1) ^ (x >> 1)) | (x & 2)
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """A field element tagged with its field, for the public arithmetic API."""
-
-    field: int
-    symbol: str
-
-    def __post_init__(self):
-        if self.field not in (GF2, GF4):
-            raise FieldMismatch(f"unknown field {self.field}")
-        if self.symbol not in _VALUES or (self.field == GF2 and self.symbol in "ab"):
-            raise FieldMismatch(f"{self.symbol!r} is not a GF({self.field}) value")
-
-    @property
-    def value(self) -> int:
-        return _VALUES[self.symbol]
-
-
-def field_arith(op: str, x: Scalar, y: Scalar | None = None) -> Scalar:
-    """Scalar arithmetic dispatch: op in {add, mul, inv_automorphism}."""
-    if op in ("add", "mul"):
-        if y is None:
-            raise FieldMismatch(f"{op} needs two operands")
-        if x.field != y.field:
-            raise FieldMismatch(f"operands in GF({x.field}) and GF({y.field})")
-        fn = scalar_add if op == "add" else scalar_mul
-        return Scalar(x.field, _SYMBOLS[fn(x.value, y.value)])
-    if op == "inv_automorphism":
-        return Scalar(x.field, _SYMBOLS[conjugate(x.value)])
-    raise FieldMismatch(f"unknown op {op!r}")
 
 
 def _scale_row(c: int, lo: int, hi: int) -> tuple[int, int]:
@@ -398,10 +362,6 @@ def rank(m: GFMatrix) -> int:
     return rank_of_vectors(m.field, zip(m.row_lo, m.row_hi))
 
 
-def nullity(m: GFMatrix) -> int:
-    return m.cols - rank(m)
-
-
 def rref(m: GFMatrix) -> tuple[GFMatrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns (ascending).
 
@@ -445,19 +405,6 @@ def null_space(m: GFMatrix) -> list[tuple[int, ...]]:
             vec[p] = red.entry(i, f)  # -x == x in characteristic 2
         basis.append(tuple(vec))
     return basis
-
-
-def mat_vec(m: GFMatrix, vec: Sequence[int]) -> list[int]:
-    out = []
-    for i in range(m.rows):
-        acc = 0
-        lo, hi = m.row_lo[i], m.row_hi[i]
-        for j, x in enumerate(vec):
-            if x:
-                e = ((lo >> j) & 1) | (((hi >> j) & 1) << 1)
-                acc ^= scalar_mul(e, x)
-        out.append(acc)
-    return out
 
 
 def symbol(value: int) -> str:

@@ -48,9 +48,6 @@ class Graph:
     def is_simple(self) -> bool:
         return all(u != v for u, v in self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self._adj[u] >> v & 1)
-
     def adjacency_matrix(self) -> GFMatrix:
         return GFMatrix(GF2, self.n, self.n, self._adj)
 

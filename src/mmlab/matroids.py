@@ -92,14 +92,6 @@ class Matroid:
         return cls(ground, matrix=matrix)
 
     @classmethod
-    def from_circuits(cls, ground: Sequence[Label], circuits: Iterable[Iterable[Label]]) -> "Matroid":
-        return cls(ground, circuits=[frozenset(c) for c in circuits])
-
-    @classmethod
-    def free(cls, ground: Sequence[Label]) -> "Matroid":
-        return cls(ground, circuits=[])
-
-    @classmethod
     def uniform(cls, r: int, n: int) -> "Matroid":
         ground = tuple(range(n))
         circuits = [frozenset(c) for c in combinations(ground, r + 1)] if r < n else []
@@ -147,17 +139,6 @@ class Matroid:
         packed = self._matrix.columns_packed()
         return fields.rank_of_vectors(self._matrix.field, (packed[self._index[e]] for e in xs))
 
-    def nullity_of(self, x: Iterable[Label]) -> int:
-        xs = self._check_subset(x)
-        return len(xs) - self.rank_of(xs)
-
-    def rank(self) -> int:
-        return self.rank_of(self.ground)
-
-    def is_independent(self, x: Iterable[Label]) -> bool:
-        xs = self._check_subset(x)
-        return self.rank_of(xs) == len(xs)
-
     def circuits(self) -> list[frozenset]:
         """All minimal dependent subsets, lexicographically sorted."""
         check_size(self.size, MATROID_ENUM_BOUND, "circuits")
@@ -168,13 +149,6 @@ class Matroid:
             [c[0] if gf2 else c] for c in self._matrix.columns_packed()])
         return sorted((frozenset(self.ground[i] for i, _ in pick) for pick in found),
                       key=lambda c: tuple(sorted(map(self._key, c))))
-
-    def bases(self) -> list[frozenset]:
-        check_size(self.size, MATROID_ENUM_BOUND, "bases")
-        r = self.rank()
-        elems = sorted(self.ground, key=self._key)
-        return [frozenset(sub) for sub in combinations(elems, r)
-                if self.rank_of(frozenset(sub)) == r]
 
     # -- structure operations ------------------------------------------------
 
@@ -341,17 +315,6 @@ class Matroid:
             return val
 
         return walk(frozenset(), frozenset())
-
-    def same_matroid(self, other: "Matroid") -> bool:
-        """Label-wise equality of rank functions (brute force)."""
-        if set(self.ground) != set(other.ground):
-            return False
-        elems = sorted(self.ground, key=self._key)
-        for size in range(len(elems) + 1):
-            for sub in combinations(elems, size):
-                if self.rank_of(sub) != other.rank_of(sub):
-                    return False
-        return True
 
     def __repr__(self) -> str:
         kind = "matrix" if self._matrix is not None else f"{len(self._circuits)} circuits"

@@ -314,17 +314,9 @@ class Multimatroid:
     def _rank_circuits(self, s: frozenset) -> int:
         return rank_from_circuits(self._circuits, s)
 
-    def closure_in_class(self, s: frozenset, c: int) -> list[Element]:
-        """The elements x of class c with r(s + x) = r(s)."""
-        base = self._rank(s)
-        return [x for x in self.carrier.skew_class(c) if self._rank(s | {x}) == base]
-
     def nullity(self, elems: Iterable[Element]) -> int:
         s = frozenset(as_subtransversal(self.carrier, elems))
         return len(s) - self._rank(s)
-
-    def is_independent(self, elems: Iterable[Element]) -> bool:
-        return self.nullity(elems) == 0
 
     # -- enumeration ---------------------------------------------------------
 
@@ -402,11 +394,6 @@ class Multimatroid:
             hist[table[i]] += w
         return hist
 
-    def basis_transversals(self) -> list[tuple[Element, ...]]:
-        """Transversals of nullity zero."""
-        return [t for t in self.carrier.transversals()
-                if self._rank(frozenset(t)) == len(t)]
-
     # -- restriction, deletion, minors ---------------------------------------
 
     def _shrink(self, kept: Iterable[tuple[int, Sequence[int]]]
@@ -432,10 +419,6 @@ class Multimatroid:
 
     def delete(self, elems: Iterable[Element]) -> "Multimatroid":
         return self.restrict(set(self.carrier.elements()) - carrier_elements(self.carrier, elems))
-
-    def deletion_map(self, elems: Iterable[Element]) -> dict[Element, Element]:
-        keep = frozenset(self.carrier.elements()) - carrier_elements(self.carrier, elems)
-        return self._shrink(_slots_by_class(keep))[1]
 
     def minor(self, x: Iterable[Element]) -> "Multimatroid":
         """Minor induced by a subtransversal: contract it and drop the

@@ -71,7 +71,7 @@ class _DeletionTables:
     def __init__(self, z: Multimatroid):
         sizes = z.carrier.class_sizes
         self.axes = [(k, prod(sizes[c + 1:])) for c, k in enumerate(sizes)]  # (size, stride)
-        self.full = (1 << prod(sizes)) - 1
+        self.full = (1 << z.carrier.transversal_count()) - 1
         self.slot = [[((1 << s) - 1 << t * s) * (self.full // ((1 << k * s) - 1))
                       for t in range(k)] for k, s in self.axes]
         self._passing: dict[tuple, int] = {}

@@ -40,10 +40,6 @@ class Polynomial:
         return cls(())
 
     @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    @classmethod
     def monomial(cls, degree: int, coeff=1) -> "Polynomial":
         return cls((0,) * degree + (coeff,))
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MalformedInput
+from .errors import (GroundMismatch, LabelCollision, MalformedInput, NotSubtransversal,
+                     UnknownElement)
 from .fields import GFMatrix, parse_symbol, symbol
 from .matroids import Matroid
 from .multimatroids import Carrier, Multimatroid
@@ -89,18 +90,21 @@ def mm_from_dict(d: dict) -> Multimatroid:
     if order != len(sizes):
         raise MalformedInput("order does not match class_sizes")
     carrier = Carrier(sizes)
-    if kind == "circuits":
-        circuits = [frozenset(_element(p) for p in _list(circ, "a circuit"))
-                    for circ in _list(d.get("circuits"), "circuits")]
-        return Multimatroid(carrier, circuits=circuits)
-    if kind == "sheltered":
-        if "matrix" not in d or "columns" not in d:
-            raise MalformedInput("sheltered kind needs matrix and columns")
-        mat = matrix_from_dict(d["matrix"])
-        columns = [_element(p) for p in _list(d["columns"], "columns")]
-        if len(columns) != mat.cols:
-            raise MalformedInput("columns list does not match matrix width")
-        return Multimatroid(carrier, matroid=Matroid(columns, matrix=mat))
+    try:  # only the file's own shape makes the constructors raise these
+        if kind == "circuits":
+            circuits = [frozenset(_element(p) for p in _list(circ, "a circuit"))
+                        for circ in _list(d.get("circuits"), "circuits")]
+            return Multimatroid(carrier, circuits=circuits)
+        if kind == "sheltered":
+            if "matrix" not in d or "columns" not in d:
+                raise MalformedInput("sheltered kind needs matrix and columns")
+            mat = matrix_from_dict(d["matrix"])
+            columns = [_element(p) for p in _list(d["columns"], "columns")]
+            if len(columns) != mat.cols:
+                raise MalformedInput("columns list does not match matrix width")
+            return Multimatroid(carrier, matroid=Matroid(columns, matrix=mat))
+    except (GroundMismatch, LabelCollision, NotSubtransversal, UnknownElement) as exc:
+        raise MalformedInput(str(exc)) from exc
     raise MalformedInput(f"unknown kind {kind!r}")
 
 

@@ -13,7 +13,7 @@ from hypothesis import Phase, settings
 
 import mmlab
 from mmlab import catalog, fields, multimatroids, orienting
-from mmlab.fields import GF2, GF4, GFMatrix, scalar_add, scalar_mul
+from mmlab.fields import GF2, GF4, GFMatrix, scalar_mul
 from mmlab.isotropic import Graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import Multimatroid, dual_pair
@@ -144,7 +144,7 @@ def naive_rank(entries, field: int) -> int:
         for i in range(rows):
             if i != rank and m[i][col]:
                 c = m[i][col]
-                m[i] = [scalar_add(x, scalar_mul(c, y))
+                m[i] = [x ^ scalar_mul(c, y)  # addition is XOR of the codes
                         for x, y in zip(m[i], m[rank])]
         rank += 1
         if rank == rows:
@@ -198,7 +198,7 @@ def permutation_determinant(entries) -> int:
             term = scalar_mul(term, entries[i][perm[i]])
             if term == 0:
                 break
-        det = scalar_add(det, term)
+        det ^= term
     return det
 
 
@@ -216,7 +216,52 @@ def whitney_rank_sum(m: Matroid, x, y):
 
 
 def matroid_bases_set(m: Matroid) -> set[frozenset]:
-    return set(m.bases())
+    """Oracle route for bases: the subsets of the ground's rank r that have
+    rank r."""
+    r = m.rank_of(m.ground)
+    return {frozenset(sub) for sub in combinations(m.ground, r) if m.rank_of(sub) == r}
+
+
+def same_matroid(m1: Matroid, m2: Matroid) -> bool:
+    """Oracle route for matroid equality: the same rank on every subset of
+    one ground set."""
+    return set(m1.ground) == set(m2.ground) and all(
+        m1.rank_of(sub) == m2.rank_of(sub)
+        for size in range(m1.size + 1) for sub in combinations(m1.ground, size))
+
+
+def mat_vec(m: GFMatrix, vec) -> list[int]:
+    """Oracle route for null spaces: m times vec, one scalar entry at a time."""
+    out = []
+    for i in range(m.rows):
+        acc = 0
+        for j, x in enumerate(vec):
+            acc ^= scalar_mul(m.entry(i, j), x)
+        out.append(acc)
+    return out
+
+
+def closure_in_class(z: Multimatroid, s: frozenset, c: int) -> list:
+    """Oracle route for the closure tables: the elements x of class c with
+    r(s + x) = r(s), by two rank-oracle calls."""
+    return [x for x in z.carrier.skew_class(c) if z._rank(s | {x}) == z._rank(s)]
+
+
+def deletion_map(z: Multimatroid, elems) -> dict:
+    """Oracle route for deletion labels: each element that z.delete(elems)
+    keeps, mapped to its label there, classes and slots renumbered in
+    ground order."""
+    gone = set(elems)
+    keep = [e for e in z.carrier.elements() if e not in gone]
+    classes = sorted({c for c, _ in keep})
+    return {(c, s): (classes.index(c), [t for d, t in keep if d == c].index(s))
+            for c, s in keep}
+
+
+def basis_transversals(z: Multimatroid) -> list:
+    """Oracle route for the bases of a nondegenerate z: the transversals of
+    nullity zero."""
+    return [t for t in z.carrier.transversals() if z.nullity(t) == 0]
 
 
 def is_binary_matroid_oracle(m: Matroid) -> bool:

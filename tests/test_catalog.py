@@ -3,10 +3,10 @@ from importlib import resources
 
 import pytest
 
-from conftest import (KINDS, binary_sheltering_exists, build,
+from conftest import (KINDS, basis_transversals, binary_sheltering_exists, build,
                       is_binary_matroid_oracle, random_graph,
                       random_standard_form, random_symmetric)
-from mmlab import catalog, serialize
+from mmlab import catalog, fields, serialize
 from mmlab.errors import (Degenerate, GroundMismatch, NotClassUnion,
                           NotTight, NotTriple, TooLarge)
 from mmlab.fields import GF2, GF4, GFMatrix
@@ -211,6 +211,21 @@ def test_tight_extension_strongly_binary_equals_block_build(rng):
         assert same_rank_oracle(ext, expected)
 
 
+def test_tight_extension_reads_the_ranks_of_z_from_one_table(rng, monkeypatch):
+    # a packed 2-matroid's ranks come from one leaf_nullities walk, with no
+    # rank_of_vectors elimination, and the answer is the circuit list's
+    zs = [pair_multimatroid(random_symmetric(rng, GF2, n)) for n in range(1, 5)]
+    zs += [dual_pair(random_standard_form(rng, GF4, n)) for n in range(1, 5)]
+    listed = [catalog.tight_extension(Multimatroid(z.carrier, circuits=z.circuits())) for z in zs]
+    calls, rank_of_vectors = [], fields.rank_of_vectors
+    monkeypatch.setattr(fields, "rank_of_vectors", lambda *a: calls.append(a) or rank_of_vectors(*a))
+    for z, want in zip(zs, listed):
+        ext = catalog.tight_extension(z)
+        assert calls == []
+        assert (ext is None) == (want is None)
+        assert ext is None or same_rank_oracle(ext, want)
+
+
 def _brute_tight_extensions(z):
     """Every tight 3-matroid restricting to z, by exhausting transversal
     nullity assignments and validating each candidate from scratch."""
@@ -340,7 +355,7 @@ def test_basis_parity_and_even_basis_count(rng):
         if z.order:
             assert b1 % 2 == 0  # nonempty tight: even basis count
         # deleted evaluation at zero is odd exactly on bases
-        bases = set(z.basis_transversals())
+        bases = set(basis_transversals(z))
         for t in z.carrier.transversals():
             odd = q1_avoiding(z, t)(0) % 2 == 1
             assert odd == (t in bases)
@@ -355,8 +370,8 @@ def test_basis_parity_validation():
     with pytest.raises(GroundMismatch):  # even class size
         catalog.basis_parity(two, set(two.carrier.elements()), set())
     from mmlab.multimatroids import free_sum
-    u12 = Matroid.from_circuits([0, 1], [{0, 1}])
-    loose = free_sum([Matroid.free([0, 1]), u12, u12])
+    u12 = Matroid([0, 1], circuits=[{0, 1}])
+    loose = free_sum([Matroid([0, 1], circuits=[]), u12, u12])
     with pytest.raises(NotTight):
         catalog.basis_parity(loose, set(loose.carrier.elements()), set())
 

@@ -1,13 +1,16 @@
+import ast
 import importlib
 import inspect
 import pkgutil
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, random_standard_form
+from conftest import (basis_transversals, deletion_map, matroid_bases_set, random_graph,
+                      random_standard_form)
 import mmlab
 from mmlab import catalog, multimatroids, serialize
 from mmlab.errors import (GroundMismatch, InternalInconsistency, MalformedInput,
@@ -21,6 +24,7 @@ from mmlab.multimatroids import (Carrier, Multimatroid, as_subtransversal,
                                  is_tight, isomorphic, parse_element_label,
                                  same_rank_oracle, sum_subtransversals,
                                  tight_quick, transversal_slot)
+from mmlab.orienting import disjoint_orienting
 from mmlab.polynomials import q1_avoiding
 
 
@@ -114,7 +118,7 @@ _AT_ELEMENTS = {
     "nullity_histogram": lambda z, e: z.nullity_histogram([e]),
     "restrict": lambda z, e: z.restrict([e]),
     "delete": lambda z, e: z.delete([e]),
-    "deletion_map": lambda z, e: z.deletion_map([e]),
+    "disjoint_orienting": lambda z, e: disjoint_orienting(z, [e]),
     "cycle_space_avoiding": lambda z, e: cycle_space_avoiding(z, [e]),
 }
 
@@ -314,7 +318,7 @@ def test_cycle_space_avoiding_matches_deletion(rng):
         t3 = transversal_slot(z, 2)
         direct = cycle_space_avoiding(z, t3)
         deleted = z.delete(t3)
-        emap = z.deletion_map(t3)
+        emap = deletion_map(z, t3)
         inv = {v: k for k, v in emap.items()}
         relabeled = sorted(frozenset(inv[e] for e in c)
                            for c in cycle_space(deleted))
@@ -394,20 +398,20 @@ def test_free_sum_basis_count_matches(rng):
     for _ in range(10):
         m = random_standard_form(rng, GF2, rng.randint(1, 5))
         z = dual_pair(m)
-        assert len(z.basis_transversals()) == len(m.bases())
+        assert len(basis_transversals(z)) == len(matroid_bases_set(m))
 
 
 def test_free_sum_multimatroid_iff_orthogonal(rng):
     # two copies of the two-element circuit are mutually orthogonal
-    u12 = Matroid.from_circuits([0, 1], [{0, 1}])
+    u12 = Matroid([0, 1], circuits=[{0, 1}])
     ok, _ = is_multimatroid(free_sum([u12, u12]))
     assert ok
     # a loop next to a coloop is not orthogonal to itself
-    loopy = Matroid.from_circuits([0, 1], [{0}])
+    loopy = Matroid([0, 1], circuits=[{0}])
     ok, _ = is_multimatroid(free_sum([loopy, loopy]))
     assert not ok
     with pytest.raises(GroundMismatch):
-        free_sum([u12, Matroid.free([5])])
+        free_sum([u12, Matroid([5], circuits=[])])
     # the equivalence on random pairs
     for _ in range(12):
         n = rng.randint(1, 3)
@@ -611,7 +615,7 @@ def test_cross_checked_scan_builds_no_matroid(matroids_built):
 @pytest.mark.parametrize("realization", ["packed", "circuits"])
 def test_cross_checked_scan_reads_one_closure_table_per_class(monkeypatch, realization):
     # three closure tables, sliced from one nullity table, and three
-    # row-reduction walks; packed columns: no rank comparison and no minor;
+    # row-reduction walks; packed columns: no rank-oracle call and no minor;
     # circuit lists: one rank call per transversal for the table, none for
     # the closures, and one built minor per near-transversal.  Every closure
     # is one slot, so no pick's entries are all equal, and the scan walks no
@@ -628,7 +632,7 @@ def test_cross_checked_scan_reads_one_closure_table_per_class(monkeypatch, reali
             return fn(*args)
         return run
 
-    for name in ("closure_in_class", "minor", "_rank"):
+    for name in ("minor", "_rank"):
         monkeypatch.setattr(Multimatroid, name, counted(name, getattr(Multimatroid, name)))
     for name in ("_closure_masks", "_order_one_minor_loops", "product"):
         monkeypatch.setattr(multimatroids, name, counted(name, getattr(multimatroids, name)))
@@ -730,7 +734,7 @@ def test_sheltering_by_circuits_beyond_the_enumeration_bound(monkeypatch):
     # given circuit family is read as is
     carrier = Carrier.uniform(9, 2)
     circuits = [{(0, 0), (1, 0), (2, 0)}, {(3, 1), (4, 1)}, {(5, 0), (5, 1)}]
-    z = Multimatroid(carrier, matroid=Matroid.from_circuits(carrier.elements(), circuits))
+    z = Multimatroid(carrier, matroid=Matroid(carrier.elements(), circuits=circuits))
     assert carrier.ground_size == 18
     assert z.kind == "circuits"
     assert z.rank(circuits[0]) == 2
@@ -768,3 +772,50 @@ def test_no_public_callable_takes_a_bound_or_seed():
                 offenders.append(f"{mod.__name__}.{qual}")
     assert seen > 100
     assert offenders == []
+
+
+# The public names that no code in src/ or bench/ calls.  Each is a paper
+# identity or a feature the README promises, and its README row says so.
+PAPER_IDENTITIES = {
+    "catalog.basis_parity", "catalog.bases_within_class_extension",
+    "isotropic.bicycle_dimension", "isotropic.graph_nullity_bridge",
+    "matroids.Matroid.cycle_space", "matroids.Matroid.direct_sum",
+    "matroids.Matroid.orthogonal", "multimatroids.cycle_space",
+    "multimatroids.sum_subtransversals", "orienting.disjoint_orienting",
+    "orienting.is_orienting", "polynomials.q1_expansion", "polynomials.transition",
+    "polynomials.tutte_diagonal",
+}
+
+
+def _identifiers(path: Path, strings: bool) -> set[str]:
+    """The names and attributes a module's code uses and, with strings, the
+    words of its string literals (the bench tracer names spans by string)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"\w+", node.value))
+    return found
+
+
+def test_every_public_name_is_reached_or_a_paper_identity():
+    """A public name whose identifier no src/ code (the CLI included) and no
+    bench code uses is reached only by tests; it belongs in tests/ unless it
+    is a paper identity."""
+    bench = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+    assert bench
+    used = set().union(*(_identifiers(p, False) for p in Path(mmlab.__file__).parent.glob("*.py")),
+                       *(_identifiers(p, True) for p in bench))
+    unreached = set()
+    for info in pkgutil.iter_modules(mmlab.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"mmlab.{info.name}")
+        for qual, _ in _public_callables(mod):
+            name = qual.split(".")[-1] if not qual.endswith(".__init__") else qual.split(".")[0]
+            if name not in used:
+                unreached.add(f"{info.name}.{qual}")
+    assert unreached == PAPER_IDENTITIES

@@ -9,9 +9,9 @@ restrictions are built straight from the parent's columns, and the
 validator reads the loops of the order-one minors from one row-reduction
 walk per missing class, a table laid out like the closure table.  Each is
 checked against a labelled reference (the oracle route) that builds the
-deletion or the minor, against the rank comparisons of closure_in_class,
-against an echelon walk per missing class (conftest.span_masks), or against
-the circuit-list route.
+deletion or the minor, against the rank comparisons of
+conftest.closure_in_class, against an echelon walk per missing class
+(conftest.span_masks), or against the circuit-list route.
 The evaluation suite's integer weights, scaled by their common denominator,
 are checked against the Fraction histogram of the circuit-list route.  The
 cycle spaces, spanned by bit masks of z's own circuits, are checked against
@@ -41,7 +41,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, build, random_graph, random_standard_form, span_masks
+from conftest import (all_graphs, build, closure_in_class, deletion_map, random_graph,
+                      random_standard_form, same_matroid, span_masks)
 from mmlab import catalog, fields, multimatroids
 from mmlab.catalog import _minor_histograms, has_minor
 from mmlab.errors import InternalInconsistency, NotTriple
@@ -120,7 +121,7 @@ def test_sliced_minor_counts_match_built_minors(kind, seed, n):
 
 
 def closure_mask(z: Multimatroid, s, miss: int) -> int:
-    return sum(1 << x for _, x in z.closure_in_class(frozenset(s), miss))
+    return sum(1 << x for _, x in closure_in_class(z, frozenset(s), miss))
 
 
 def check_order_one_minor_loops(z: Multimatroid) -> None:
@@ -405,7 +406,7 @@ def test_packed_minor_and_restrict_shelter_the_matroid_minor(kind, seed, n):
         zx = z.minor(x).sheltering_matroid
         assert zx.ground == tuple((survivors.index(c), s) for c, s in ref.ground)
         assert zx.matrix == ref.matrix
-        emap = z.deletion_map(e for e in z.carrier.elements() if rng.random() < 0.3)
+        emap = deletion_map(z, [e for e in z.carrier.elements() if rng.random() < 0.3])
         kept = sorted(emap)
         zr = z.restrict(kept).sheltering_matroid
         assert zr.ground == tuple(emap[e] for e in kept)
@@ -426,16 +427,17 @@ def test_matroid_minor_rows_dual_and_standard_form(field, seed, n):
     mm = m.minor(contract=con, delete=dele)
     assert mm.matrix.rows == m.matrix.rows - m.rank_of(con)
     by_circuits = Matroid(m.ground, circuits=m.circuits(), validate=False)
-    assert mm.same_matroid(by_circuits.minor(contract=con, delete=dele))
+    assert same_matroid(mm, by_circuits.minor(contract=con, delete=dele))
     std = mm.standard_form()
-    assert std.matrix.rows == mm.rank()
-    assert std.same_matroid(mm)
+    r = mm.rank_of(mm.ground)
+    assert std.matrix.rows == r
+    assert same_matroid(std, mm)
     dual = std.dual()
-    r = mm.rank()
     for b in product((0, 1), repeat=mm.size):
         sub = frozenset(e for e, bit in zip(mm.ground, b) if bit)
-        if len(sub) == r and mm.is_independent(sub):
-            assert dual.is_independent(frozenset(mm.ground) - sub)
+        if len(sub) == r and mm.rank_of(sub) == r:  # a basis: its complement is independent
+            rest = frozenset(mm.ground) - sub
+            assert dual.rank_of(rest) == len(rest)
 
 
 def frozenset_cycle_space(z: Multimatroid) -> list:
@@ -460,7 +462,7 @@ def deletion_cycle_space(z: Multimatroid, avoid) -> list:
     d = z.delete(avoid)
     if d.order < z.order:
         return []
-    back = {v: k for k, v in z.deletion_map(avoid).items()}
+    back = {v: k for k, v in deletion_map(z, avoid).items()}
     return [frozenset(map(back.get, c)) for c in frozenset_cycle_space(d)]
 
 

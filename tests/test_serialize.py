@@ -42,6 +42,15 @@ def test_mm_round_trip_random(rng):
                                                          "cols": 0, "entries": []}},
     {"order": 3, "class_sizes": [2], "kind": "circuits", "circuits": []},
     {"class_sizes": [2], "kind": "circuits", "circuits": [[[0, "a"]]]},
+    # the constructors' shape errors: a repeated column label, a column
+    # outside the carrier, a circuit element outside it, a circuit with
+    # two elements of one class
+    {"class_sizes": [2], "kind": "sheltered", "columns": [[0, 0], [0, 0]],
+     "matrix": {"field": 2, "rows": 1, "cols": 2, "entries": [["1", "0"]]}},
+    {"class_sizes": [2], "kind": "sheltered", "columns": [[0, 0], [0, 5]],
+     "matrix": {"field": 2, "rows": 1, "cols": 2, "entries": [["1", "0"]]}},
+    {"class_sizes": [2], "kind": "circuits", "circuits": [[[0, 7]]]},
+    {"class_sizes": [2], "kind": "circuits", "circuits": [[[0, 0], [0, 1]]]},
 ])
 def test_mm_from_dict_rejects_malformed(bad):
     with pytest.raises(MalformedInput):

@@ -25,7 +25,8 @@ from itertools import combinations, product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KINDS, build, random_graph, random_standard_form, span_masks
+from conftest import (KINDS, build, closure_in_class, random_graph, random_standard_form,
+                      span_masks)
 from mmlab import catalog
 from mmlab.fields import (GF2, GF4, GFMatrix, _doubled, _scale_row, circuit_picks,
                           leaf_nullities, rank_of_vectors)
@@ -54,7 +55,7 @@ def power_expand(counts: dict, shift: int) -> Polynomial:
     """sum of c_n * (y + shift)^n by repeated polynomial multiplication."""
     total = Polynomial.zero()
     for n, c in counts.items():
-        power = Polynomial.one()
+        power = Polynomial((1,))
         for _ in range(n):
             power = power * Polynomial((shift, 1))
         total = total + power.scale(c)
@@ -294,7 +295,7 @@ def scan_by_definition(z: Multimatroid):
     of two or more elements."""
     loose = None
     for s, miss in z.carrier.near_transversals():
-        flat = z.closure_in_class(frozenset(s), miss)
+        flat = closure_in_class(z, frozenset(s), miss)
         if len(flat) != 1 and loose is None:
             loose = s, miss
         if len(flat) >= 2:
