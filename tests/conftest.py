@@ -223,8 +223,7 @@ def matroid_bases_set(m: Matroid) -> set[frozenset]:
 
 
 def same_matroid(m1: Matroid, m2: Matroid) -> bool:
-    """Oracle route for matroid equality: the same rank on every subset of
-    one ground set."""
+    """Oracle route for matroid equality: the same rank on every subset."""
     return set(m1.ground) == set(m2.ground) and all(
         m1.rank_of(sub) == m2.rank_of(sub)
         for size in range(m1.size + 1) for sub in combinations(m1.ground, size))
@@ -259,8 +258,7 @@ def deletion_map(z: Multimatroid, elems) -> dict:
 
 
 def basis_transversals(z: Multimatroid) -> list:
-    """Oracle route for the bases of a nondegenerate z: the transversals of
-    nullity zero."""
+    """Oracle route for the bases of a nondegenerate z: nullity 0 transversals."""
     return [t for t in z.carrier.transversals() if z.nullity(t) == 0]
 
 
