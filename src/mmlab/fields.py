@@ -7,12 +7,11 @@ Rows are bit-packed: one machine word (Python int) per coefficient plane,
 so GF(2) rows are single ints and GF(4) rows are (lo, hi) plane pairs.
 All arithmetic is exact; there is no floating point anywhere.  There is one
 pivoting routine, _echelon (with _reduce_gf4 over GF(4)): rank, contraction
-(which builds packed minors) and rref call it; the validators' second route
-reduces rows in multimatroids, with only the scalar arithmetic from here.
-The two walks (leaf_nullities, the only nullity walk, and circuit_picks)
-inline its GF(2) step alone: over GF(4) a span is the GF(2) span of the
-vectors and their a-multiples, so _doubled packs each (lo, hi) as one GF(2)
-int and each new basis vector brings its a-multiple along.
+(which builds packed minors) and rref call it.  The two walks
+(leaf_nullities, the only nullity walk, and circuit_picks) inline its GF(2)
+step alone: over GF(4) a span is the GF(2) span of the vectors and their
+a-multiples, so _doubled packs each (lo, hi) as one GF(2) int and each new
+basis vector brings its a-multiple along.
 """
 
 from __future__ import annotations
@@ -27,14 +26,6 @@ GF4 = 4
 _SYMBOLS = {0: "0", 1: "1", 2: "a", 3: "b"}
 _VALUES = {"0": 0, "1": 1, "a": 2, "b": 3}
 _INVERSE = {1: 1, 2: 3, 3: 2}
-
-
-def scalar_mul(x: int, y: int) -> int:
-    x0, x1 = x & 1, x >> 1
-    y0, y1 = y & 1, y >> 1
-    lo = (x0 & y0) ^ (x1 & y1)
-    hi = (x0 & y1) ^ (x1 & y0) ^ (x1 & y1)
-    return lo | (hi << 1)
 
 
 def scalar_inverse(x: int) -> int:

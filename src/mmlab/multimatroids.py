@@ -9,13 +9,14 @@ built straight from those, and the sheltering matroid is rebuilt from them on
 demand.  A sheltering matroid given by circuits is kept as its subtransversal
 circuits, and a circuit list's minors read theirs from that list, not from
 the rank oracle.  Algorithms go through the rank oracle, except that on packed
-realizations the nullities of all transversals come from one walk; the
-loops of the order-one minors, which the validators check the closures
-against, from one walk per missing class that row-reduces the matrix one
-picked column at a time; and the circuits from one subtransversal walk.
+realizations the nullities of all transversals come from one walk and the
+circuits from one subtransversal walk.
 Every transversal sum (q1, the transition polynomials, the minor scan's
 histograms) and the closures of near-transversals, which the validators and
-the orienting test read, slice that one table, on either realization.
+the orienting test read, slice that one table, on either realization.  The
+validators check each closure against the loops of the order-one minor
+there, read from the circuits: x is in the closure of S exactly when some
+circuit C has x in C and C <= S + x.
 Structural equality compares the ranks of all subtransversals, on packed
 realizations from one walk of that kernel.  The two realizations are
 interchangeable.
@@ -151,11 +152,13 @@ class Carrier:
 
 
 def element_name(e) -> str:
-    """How a message names a would-be element: by its label when it is a
-    pair of non-negative ints with a slot letter, else by its repr."""
-    if (isinstance(e, tuple) and len(e) == 2 and all(type(v) is int and v >= 0 for v in e)
-            and e[1] < len(_SLOT_LETTERS)):
-        return element_label(e)
+    """How a message names a would-be element: a pair of ints by its label
+    when both are non-negative and the slot has a letter, else in the
+    .mm.json form [c, s]; anything else by its repr."""
+    if isinstance(e, tuple) and len(e) == 2 and all(type(v) is int for v in e):
+        if min(e) >= 0 and e[1] < len(_SLOT_LETTERS):
+            return element_label(e)
+        return f"[{e[0]}, {e[1]}]"
     return repr(e)
 
 
@@ -211,6 +214,7 @@ class Multimatroid:
     #   "deletion"          mmlab.orienting's deletion tables
     #   "nullities"         _nullity_table's per-transversal nullities, which
     #                       every transversal sum reads
+    #   "ranks"             _rank_table's per-subtransversal ranks
     __slots__ = ("carrier", "_circuits", "_rank_cache", "_field", "_rows", "_colvec", "_kept")
 
     def __init__(self, carrier: Carrier, matroid: Matroid | None = None,
@@ -520,57 +524,45 @@ def _nullity_table(z: Multimatroid) -> bytes:
     return z._kept["nullities"]
 
 
+def _slot_masks(sizes: Sequence[int]) -> list[list[int]]:
+    """Bit sets over the picks of one slot per class of the given sizes, bit
+    i for the i-th pick in product order: entry [c][t] holds the picks with
+    slot t at class c."""
+    picks = prod(sizes)
+    full, stride, out = (1 << picks) - 1, picks, []
+    for k in sizes:
+        stride //= k
+        out.append([((1 << stride) - 1 << t * stride) * (full // ((1 << k * stride) - 1))
+                    for t in range(k)])
+    return out
+
+
 def _order_one_minor_loops(z: Multimatroid, miss: int) -> bytes:
     """For every pick S of one element per other class, laid out as
     _closure_masks(z, miss), the bit mask of the loops of the order-one
-    minor by S.  Packed realizations walk the picks depth first over the
-    rows of the matrix whose columns are classes others, then miss: picking
-    column j pivots on the first row nonzero at j, clears j from the other
-    rows and drops the pivot row, so a zero column passes the rows down
-    unchanged.  At each leaf the loops of class miss are its columns that
-    no row sets.  Circuit-list realizations build each minor and read its
-    circuits."""
+    minor by S: the slots x of class miss on some circuit C of z with
+    C <= S + x.  Read from z's circuits on bit sets over the picks
+    (_slot_masks): a circuit through slot x adds to x's set the picks that
+    hold its other elements, the AND of their slot masks."""
+    sizes = z.carrier.class_sizes
     others = [c for c in range(z.order) if c != miss]
-    sizes = [z.carrier.class_sizes[c] for c in others]
-    if z._colvec is None:
-        return bytes(sum(1 << x for c in z.minor(zip(others, picks)).circuits() for _, x in c)
-                     for picks in product(*map(range, sizes)))
-    m = fields.GFMatrix.from_columns(z._field, z._rows, [
-        z._colvec[e] for c in (*others, miss) for e in z.carrier.skew_class(c)])
-    k_miss, found = z.carrier.class_sizes[miss], []
-    miss_col = m.cols - k_miss  # class miss's first column
-
-    def walk(i, j, rows):  # rows: (lo, hi) pairs, bit c at column c; j: others[i]'s first
-        if i == len(sizes):
-            seen = 0
-            for lo, hi in rows:
-                seen |= lo | hi
-            found.append(~seen >> miss_col & (1 << k_miss) - 1)
-            return
-        k = sizes[i]
-        for t in range(k):
-            bit = 1 << j + t
-            for p, (plo, phi) in enumerate(rows):
-                if (plo | phi) & bit:
-                    break
-            else:  # a zero column: the minor keeps every row
-                walk(i + 1, j + k, rows)
-                continue
-            cp = (1 if plo & bit else 0) | (2 if phi & bit else 0)
-            out = rows[:p]  # zero at j, as the pivot is the first row that is not
-            for lo, hi in rows[p + 1:]:
-                c = (1 if lo & bit else 0) | (2 if hi & bit else 0)
-                if c == cp:  # always so over GF(2)
-                    lo, hi = lo ^ plo, hi ^ phi
-                elif c:
-                    slo, shi = fields._scale_row(
-                        fields.scalar_mul(c, fields.scalar_inverse(cp)), plo, phi)
-                    lo, hi = lo ^ slo, hi ^ shi
-                out.append((lo, hi))
-            walk(i + 1, j + k, out)
-
-    walk(0, 0, list(zip(m.row_lo, m.row_hi)))
-    return bytes(found)
+    slot = {(c, t): m for c, ms in zip(others, _slot_masks([sizes[c] for c in others]))
+            for t, m in enumerate(ms)}
+    n = prod(sizes[c] for c in others)
+    loops = [0] * sizes[miss]
+    for circuit in z.circuits():
+        acc, at = (1 << n) - 1, None
+        for e in circuit:
+            if e[0] == miss:
+                at = e[1]
+            else:
+                acc &= slot[e]
+        if at is not None:
+            loops[at] |= acc
+    # byte i gets bit x when bit i of loops[x] is set
+    return sum(int.from_bytes(format(bits, f"0{n}b")[::-1].encode().translate(
+        bytes.maketrans(b"01", bytes((0, 1 << x)))), "little")
+        for x, bits in enumerate(loops)).to_bytes(n, "little")
 
 
 _ONE_BIT = bytes(1 << i for i in range(8))  # the bytes with exactly one bit set
@@ -586,10 +578,11 @@ def near_transversal_scan(z: Multimatroid, op: str):
     Each closure (the slots x of the missing class with r(S + x) = r(S)) is
     read from the class's _closure_masks table, sliced from the nullity
     table, and must equal the loops of the order-one minor by S, read from
-    _order_one_minor_loops, a second route that row-reduces the matrix, or
-    the scan raises InternalInconsistency.  A class's picks S are walked, to
-    find the first that fails, only when its two tables differ or a closure
-    is not one slot.
+    z's circuits by _order_one_minor_loops, or the scan raises
+    InternalInconsistency.  On packed realizations the two routes are the
+    nullity walk and the circuit walk, so the scan checks each against the
+    other.  A class's picks S are walked, to find the first that fails,
+    only when its two tables differ or a closure is not one slot.
 
     The bounds are checked under op on every call.  The pair is kept on z
     for later calls; a scan that raises keeps none."""
@@ -625,9 +618,7 @@ def is_multimatroid(z: Multimatroid):
 
     Returns (True, None) or (False, (S, x1, x2)), read from
     near_transversal_scan, which checks every closure against the loops of
-    its order-one minor: read from one walk per missing class that pivots
-    the matrix's rows on one picked column at a time, or from the built
-    minor's circuits on a circuit-list realization.
+    its order-one minor, read from the circuits of z.
     """
     excess = near_transversal_scan(z, "is_multimatroid")[0]
     return excess is None, excess
@@ -777,15 +768,19 @@ def cycle_space_avoiding(z: Multimatroid, avoid: Iterable[Element]) -> list[froz
 
 def _rank_table(z: Multimatroid) -> bytes:
     """order - r(S) for every subtransversal S, one byte each in the order
-    of Carrier.subtransversals.  Packed realizations read them from one walk
-    of fields.leaf_nullities whose levels put a zero vector, the absent
-    class, before each class's columns; circuit-list ones ask the rank
-    oracle at each S."""
-    if z._colvec is not None:
-        zero = 0 if z._field == fields.GF2 else (0, 0)
-        classes = z._packed(map(z.carrier.skew_class, range(z.order)))
-        return fields.leaf_nullities(z._field, [[zero, *cols] for cols in classes])
-    return bytes(z.order - z._rank(frozenset(s)) for s in z.carrier.subtransversals())
+    of Carrier.subtransversals, kept on z from the first call.  Packed
+    realizations read them from one walk of fields.leaf_nullities whose
+    levels put a zero vector, the absent class, before each class's columns;
+    circuit-list ones ask the rank oracle at each S."""
+    if "ranks" not in z._kept:
+        if z._colvec is not None:
+            zero = 0 if z._field == fields.GF2 else (0, 0)
+            classes = z._packed(map(z.carrier.skew_class, range(z.order)))
+            found = fields.leaf_nullities(z._field, [[zero, *cols] for cols in classes])
+        else:
+            found = bytes(z.order - z._rank(frozenset(s)) for s in z.carrier.subtransversals())
+        z._kept["ranks"] = found
+    return z._kept["ranks"]
 
 
 def same_rank_oracle(z1: Multimatroid, z2: Multimatroid) -> bool:

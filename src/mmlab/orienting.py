@@ -31,8 +31,8 @@ from typing import Iterable, Mapping
 
 from .bounds import ORDER_EVALS, ORDER_ORT, check_order
 from .errors import Degenerate, NotBinaryTight3, NotOrienting, NotTight, NotTriple
-from .multimatroids import (Element, Multimatroid, _closure_masks, _masks, as_subtransversal,
-                            cycle_space_avoiding, element_label,
+from .multimatroids import (Element, Multimatroid, _closure_masks, _masks, _slot_masks,
+                            as_subtransversal, cycle_space_avoiding, element_label,
                             near_transversal_scan, odd_skew_pair, tight_quick)
 from .polynomials import Polynomial
 from .serialize import fraction_str
@@ -72,8 +72,7 @@ class _DeletionTables:
         sizes = z.carrier.class_sizes
         self.axes = [(k, prod(sizes[c + 1:])) for c, k in enumerate(sizes)]  # (size, stride)
         self.full = (1 << z.carrier.transversal_count()) - 1
-        self.slot = [[((1 << s) - 1 << t * s) * (self.full // ((1 << k * s) - 1))
-                      for t in range(k)] for k, s in self.axes]
+        self.slot = _slot_masks(sizes)
         self._passing: dict[tuple, int] = {}
         for miss, (k, s) in enumerate(self.axes):
             oks = bytes((1 << k) - 1 & ~m if m.bit_count() == 1 else m if m.bit_count() == 2 else 0

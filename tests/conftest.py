@@ -13,7 +13,7 @@ from hypothesis import Phase, settings
 
 import mmlab
 from mmlab import catalog, fields, multimatroids, orienting
-from mmlab.fields import GF2, GF4, GFMatrix, scalar_mul
+from mmlab.fields import GF2, GF4, GFMatrix
 from mmlab.isotropic import Graph, isotropic_multimatroid
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import Multimatroid, dual_pair
@@ -31,6 +31,15 @@ def mmlab_importable_in_subprocesses():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         yield
+
+
+def scalar_mul(x: int, y: int) -> int:
+    """The GF(4) product of two scalar codes (see mmlab.fields)."""
+    x0, x1 = x & 1, x >> 1
+    y0, y1 = y & 1, y >> 1
+    lo = (x0 & y0) ^ (x1 & y1)
+    hi = (x0 & y1) ^ (x1 & y0) ^ (x1 & y1)
+    return lo | (hi << 1)
 
 
 def make_rng(seed: int) -> random.Random:

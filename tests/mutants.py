@@ -43,7 +43,8 @@ KERNELS = {
     "fields": ("_echelon", "_reduce_gf4", "rref", "contract_columns", "_doubled",
                "_with_a_multiple", "leaf_nullities", "circuit_picks"),
     "multimatroids": ("Multimatroid.nullity_histogram", "_table_indices", "_closure_masks",
-                      "_closures_of_steps", "_nullity_table", "_order_one_minor_loops",
+                      "_closures_of_steps", "_nullity_table", "_slot_masks",
+                      "_order_one_minor_loops",
                       "near_transversal_scan", "tight_quick", "_masks", "_skew_pair_counts",
                       "odd_skew_pair", "_cycle_space", "_rank_table", "same_rank_oracle",
                       "check_iso_bounds", "isomorphic"),
@@ -99,14 +100,6 @@ EQUIVALENT = {
         "a candidate is shifted above the tag block, so its tag bit is clear",
     "fields.circuit_picks+30:23 Lt->LtE":
         "as in _echelon: no basis vector is zero",
-    "multimatroids._order_one_minor_loops+36:17 BitOr->BitXor":
-        "the two bits of the coefficient sit at different positions",
-    "multimatroids._order_one_minor_loops+36:64 0->1":
-        "the pivot is nonzero at the picked column, so its lo bit is set when its hi bit is not",
-    "multimatroids._order_one_minor_loops+38:35 1->0":
-        "the pivot row then reduces itself to a zero row, never a pivot and setting no bit",
-    "multimatroids._order_one_minor_loops+39:20 BitOr->BitXor":
-        "the two bits of the coefficient sit at different positions",
     "multimatroids._skew_pair_counts+7:12 BitOr->BitXor":
         "a slot both subtransversals hold leaves one element or none in its class, no pair",
     "multimatroids._skew_pair_counts+8:16 BitOr->BitXor":
@@ -144,11 +137,11 @@ EQUIVALENT = {
         "falling off the end returns None too",
     "matroids.minimal_sets+5:19 LtE->Lt":
         "the candidates are deduplicated, so no kept set equals a later one",
-    "orienting._DeletionTables+23:32 1->2":
+    "orienting._DeletionTables+22:32 1->2":
         "the ok-masks have k bits, so translation entries from 2^k up go unread",
-    "orienting._DeletionTables+42:54 Gt->GtE":
+    "orienting._DeletionTables+41:54 Gt->GtE":
         "t == p never reaches the shift: that slot is skipped",
-    "orienting._DeletionTables+43:16 BitOr->BitXor":
+    "orienting._DeletionTables+42:16 BitOr->BitXor":
         "each slot's bits are masked to that slot, so they are disjoint",
 }
 

@@ -226,6 +226,19 @@ def test_tight_extension_reads_the_ranks_of_z_from_one_table(rng, monkeypatch):
         assert ext is None or same_rank_oracle(ext, want)
 
 
+def test_strong_binarity_and_extension_walk_the_rank_table_of_z_once(rng, table_walks):
+    # a classify extension item: is_strongly_binary(z), then tight_extension(z).
+    # z keeps its rank table from its first walk, so the two calls make two
+    # leaf_nullities walks in all: one of z and one of the certificate's pair
+    # build; the extension and its deletion are circuit lists
+    for n in range(1, 5):
+        z = pair_multimatroid(random_symmetric(rng, GF2, n))
+        table_walks.clear()
+        assert catalog.is_strongly_binary(z) is not None
+        assert catalog.tight_extension(z) is not None
+        assert table_walks.count("walk") == 2
+
+
 def _brute_tight_extensions(z):
     """Every tight 3-matroid restricting to z, by exhausting transversal
     nullity assignments and validating each candidate from scratch."""

@@ -130,8 +130,8 @@ def test_tight_witness(capsys, monkeypatch):
 
 def test_tight_builds_one_minor_per_near_transversal(h33_file, capsys, cross_check_calls):
     # the order-one minors of the 27 near-transversals, their loops read
-    # from one row-reduction walk of the matrix per missing class: no
-    # Multimatroid is built
+    # from the circuits of z, one table per missing class: no Multimatroid
+    # is built
     loops_at, minors = cross_check_calls
     assert main(["tight", "--mm", h33_file]) == 0
     assert json.loads(capsys.readouterr()[0]) == {"multimatroid": True, "tight": True}

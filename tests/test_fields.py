@@ -2,11 +2,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_vec, naive_rank, permutation_determinant
+from conftest import mat_vec, naive_rank, permutation_determinant, scalar_mul
 from mmlab.errors import MalformedInput
 from mmlab.fields import (GF2, GF4, GFMatrix, conjugate, contract_columns, format_gfmat,
-                          null_space, parse_gfmat, rank, rank_of_vectors, rref, scalar_inverse,
-                          scalar_mul)
+                          null_space, parse_gfmat, rank, rank_of_vectors, rref, scalar_inverse)
 
 gf4 = st.integers(min_value=0, max_value=3)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import (basis_transversals, deletion_map, matroid_bases_set, random_graph,
                       random_standard_form)
 import mmlab
-from mmlab import catalog, multimatroids, serialize
+from mmlab import catalog, fields, multimatroids, serialize
 from mmlab.errors import (GroundMismatch, InternalInconsistency, MalformedInput,
                           NotSubtransversal, NotTriple, TooLarge, UnknownElement)
 from mmlab.fields import GF2, GF4, GFMatrix
@@ -554,7 +554,8 @@ def test_matroid_given_by_circuits_is_kept_as_circuit_list(rng):
 def test_same_rank_oracle_reads_one_walk_per_packed_side(monkeypatch, table_walks):
     # packed builds over GF(2) and GF(4), equal and unequal: one nullity walk
     # each and no rank-oracle call; a circuit list asks the oracle once per
-    # subtransversal
+    # subtransversal.  Each side keeps its table, so g and u24, compared
+    # twice, are walked once
     g = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     h = from_graph(Graph(3, [(0, 1)]), validate=False).multimatroid
     u24 = catalog.fixture("z-u24")
@@ -567,16 +568,21 @@ def test_same_rank_oracle_reads_one_walk_per_packed_side(monkeypatch, table_walk
         return rank(self, s)
 
     monkeypatch.setattr(Multimatroid, "_rank", counted)
-    for z1, z2, want in ((g, g.restrict(g.carrier.elements()), True), (g, h, False),
-                         (u24, dual_pair(catalog.u24_quaternary()), True),
-                         (u24, dual_pair(parallel), False)):
+    for z1, z2, want, walks in ((g, g.restrict(g.carrier.elements()), True, 2),
+                                (g, h, False, 1),
+                                (u24, dual_pair(catalog.u24_quaternary()), True, 2),
+                                (u24, dual_pair(parallel), False, 1)):
         table_walks.clear()
         assert same_rank_oracle(z1, z2) == want
-        assert table_walks == ["walk", "walk"] and ranks == []
+        assert table_walks == ["walk"] * walks and ranks == []
     listed = Multimatroid(g.carrier, circuits=g.circuits(), validate=False)
+    fresh = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     table_walks.clear()
-    assert same_rank_oracle(g, listed)
+    assert same_rank_oracle(fresh, listed)
     assert table_walks.count("walk") == 1 and len(ranks) == 4 ** 3
+    table_walks.clear()
+    assert same_rank_oracle(listed, fresh)
+    assert table_walks == [] and len(ranks) == 4 ** 3
 
 
 def test_validators_cross_check_each_near_transversal(monkeypatch):
@@ -614,13 +620,12 @@ def test_cross_checked_scan_builds_no_matroid(matroids_built):
 
 @pytest.mark.parametrize("realization", ["packed", "circuits"])
 def test_cross_checked_scan_reads_one_closure_table_per_class(monkeypatch, realization):
-    # three closure tables, sliced from one nullity table, and three
-    # row-reduction walks; packed columns: no rank-oracle call and no minor;
-    # circuit lists: one rank call per transversal for the table, none for
-    # the closures, and one built minor per near-transversal.  Every closure
-    # is one slot, so no pick's entries are all equal, and the scan walks no
-    # class's picks (itertools.product): only the circuit-list tables do,
-    # one walk each
+    # three closure tables, sliced from one nullity table, and three loop
+    # tables read from z's circuits; no minor is built.  Packed columns: no
+    # rank-oracle call; circuit lists: one rank call per transversal for
+    # the table, none for the closures.  Every closure is one slot, so no
+    # pick's entries are all equal, and the scan walks no class's picks
+    # (itertools.product): only the circuit-list nullity table does
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     if realization == "circuits":
         z = Multimatroid(z.carrier, circuits=z.circuits(), validate=False)
@@ -641,8 +646,8 @@ def test_cross_checked_scan_reads_one_closure_table_per_class(monkeypatch, reali
     if realization == "packed":
         assert z._rank_cache == {}
     else:
-        expected["_rank"] = expected["minor"] = 27
-        expected["product"] = 1 + 3  # the nullity table's transversals, the loop tables' picks
+        expected["_rank"] = 27
+        expected["product"] = 1  # the nullity table's transversals
     assert calls == expected
 
 
@@ -661,6 +666,20 @@ def test_validators_cross_check_the_closure_table(monkeypatch):
     for check in (is_tight, is_multimatroid):
         with pytest.raises(InternalInconsistency, match=re.escape("by [(0, 0)] ")):
             check(z)
+
+
+def test_validators_cross_check_the_circuit_walk(monkeypatch):
+    # the first circuit the walk finds, {(0, 0), (1, 1)}, dropped: it is the
+    # only circuit inside its transversal, so (0, 0) leaves the loops of the
+    # order-one minor by [(1, 1)] while the closure table keeps it
+    z = from_graph(Graph(2, [(0, 1)]), validate=False).multimatroid
+    walk = fields.circuit_picks
+    monkeypatch.setattr(fields, "circuit_picks", lambda *args: walk(*args)[1:])
+    for check in (is_tight, is_multimatroid, is_tight):
+        with pytest.raises(InternalInconsistency, match=re.escape(
+                f"{check.__name__}: the order-one minor by [(1, 1)] disagrees with the closure")):
+            check(z)
+    assert len(z.circuits()) == 2 and "scan" not in z._kept
 
 
 def test_enumeration_bounds():

@@ -6,8 +6,8 @@ sliced from the table of transversal nullities (a pick whose entries are
 all equal asks the rank oracle), and the evaluation suite reads the
 orienting counts of minors from the same tables, sliced; packed minors and
 restrictions are built straight from the parent's columns, and the
-validator reads the loops of the order-one minors from one row-reduction
-walk per missing class, a table laid out like the closure table.  Each is
+validator reads the loops of the order-one minors from z's circuits, one
+table per missing class laid out like the closure table.  Each is
 checked against a labelled reference (the oracle route) that builds the
 deletion or the minor, against the rank comparisons of
 conftest.closure_in_class, against an echelon walk per missing class
@@ -42,8 +42,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (all_graphs, build, closure_in_class, deletion_map, random_graph,
-                      random_standard_form, same_matroid, span_masks)
-from mmlab import catalog, fields, multimatroids
+                      random_standard_form, same_matroid, scalar_mul, span_masks)
+from mmlab import catalog, multimatroids
 from mmlab.catalog import _minor_histograms, has_minor
 from mmlab.errors import InternalInconsistency, NotTriple
 from mmlab.fields import GF2, GF4, GFMatrix
@@ -142,9 +142,9 @@ def check_order_one_minor_loops(z: Multimatroid) -> None:
 @given(st.sampled_from(ORT_KINDS), seeds, st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_order_one_minor_loops_match_minor_and_closure(kind, seed, n):
-    """The validator's row-reduction walk, on class sizes 1-4 through a
-    restriction half the time, GF(2), GF(4) and circuit lists, against the
-    built minors and the rank-comparison closures."""
+    """The validator's loops read from z's circuits, on class sizes 1-4
+    through a restriction half the time, GF(2), GF(4) and circuit lists,
+    against the built minors and the rank-comparison closures."""
     rng = random.Random(seed)
     check_order_one_minor_loops(restrict_half_the_time(rng, build_any(kind, rng, n)))
 
@@ -157,26 +157,21 @@ def sheltered(sizes, field: int, entries) -> Multimatroid:
     return Multimatroid(carrier, matroid=Matroid.from_matrix(mat, ground=carrier.elements()))
 
 
-# Explicit matrices for the row walk, each with whether some row is reduced
-# by a pivot row whose entry at the picked column differs from its own, so
-# that the pivot row is scaled (never over GF(2)).
+# Explicit matrices whose rows reduce against each other: rows that differ
+# by a scalar at a column, rows that are multiples of others or zero, and
+# zero columns, over GF(4) and GF(2).
 ROW_WALK_BUILDS = [
     # every other row differs from row 0 at column (0, 0), by a and by b
-    (sheltered((2, 2, 2), GF4, [[1, 2, 0, 1, 3, 1], [2, 1, 1, 0, 1, 0],
-                                [3, 3, 2, 1, 0, 2]]), True),
-    # more rows than rank: row 1 is a times row 0, so it becomes zero at
-    # the first pick of class 0, and row 2 is zero throughout
-    (sheltered((2, 2), GF4, [[1, 2, 1, 3], [2, 3, 2, 1], [0, 0, 0, 0], [0, 1, 1, 0]]), True),
-    # zero columns (0, 1) and (1, 0), picked at the first and second of
-    # three levels; the rows differ by b at column (0, 0)
-    (sheltered((2, 2, 2), GF4, [[1, 0, 0, 1, 2, 3], [3, 0, 0, 2, 1, 1]]), True),
+    sheltered((2, 2, 2), GF4, [[1, 2, 0, 1, 3, 1], [2, 1, 1, 0, 1, 0], [3, 3, 2, 1, 0, 2]]),
+    # more rows than rank: row 1 is a times row 0, and row 2 is zero
+    sheltered((2, 2), GF4, [[1, 2, 1, 3], [2, 3, 2, 1], [0, 0, 0, 0], [0, 1, 1, 0]]),
+    # zero columns (0, 1) and (1, 0); the rows differ by b at column (0, 0)
+    sheltered((2, 2, 2), GF4, [[1, 0, 0, 1, 2, 3], [3, 0, 0, 2, 1, 1]]),
     # classes of size 3, every entry of row 1 differs from row 0's
-    (sheltered((3, 3), GF4, [[1, 2, 3, 1, 2, 3], [2, 2, 1, 2, 3, 1],
-                             [3, 1, 2, 1, 0, 0]]), True),
-    # GF(2): a repeated row, which becomes zero at the first pick of class
-    # 0, a zero row, and zero columns (0, 1) and (1, 0)
-    (sheltered((2, 2, 2), GF2, [[1, 0, 0, 1, 1, 0], [1, 0, 0, 1, 1, 0],
-                                [0, 0, 0, 0, 0, 0], [1, 0, 0, 1, 0, 1]]), False),
+    sheltered((3, 3), GF4, [[1, 2, 3, 1, 2, 3], [2, 2, 1, 2, 3, 1], [3, 1, 2, 1, 0, 0]]),
+    # GF(2): a repeated row, a zero row, and zero columns (0, 1) and (1, 0)
+    sheltered((2, 2, 2), GF2, [[1, 0, 0, 1, 1, 0], [1, 0, 0, 1, 1, 0],
+                               [0, 0, 0, 0, 0, 0], [1, 0, 0, 1, 0, 1]]),
 ]
 
 
@@ -190,7 +185,7 @@ def explicit_builds():
               for n, edges in ((0, []), (1, []), (3, [(0, 1)]))]
     packed += [isotropic_multimatroid(zero, validate=False).multimatroid,
                free_sum([random_standard_form(random.Random(0), GF2, 2, 0)] * 4)]
-    packed += [z for z, _ in ROW_WALK_BUILDS]
+    packed += ROW_WALK_BUILDS
     for z in packed:
         yield z
         yield Multimatroid(z.carrier, circuits=z.circuits(), validate=False)
@@ -199,26 +194,13 @@ def explicit_builds():
 
 
 def test_order_one_minor_loops_on_zero_columns_and_low_orders():
-    """Order 0 has no table; order 1 has one leaf and no levels; the row
-    walk meets zero rows, rows that become zero and scaled pivot rows."""
+    """Order 0 has no table; order 1 has one pick, the empty one, and every
+    circuit of z there is a loop of class 0 alone."""
     orders = set()
     for z in explicit_builds():
         orders.add(z.order)
         check_order_one_minor_loops(z)
     assert orders == {0, 1, 2, 3}
-
-
-def test_row_walk_scales_the_pivot_row_on_gf4_builds(monkeypatch):
-    """The explicit builds reduce some row by a scaled pivot row exactly
-    when ROW_WALK_BUILDS says so; explicit_builds holds their tables' test."""
-    scaled = []
-    scale = fields._scale_row
-    monkeypatch.setattr(fields, "_scale_row", lambda *a: scaled.append(a) or scale(*a))
-    for z, scales in ROW_WALK_BUILDS:
-        scaled.clear()
-        for miss in range(z.order):
-            _order_one_minor_loops(z, miss)
-        assert bool(scaled) == scales
 
 
 @given(st.sampled_from((GF2, GF4)), seeds)
@@ -234,7 +216,7 @@ def test_order_one_minor_loops_on_random_matrices(field, seed):
     for _ in range(rng.randint(0, 6)):
         if entries and rng.random() < 0.3:
             c = rng.choice(vals[1:])
-            entries.append([fields.scalar_mul(c, v) for v in rng.choice(entries)])
+            entries.append([scalar_mul(c, v) for v in rng.choice(entries)])
         else:
             entries.append([0 if j in zero_cols or rng.random() < 0.2 else rng.choice(vals)
                             for j in range(sum(sizes))])

@@ -20,8 +20,10 @@ from mmlab.polynomials import q1, q1_avoiding, transition
 
 
 def test_ort_of_empty_multimatroid():
+    # the one transversal, (), is bit 0 of the kept orienting bit set
     z = Multimatroid(Carrier(()), circuits=[])
     assert orienting_transversals(z) == [()]
+    assert z._kept["deletion"].bits == 1
 
 
 def test_ort_of_h33_is_empty():
@@ -186,14 +188,18 @@ def test_each_multimatroid_enumerates_its_circuits_once(circuit_enumerations):
     assert circuit_enumerations == [z]
     # the minor scan reads the circuits of each minor it builds once and the
     # pattern's once: it builds only the minors whose sliced histogram is
-    # h33's, none of the binary z4's 12 and one of the triple z-u24-3's 3
+    # h33's, none of the binary z4's 12 and one of the triple z-u24-3's 3.
+    # The validated builds, the pattern and z-u24-3, read theirs at build
+    # time, in the validators' scan
     circuit_enumerations.clear()
     z4 = from_graph(Graph(4, [(0, 1), (1, 2), (2, 3)]), validate=False).multimatroid
     pattern = catalog.fixture_h33.__wrapped__().multimatroid
+    triple = catalog.fixture("z-u24-3")
+    assert circuit_enumerations == [pattern, triple]
     assert catalog.has_minor(z4, pattern) is None
-    assert circuit_enumerations == []
-    assert catalog.has_minor(catalog.fixture("z-u24-3"), pattern)[0] == ((0, 2),)
-    assert len(circuit_enumerations) == 1 + 1
+    assert circuit_enumerations == [pattern, triple]
+    assert catalog.has_minor(triple, pattern)[0] == ((0, 2),)
+    assert len(circuit_enumerations) == 2 + 1
     assert None not in circuit_enumerations
     assert len({id(y) for y in circuit_enumerations}) == len(circuit_enumerations)
     assert sum(y is pattern for y in circuit_enumerations) == 1
@@ -303,8 +309,8 @@ def test_eval_suite_names_the_failed_condition():
 
 def test_validation_builds_one_minor_per_near_transversal(cross_check_calls):
     # the order-one minors of the 27 near-transversals, their loops read
-    # from one row-reduction walk of the matrix per missing class: no
-    # Multimatroid is built
+    # from the circuits of z, one table per missing class: no Multimatroid
+    # is built
     z = from_graph(Graph(3, [(0, 1), (1, 2)]), validate=False).multimatroid
     loops_at, minors = cross_check_calls
     _validate_binary_tight3(z)
@@ -343,7 +349,7 @@ def test_suite_builds_no_minor_and_one_closure_table_per_class(
 
 
 def test_one_kept_scan_answers_every_validator(cross_check_calls):
-    # the build's cross-check (one row-reduction walk per class) is the only
+    # the build's cross-check (one loop table per class) is the only
     # one: classification, the suite and the exclusion check read the scan
     # kept on z
     loops_at, _ = cross_check_calls
