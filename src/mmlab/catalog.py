@@ -18,9 +18,9 @@ from .fields import GF2, GF4, GFMatrix
 from .isotropic import IsotropicBuild, isotropic_multimatroid, pair_multimatroid
 from .matroids import Matroid, minimal_sets
 from .multimatroids import (Carrier, Element, Multimatroid, _nullity_table, _rank_table,
-                            _table_indices, as_subtransversal, carrier_elements,
-                            check_iso_bounds, dual_pair, is_tight, isomorphic,
-                            odd_skew_pair, same_rank_oracle, tight_quick)
+                            _rank_table_index, _table_indices, as_subtransversal,
+                            carrier_elements, check_iso_bounds, dual_pair, is_tight,
+                            isomorphic, odd_skew_pair, same_rank_oracle, tight_quick)
 
 _A = 0
 _B = 1
@@ -115,12 +115,12 @@ def fixture(name: str) -> Multimatroid:
 
 
 def _minor_histograms(z: Multimatroid):
-    """The map from a subtransversal X of z to the nullity histogram of the
-    minor z/X, as its nullity_histogram gives it, read from z's nullity
-    table: each transversal T of z/X has nullity n(T + X) - n(X).  A
-    position in the table is linear in the slots, so T + X sits at X's
-    position, the sum of its slots times their classes' strides, plus T's
-    (slot 0 on X's classes), which is kept per set of touched classes."""
+    """The map from a subtransversal X of z to the histogram of n(T) over the
+    transversals T of z that hold X, read from z's nullity table: the nullity
+    histogram of z/X shifted up by n(X).  A position in the table is linear
+    in the slots, so T sits at X's position, the sum of its slots times their
+    classes' strides, plus that of T - X (slot 0 on X's classes), which is
+    kept per set of touched classes."""
     sizes, table, order = z.carrier.class_sizes, _nullity_table(z), z.order
     strides = [prod(sizes[c + 1:]) for c in range(order)]
     offsets: dict[frozenset, list[int]] = {}
@@ -133,8 +133,7 @@ def _minor_histograms(z: Multimatroid):
         base, hist = sum(s * strides[c] for c, s in x), [0] * (order + 1)
         for o in offsets[touched]:
             hist[table[base + o]] += 1
-        nx = len(x) - z._rank(frozenset(x))
-        return hist[nx:nx + order - len(x) + 1]
+        return hist
 
     return histogram
 
@@ -144,14 +143,16 @@ def has_minor(z: Multimatroid, pattern: Multimatroid):
     to the pattern, with the witness map from pattern elements into original
     elements of z; None when no minor matches.  q1 is an isomorphism
     invariant, so a minor is built and searched only when its carrier and
-    its nullity histogram, sliced from z's nullity table, equal the
-    pattern's.  Only the subtransversals of size order(z) - order(pattern)
-    are made: one slot per class of each set of that many classes."""
+    its histogram, sliced from z's nullity table, equal the pattern's from
+    the first nonzero entry of each.  Only the subtransversals of size
+    order(z) - order(pattern) are made: one slot per class of each set of
+    that many classes."""
     z._check_enum_bounds(ORDER_MINOR_SCAN, "has_minor")
     drop = z.order - pattern.order
     if drop < 0:
         return None
     want, histogram, sizes = pattern.nullity_histogram(), None, z.carrier.class_sizes
+    want = want[next(i for i, n in enumerate(want) if n):]
     for x in sorted(tuple(zip(cs, ss)) for cs in combinations(range(z.order), drop)
                     for ss in product(*[range(sizes[c]) for c in cs])):
         touched = {c for c, _ in x}
@@ -161,7 +162,9 @@ def has_minor(z: Multimatroid, pattern: Multimatroid):
         if histogram is None:  # the first carrier match
             check_iso_bounds(pattern)  # as isomorphic(pattern, z.minor(x)) would
             histogram = _minor_histograms(z)
-        if histogram(x) != want:
+        hist = histogram(x)
+        low = next(i for i, n in enumerate(hist) if n)
+        if hist[low:low + len(want)] != want:
             continue
         iso = isomorphic(pattern, z.minor(x))
         if iso is not None:
@@ -188,27 +191,26 @@ def is_strongly_binary(z: Multimatroid):
     report that none exists.
 
     Picks the lexicographically first basis transversal, reads the candidate
-    matrix off the one- and two-class swaps, then verifies the whole rank
-    oracle.  Returns a StrongBinaryCertificate or None.
+    matrix off the one- and two-class swaps, both from z's rank table, then
+    compares that table with the candidate's: a StrongBinaryCertificate or None.
     """
     if not z.is_nondegenerate():
         raise Degenerate("strong binarity needs a nondegenerate multimatroid")
     if not z.carrier.is_uniform(2):
         raise GroundMismatch("strong binarity is defined for class size 2")
     check_order(z.order, ORDER_STRONGLY_BINARY, "is_strongly_binary")
-    n = z.order
-    basis = None
-    for t in z.carrier.transversals():
-        if z._rank(frozenset(t)) == n:
-            basis = t
-            break
+    n, ranks = z.order, _rank_table(z)  # n - r(S) for each subtransversal S
+
+    def is_basis(t) -> bool:
+        return ranks[_rank_table_index(z.carrier, t)] == 0
+
+    basis = next((t for t in z.carrier.transversals() if is_basis(t)), None)
     if basis is None:
         raise NoBasis("no transversal basis")
     other = tuple((c, 1 - s) for c, s in basis)
 
     def swap_is_basis(swap_classes) -> bool:
-        t = [other[c] if c in swap_classes else basis[c] for c in range(n)]
-        return z._rank(frozenset(t)) == n
+        return is_basis([other[c] if c in swap_classes else basis[c] for c in range(n)])
 
     entries = [[0] * n for _ in range(n)]
     for v in range(n):

@@ -8,26 +8,25 @@ only its field, row count and packed columns; minors and restrictions are
 built straight from those, and the sheltering matroid is rebuilt from them on
 demand.  A sheltering matroid given by circuits is kept as its subtransversal
 circuits, and a circuit list's minors read theirs from that list, not from
-the rank oracle.  Algorithms go through the rank oracle, except that on packed
-realizations the nullities of all transversals come from one walk and the
-circuits from one subtransversal walk.
+the rank oracle.  The rank oracle computes each rank it is asked and keeps
+none.  Algorithms read two tables instead: the nullity of every transversal
+and the rank of every subtransversal, each from one walk on packed
+realizations, which also read their circuits from one subtransversal walk.
 Every transversal sum (q1, the transition polynomials, the minor scan's
 histograms) and the closures of near-transversals, which the validators and
-the orienting test read, slice that one table, on either realization.  The
-validators check each closure against the loops of the order-one minor
+the orienting test read, slice the nullity table, on either realization.
+The validators check each closure against the loops of the order-one minor
 there, read from the circuits: x is in the closure of S exactly when some
-circuit C has x in C and C <= S + x.
-Structural equality compares the ranks of all subtransversals, on packed
-realizations from one walk of that kernel.  The two realizations are
-interchangeable.
+circuit C has x in C and C <= S + x.  Structural equality, bases and strong
+binarity read the rank table.  The two realizations are interchangeable.
 The skew-pair parity, the cycle spaces and the orienting test read the
 circuits as ints with one bit per ground element (_masks).  A cycle space
 is spanned by XOR over z's own circuits; those of a deletion are z's
 circuits inside the kept set, so `cycle_space_avoiding` builds no deletion.
 
-Besides its carrier and realization, an object keeps the ranks it was asked
-for and one memo, `Multimatroid._kept`, of every derived answer (listed
-there), each computed on its first read; a build that raises keeps nothing.
+Besides its carrier and realization, an object keeps one memo,
+`Multimatroid._kept`, of every derived answer (listed there), each computed
+on its first read; a build that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -205,7 +204,7 @@ def sum_subtransversals(carrier: Carrier, x: Iterable[Element],
 class Multimatroid:
     """A carrier plus a rank oracle, realized as sheltered or circuit-list."""
 
-    # _kept's keys; `key in z._kept` tells "not built yet" from a None answer:
+    # All z keeps past its realization; `key in z._kept` tells "not built" from None:
     #   ("closures", miss)  _closure_masks's table for missing class miss,
     #                       sliced from "nullities"
     #   "scan"              near_transversal_scan's cross-checked pair
@@ -215,13 +214,12 @@ class Multimatroid:
     #   "nullities"         _nullity_table's per-transversal nullities, which
     #                       every transversal sum reads
     #   "ranks"             _rank_table's per-subtransversal ranks
-    __slots__ = ("carrier", "_circuits", "_rank_cache", "_field", "_rows", "_colvec", "_kept")
+    __slots__ = ("carrier", "_circuits", "_field", "_rows", "_colvec", "_kept")
 
     def __init__(self, carrier: Carrier, matroid: Matroid | None = None,
                  circuits: Iterable[frozenset] | None = None, validate: bool = True):
         self.carrier = carrier
         self._circuits = None  # a circuit-list realization's circuits
-        self._rank_cache: dict[frozenset, int] = {}
         self._field = self._rows = self._colvec = None
         self._kept: dict = {}
         if (matroid is None) == (circuits is None):
@@ -256,7 +254,7 @@ class Multimatroid:
         by exactly the carrier's elements in the sheltering matroid's ground
         order."""
         z = cls.__new__(cls)
-        z.carrier, z._circuits, z._rank_cache = carrier, None, {}
+        z.carrier, z._circuits = carrier, None
         z._field, z._rows, z._colvec, z._kept = field, rows, colvec, {}
         return z
 
@@ -304,16 +302,10 @@ class Multimatroid:
         return self._rank(s)
 
     def _rank(self, s: frozenset) -> int:
-        cached = self._rank_cache.get(s)
-        if cached is not None:
-            return cached
         if self._colvec is not None:
             cv = self._colvec
-            r = fields.rank_of_vectors(self._field, (cv[e] for e in s))
-        else:
-            r = self._rank_circuits(s)
-        self._rank_cache[s] = r
-        return r
+            return fields.rank_of_vectors(self._field, (cv[e] for e in s))
+        return self._rank_circuits(s)
 
     def _rank_circuits(self, s: frozenset) -> int:
         return rank_from_circuits(self._circuits, s)
@@ -350,31 +342,21 @@ class Multimatroid:
         return [[cv[e][0] if gf2 else cv[e] for e in es] for es in groups]
 
     def bases(self) -> list[tuple[Element, ...]]:
-        """All maximal independent subtransversals, canonically ordered."""
+        """All maximal independent subtransversals, canonically ordered, read
+        from _rank_table: S is one when its entry, order - r(S), is
+        order - |S| and no slot x of a class S misses lowers it at S + x."""
         self._check_enum_bounds(ORDER_GENERAL, "bases")
-        out = []
-        for s in self.carrier.subtransversals():
-            fs = frozenset(s)
-            if self._rank(fs) < len(fs):
-                continue
+        table, out = _rank_table(self), []
+        for i, s in enumerate(self.carrier.subtransversals()):
             touched = {c for c, _ in s}
-            maximal = True
-            for c in range(self.order):
-                if c in touched:
-                    continue
-                for x in self.carrier.skew_class(c):
-                    if self._rank(fs | {x}) == len(fs) + 1:
-                        maximal = False
-                        break
-                if not maximal:
-                    break
-            if maximal:
+            if table[i] == self.order - len(s) and not any(
+                    table[_rank_table_index(self.carrier, (*s, x))] < table[i]
+                    for c in range(self.order) if c not in touched
+                    for x in self.carrier.skew_class(c)):
                 out.append(s)
-        if self.is_nondegenerate():
-            for b in out:
-                if len(b) != self.order or self._rank(frozenset(b)) != len(b):
-                    raise InternalInconsistency("non-transversal basis in a "
-                                                "nondegenerate multimatroid")
+        if self.is_nondegenerate() and any(len(b) != self.order for b in out):
+            raise InternalInconsistency("non-transversal basis in a "
+                                        "nondegenerate multimatroid")
         return sorted(out)
 
     def nullity_histogram(self, banned: Iterable[Element] = (),
@@ -507,6 +489,14 @@ def _table_indices(carrier: Carrier, slots: Sequence[Sequence[int]]) -> list[int
     for k, ss in zip(carrier.class_sizes, slots):
         out = [i * k + s for i in out for s in ss]
     return out
+
+
+def _rank_table_index(carrier: Carrier, x: Iterable[Element]) -> int:
+    """The position in _rank_table of the subtransversal x."""
+    slots, i = dict(x), 0
+    for c, k in enumerate(carrier.class_sizes):
+        i = i * (k + 1) + slots.get(c, -1) + 1
+    return i
 
 
 def _nullity_table(z: Multimatroid) -> bytes:

@@ -31,9 +31,10 @@ from typing import Iterable, Mapping
 
 from .bounds import ORDER_EVALS, ORDER_ORT, check_order
 from .errors import Degenerate, NotBinaryTight3, NotOrienting, NotTight, NotTriple
-from .multimatroids import (Element, Multimatroid, _closure_masks, _masks, _slot_masks,
-                            as_subtransversal, cycle_space_avoiding, element_label,
-                            near_transversal_scan, odd_skew_pair, tight_quick)
+from .multimatroids import (Element, Multimatroid, _closure_masks, _masks, _nullity_table,
+                            _slot_masks, _table_indices, as_subtransversal,
+                            cycle_space_avoiding, element_label, near_transversal_scan,
+                            odd_skew_pair, tight_quick)
 from .polynomials import Polynomial
 from .serialize import fraction_str
 
@@ -254,11 +255,15 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element]) -> EvalReport:
     if len(tt) != z.order:
         raise NotBinaryTight3("reference transversal must be total")
 
-    ell = z.order
+    ell, nullities = z.order, _nullity_table(z)
     tables = _deletion_tables(z)
     ort_all = [frozenset(y) for y in tables.transversals]
     report = EvalReport(order=ell, transversal=tt, ort_count=len(ort_all))
     ids = report.identities
+
+    def nullity(y) -> int:
+        """n(y) of a transversal y, in class order, read from z's nullity table."""
+        return nullities[_table_indices(z.carrier, [[s] for _, s in y])[0]]
 
     def check(name: str, lhs: int, rhs: int, scale: int = 1) -> None:
         ids.append(EvalIdentity(name, Fraction(lhs, scale), Fraction(rhs, scale),
@@ -304,7 +309,7 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element]) -> EvalReport:
     check("q1_deleted_at_2_vs_meets", lhs_del2, sum(2 ** len(y & tset) for y in ort_all))
 
     # minor expansion of the same value, and the odd cofactor
-    rank_t = z._rank(tset)
+    rank_t = ell - nullity(tt)
     rhs5 = 0
     k = 0
     for size in range(ell + 1):
@@ -334,7 +339,7 @@ def evaluation_suite(z: Multimatroid, t: Iterable[Element]) -> EvalReport:
 
     # signed evaluation at -4 against orienting nullities
     check("q1_at_minus4_signed", q1_at_m4,
-          (-1) ** ell * sum((-2) ** (ell - z._rank(y)) for y in ort_all))
+          (-1) ** ell * sum((-2) ** nullity(y) for y in tables.transversals))
 
     # halving decomposition at five random even integers
     halved = [_transition_eval(z, weights, [y // 2 for y in halving_ys], banned=y1)

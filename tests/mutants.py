@@ -42,8 +42,9 @@ ROOT = Path(__file__).resolve().parents[1]
 KERNELS = {
     "fields": ("_echelon", "_reduce_gf4", "rref", "contract_columns", "_doubled",
                "_with_a_multiple", "leaf_nullities", "circuit_picks"),
-    "multimatroids": ("Multimatroid.nullity_histogram", "_table_indices", "_closure_masks",
-                      "_closures_of_steps", "_nullity_table", "_slot_masks",
+    "multimatroids": ("Multimatroid.bases", "Multimatroid.nullity_histogram", "_table_indices",
+                      "_rank_table_index", "_closure_masks", "_closures_of_steps",
+                      "_nullity_table", "_slot_masks",
                       "_order_one_minor_loops",
                       "near_transversal_scan", "tight_quick", "_masks", "_skew_pair_counts",
                       "odd_skew_pair", "_cycle_space", "_rank_table", "same_rank_oracle",
@@ -100,6 +101,9 @@ EQUIVALENT = {
         "a candidate is shifted above the tag block, so its tag bit is clear",
     "fields.circuit_picks+30:23 Lt->LtE":
         "as in _echelon: no basis vector is zero",
+    "multimatroids._rank_table_index+2:24 0->-1":
+        "a start of -1 shifts every position by minus the table's length, which negative "
+        "indexing undoes",
     "multimatroids._skew_pair_counts+7:12 BitOr->BitXor":
         "a slot both subtransversals hold leaves one element or none in its class, no pair",
     "multimatroids._skew_pair_counts+8:16 BitOr->BitXor":
@@ -131,9 +135,7 @@ EQUIVALENT = {
         "a pruning: an isomorphism keeps each element's invariant, so no cut branch maps",
     "multimatroids.isomorphic+56:8 drop `return False`":
         "assign's result is only tested for truth, and None is false too",
-    "catalog._minor_histograms+16:71 1->2":
-        "a table entry is at most z.order, so the extra last entry stays 0, past the slice",
-    "catalog.has_minor+29:4 drop `return None`":
+    "catalog.has_minor+33:4 drop `return None`":
         "falling off the end returns None too",
     "matroids.minimal_sets+5:19 LtE->Lt":
         "the candidates are deduplicated, so no kept set equals a later one",

@@ -13,7 +13,8 @@ from mmlab.fields import GF2, GF4, GFMatrix
 from mmlab.isotropic import from_graph, isotropic_multimatroid, pair_multimatroid
 from mmlab.matroids import Matroid
 from mmlab.multimatroids import (Carrier, Multimatroid, dual_pair, is_tight,
-                                 isomorphic, same_rank_oracle)
+                                 isomorphic, same_rank_oracle, transversal_slot)
+from mmlab.orienting import evaluation_suite
 from mmlab.polynomials import q1_avoiding
 
 
@@ -239,6 +240,31 @@ def test_strong_binarity_and_extension_walk_the_rank_table_of_z_once(rng, table_
         assert table_walks.count("walk") == 2
 
 
+def test_packed_builds_read_their_ranks_from_the_tables(rng, monkeypatch):
+    # has_minor, is_strongly_binary and bases read z's nullity and rank
+    # tables and make no rank_of_vectors elimination; the evaluation suite
+    # makes one per subset of its transversal t and reads r(t) and the
+    # orienting transversals' nullities from the nullity table
+    calls, rank_of_vectors = [], fields.rank_of_vectors
+    monkeypatch.setattr(fields, "rank_of_vectors", lambda *a: calls.append(a) or rank_of_vectors(*a))
+    patterns = [catalog.fixture(name) for name in ("h33", "s4", "s5")]
+    for n in range(1, 6):
+        for kind in ("gf2", "gf4"):
+            z = build(kind, rng, n)
+            pair = z.delete(transversal_slot(z, 2))
+            calls.clear()
+            for pattern in patterns:
+                catalog.has_minor(z, pattern)
+            assert catalog.is_strongly_binary(pair) is not None or kind == "gf4"
+            assert z.bases() and pair.bases()
+            assert calls == []
+    for n in range(3, 6):
+        z = from_graph(random_graph(rng, n)).multimatroid
+        calls.clear()
+        assert evaluation_suite(z, transversal_slot(z, 0)).passed
+        assert len(calls) == 2 ** n
+
+
 def _brute_tight_extensions(z):
     """Every tight 3-matroid restricting to z, by exhausting transversal
     nullity assignments and validating each candidate from scratch."""
@@ -455,7 +481,7 @@ def test_has_minor_builds_only_the_minors_whose_slice_matches(rng, cross_check_c
             hits += hit is not None
             table_walks.clear()
             assert catalog.has_minor(z, pattern) == hit
-            assert table_walks == []  # the table and the ranks are kept on z
+            assert table_walks == []  # the table is kept on z, and the screen asks no rank
     assert hits > 0
 
 
@@ -502,3 +528,11 @@ def test_has_minor_needs_the_pattern_carrier_class_by_class():
     assert catalog.has_minor(z, Multimatroid(Carrier((3, 2)), circuits=[])) is None
     assert catalog.has_minor(z, Multimatroid(Carrier((2, 3)), circuits=[])) == \
         ((), {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (1, 0), (1, 1): (1, 1), (1, 2): (1, 2)})
+
+
+def test_has_minor_finds_a_pattern_with_no_independent_transversal():
+    # a loop's histogram starts at nullity 1, and so does X's slice, so the
+    # two are compared from their first nonzero entries
+    looped = Multimatroid(Carrier((1,)), circuits=[frozenset({(0, 0)})])
+    z = Multimatroid(Carrier((2, 1)), circuits=[frozenset({(1, 0)})])
+    assert catalog.has_minor(z, looped) == (((0, 0),), {(0, 0): (1, 0)})

@@ -210,6 +210,25 @@ def test_bases_free_and_fixtures():
         assert a_count in (0, 2)
 
 
+def test_bases_refuses_a_non_transversal_basis_of_a_nondegenerate_build():
+    # 1a is independent and both slots of class 2 lie in its closure, which
+    # no multimatroid allows, so {1a} is a maximal independent set
+    z = Multimatroid(Carrier((2, 2)), validate=False,
+                     circuits=[frozenset({(0, 0), (1, 0)}), frozenset({(0, 0), (1, 1)})])
+    with pytest.raises(InternalInconsistency, match="^non-transversal basis in a nondegenerate"):
+        z.bases()
+
+
+def test_bases_add_one_element_of_one_missing_class_at_a_time():
+    # with class 3 a loop, {1a} is not maximal; on a family that is no
+    # matroid, {2a} is, though 1a and 3a together add to its rank
+    loop = Multimatroid(Carrier((1, 1, 1)), circuits=[frozenset({(2, 0)})])
+    assert loop.bases() == [((0, 0), (1, 0))]
+    family = Multimatroid(Carrier((1, 1, 1)), validate=False,
+                          circuits=[frozenset({(0, 0), (1, 0)}), frozenset({(1, 0), (2, 0)})])
+    assert family.bases() == [((0, 0), (2, 0)), ((1, 0),)]
+
+
 def test_isomorphic_self_and_dual(rng):
     z = catalog.fixture("s4")
     iso = isomorphic(z, z)
@@ -643,9 +662,7 @@ def test_cross_checked_scan_reads_one_closure_table_per_class(monkeypatch, reali
         monkeypatch.setattr(multimatroids, name, counted(name, getattr(multimatroids, name)))
     assert is_tight(z) == (True, None)
     expected = {"_closure_masks": 3, "_order_one_minor_loops": 3}
-    if realization == "packed":
-        assert z._rank_cache == {}
-    else:
+    if realization == "circuits":
         expected["_rank"] = 27
         expected["product"] = 1  # the nullity table's transversals
     assert calls == expected
@@ -686,6 +703,8 @@ def test_enumeration_bounds():
     big = free_mm((2,) * 9)
     with pytest.raises(TooLarge):
         big.circuits()
+    with pytest.raises(TooLarge):
+        big.bases()
     with pytest.raises(TooLarge):
         is_tight(big)
 

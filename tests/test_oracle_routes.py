@@ -15,8 +15,9 @@ conftest.closure_in_class, against an echelon walk per missing class
 The evaluation suite's integer weights, scaled by their common denominator,
 are checked against the Fraction histogram of the circuit-list route.  The
 cycle spaces, spanned by bit masks of z's own circuits, are checked against
-the built deletion's cycle space and the per-transversal frozenset span, and
-the skew-pair popcounts against the carrier's frozenset count.  The
+the built deletion's cycle space and the per-transversal frozenset span, the
+skew-pair popcounts against the carrier's frozenset count, and their parity
+against an alternating form on a basis of the circuits' span.  The
 isomorphism search, which checks each circuit once, when its last class is
 mapped, is checked against an exhaustive search over every element map.
 The minor histograms that has_minor slices from z's table of transversal
@@ -44,6 +45,7 @@ from hypothesis import strategies as st
 from conftest import (all_graphs, build, closure_in_class, deletion_map, random_graph,
                       random_standard_form, same_matroid, scalar_mul, span_masks)
 from mmlab import catalog, multimatroids
+from mmlab.bounds import ISO_CLASS_SIZE
 from mmlab.catalog import _minor_histograms, has_minor
 from mmlab.errors import InternalInconsistency, NotTriple
 from mmlab.fields import GF2, GF4, GFMatrix
@@ -118,6 +120,45 @@ def test_sliced_minor_counts_match_built_minors(kind, seed, n):
     for size in range(z.order + 1):
         for f in combinations(t, size):
             assert tables.minor_count(f) == len(orienting_transversals(z.minor(f))), f
+
+
+def maximal_independent_subtransversals(z: Multimatroid) -> list:
+    """Labelled reference (oracle route) for bases: the subtransversals S
+    with r(S) = |S| to whose rank no element of a class S misses adds, one
+    rank-oracle call each."""
+    return sorted(s for s in z.carrier.subtransversals()
+                  if z.rank(s) == len(s) and all(
+                      z.rank((*s, x)) == len(s) for c in range(z.order) if c not in dict(s)
+                      for x in z.carrier.skew_class(c)))
+
+
+def random_circuit_family(rng: random.Random, n: int) -> Multimatroid:
+    """An unvalidated circuit list on class sizes 1 to 3: up to four random
+    nonempty subtransversals, so its ranks need not be a matroid's."""
+    carrier = Carrier([rng.randint(1, 3) for _ in range(n)])
+    subs = [frozenset(s) for s in carrier.subtransversals() if s]
+    return Multimatroid(carrier, circuits=rng.sample(subs, min(len(subs), rng.randint(0, 4))),
+                        validate=False)
+
+
+@given(st.sampled_from(("gf2", "gf4", "gf4_pair", "free4", "mixed", "circuits", "family")),
+       seeds, st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_bases_match_the_rank_oracle(kind, seed, n):
+    """bases, read from the rank table, against the rank oracle, on builds
+    restricted to 1 to k elements of each class half the time, so some are
+    degenerate, and on random circuit families, which need not be
+    multimatroids.  A nondegenerate input with a maximal independent set
+    that is not a transversal raises."""
+    rng = random.Random(seed)
+    z = (random_circuit_family(rng, n) if kind == "family"
+         else restrict_half_the_time(rng, build_any(kind, rng, n)))
+    want = maximal_independent_subtransversals(z)
+    if z.is_nondegenerate() and any(len(b) != z.order for b in want):
+        with pytest.raises(InternalInconsistency, match="^non-transversal basis"):
+            z.bases()
+    else:
+        assert z.bases() == want
 
 
 def closure_mask(z: Multimatroid, s, miss: int) -> int:
@@ -506,6 +547,41 @@ def test_skew_pair_counts_on_the_non_binary_fixtures(name):
     assert odd_skew_pair(z) is not None
 
 
+def symplectic_vector(subtransversal) -> int:
+    """A subtransversal of a triple carrier in GF(2)^(2n), class c at bits
+    2c and 2c + 1: slots 0, 1 and 2 as (1, 0), (0, 1) and (1, 1), and an
+    absent class as (0, 0)."""
+    return sum((0b01, 0b10, 0b11)[s] << 2 * c for c, s in subtransversal)
+
+
+def symplectic_form(u: int, w: int, order: int) -> int:
+    """B(u, w) = the sum over the classes of a1·b2 + a2·b1, mod 2: 1 on one
+    class exactly when u and w hold different slots there."""
+    return sum((u >> 2 * c & 1) * (w >> 2 * c + 1 & 1) + (u >> 2 * c + 1 & 1) * (w >> 2 * c & 1)
+               for c in range(order)) % 2
+
+
+def even_skew_pairs_by_symplectic_form(z: Multimatroid) -> bool:
+    """Labelled reference (oracle route), after Bouchet's isotropic systems:
+    B(C1, C2) is the parity of the classes C1 | C2 meets twice, and B is
+    bilinear and alternating, so every union is even exactly when B vanishes
+    on a basis of the span of the circuit vectors, found by elimination."""
+    basis: list[int] = []  # distinct leading bits, highest first
+    for v in map(symplectic_vector, z.circuits()):
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted([*basis, v], reverse=True)
+    return all(symplectic_form(u, w, z.order) == 0 for u, w in combinations(basis, 2))
+
+
+@given(st.sampled_from(("gf2", "gf4")), seeds, st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_skew_pair_parity_matches_the_symplectic_form(kind, seed, n):
+    z = build_any(kind, random.Random(seed), n)
+    assert even_skew_pairs_by_symplectic_form(z) == (odd_skew_pair(z) is None)
+
+
 def exhaustive_isomorphism(z1: Multimatroid, z2: Multimatroid):
     """The oracle route for isomorphic: the first element map carrying z1's
     circuits onto z2's, each class c of z1 in turn taking a class of z2 of
@@ -557,8 +633,9 @@ def test_sliced_minor_histograms_match_q1_of_built_minors(kind, seed, n, as_circ
     """Every subtransversal X, drop 0 and drop = order included, on GF(2)
     and GF(4) packed builds and on circuit lists (rebuilt from those too, so
     with mixed class sizes): the histogram sliced from z's nullity table is
-    q1 of the built minor z/X, padded to the minor's order + 1 entries.  The
-    table holds the nullity of every transversal, in carrier order."""
+    q1 of the built minor z/X shifted up by n(X), padded to z's order + 1
+    entries.  The table holds the nullity of every transversal, in carrier
+    order."""
     rng = random.Random(seed)
     z = build_any(kind, rng, n)
     if as_circuits:
@@ -567,8 +644,8 @@ def test_sliced_minor_histograms_match_q1_of_built_minors(kind, seed, n, as_circ
     histogram = _minor_histograms(z)
     for x in z.carrier.subtransversals():
         hist = histogram(x)
-        coeffs = list(q1(z.minor(x)).coeffs)
-        assert hist == coeffs + [0] * (z.order - len(x) + 1 - len(coeffs)), x
+        coeffs = [0] * (len(x) - z._rank(frozenset(x))) + list(q1(z.minor(x)).coeffs)
+        assert hist == coeffs + [0] * (z.order + 1 - len(coeffs)), x
 
 
 def scan_every_minor(z: Multimatroid, pattern: Multimatroid):
@@ -606,19 +683,29 @@ def test_has_minor_matches_the_scan_of_every_minor_on_the_fixtures(name):
         check_has_minor(catalog.fixture(name), catalog.fixture(pattern))
 
 
-@given(st.sampled_from(("gf2", "gf4", "circuits", "matroid_circuits", "gf4_pair", "gf2_pair")),
+@given(st.sampled_from(("gf2", "gf4", "circuits", "matroid_circuits", "gf4_pair", "gf2_pair",
+                        "free4", "mixed")),
        seeds, st.integers(0, 5), st.booleans())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_has_minor_matches_the_scan_of_every_minor(kind, seed, n, as_circuits):
     """The classifier's tight 3-matroids (GF(2), GF(4) and circuit-list
-    builds) and pairs over GF(2) and GF(4), each also rebuilt as a circuit
-    list, against the h33, s4 and s5 patterns: the same first X and the same
-    witness, entry for entry."""
-    z = build_any(kind, random.Random(seed), n)
+    builds), pairs over GF(2) and GF(4), and free sums of four matroids and
+    their restrictions, which need not be multimatroids, each also rebuilt
+    as a circuit list, against the h33, s4 and s5 patterns and z's own minor
+    z/X: the same first X and the same witness, entry for entry.  X takes a
+    random slot of each class past the isomorphism bound and of half the
+    others, so every example has a hit, and a pattern may have no
+    independent transversal."""
+    rng = random.Random(seed)
+    z = build_any(kind, rng, n)
     if as_circuits:
         z = circuit_rebuild(z)
+    own = z.minor([(c, rng.randrange(k)) for c, k in enumerate(z.carrier.class_sizes)
+                   if k > ISO_CLASS_SIZE or rng.random() < 0.5])
     for pattern in MINOR_PATTERNS:
         check_has_minor(z, catalog.fixture(pattern))
+    check_has_minor(z, own)
+    assert has_minor(z, own) is not None
 
 
 def q1_by_kernel_counting(g: Graph, avoid_slot: int | None = None) -> Polynomial:
