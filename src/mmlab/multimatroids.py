@@ -363,19 +363,24 @@ class Multimatroid:
                           weights: Mapping[Element, object] | None = None) -> list:
         """hist[n]: the number of transversals avoiding the banned elements
         with nullity n or, given element weights, the sum of their weight
-        products, read from _nullity_table.  A zero weight acts as a ban, so
-        an entry that no transversal reaches stays int 0; a class emptied by
-        the bans leaves every entry zero.  The first sum on an object builds
-        the table over every transversal, banned or not, so a one-off banned
-        sum pays for transversals it then skips; later sums only read."""
+        products, read from _nullity_table.  Counts are the byte counts of
+        the table, or of its slice at the unbanned transversals; only
+        weighted sums multiply.  A zero weight acts as a ban, so an entry
+        that no transversal reaches stays int 0; a class emptied by the bans
+        leaves every entry zero.  The first sum on an object builds the
+        table over every transversal, banned or not, so a one-off banned sum
+        pays for transversals it then skips; later sums only read."""
         bans = carrier_elements(self.carrier, banned)
         slots = [[s for s in range(k) if (c, s) not in bans and (weights is None or weights[c, s])]
                  for c, k in enumerate(self.carrier.class_sizes)]
-        table, hist = _nullity_table(self), [0] * (self.order + 1)
-        products = [1]  # each leaf's weight product, in _table_indices's order
+        table = _nullity_table(self)
+        if weights is None:
+            if bans:
+                table = bytes(map(table.__getitem__, _table_indices(self.carrier, slots)))
+            return [table.count(n) for n in range(self.order + 1)]
+        hist, products = [0] * (self.order + 1), [1]  # products in _table_indices's order
         for c, ss in enumerate(slots):
-            products = [w * (1 if weights is None else weights[c, s])
-                        for w in products for s in ss]
+            products = [w * weights[c, s] for w in products for s in ss]
         for i, w in zip(_table_indices(self.carrier, slots), products):
             hist[table[i]] += w
         return hist

@@ -4,8 +4,10 @@ The weighted transition polynomial of a multimatroid sums, over all
 transversals, the product of the element weights times y raised to the
 transversal's nullity, read from the one nullity table the multimatroid
 keeps.  The interlace, global interlace and bracket polynomials of a graph
-are subset sums of shifted powers over GF(2) nullities, counted from
-fields.leaf_nullities, and are expanded to the standard y basis immediately.
+are subset sums of shifted powers over GF(2) nullities, one
+fields.leaf_nullities walk per vertex mask, and are expanded to the
+standard y basis immediately.  Unweighted sums count nullity bytes (of the
+table, a slice of it, or the joined walks); only weighted sums multiply.
 """
 
 from __future__ import annotations
@@ -181,20 +183,16 @@ def tutte_diagonal(m: Matroid, x):
 
 def _toggle_histogram(g, xmasks: Iterable[int], toggled: bool) -> dict[int, int]:
     """Nullity counts of the induced subgraphs on the vertex masks, over
-    every loop toggle of their vertices when toggled.  Each vertex v of a
-    mask is one level of the walk: its adjacency row, plus that row with the
-    loop at v flipped; once v's toggle is picked its row is final."""
-    counts = [0] * (g.n + 1)
-    for xmask in xmasks:
-        levels = []
-        for v in range(g.n):
-            if (xmask >> v) & 1:
-                row = g.adj_masks[v] & xmask
-                levels.append([row, row ^ (1 << v)] if toggled else [row])
-        leaves = leaf_nullities(GF2, levels)
-        for n in range(len(levels) + 1):
-            counts[n] += leaves.count(n)
-    return dict(enumerate(counts))
+    every loop toggle of their vertices when toggled.  Each mask makes one
+    walk, whose levels are its vertices v: the row adj[v] & mask, plus that
+    row with the loop at v flipped.  The walks' bytes are joined, and each
+    nullity is counted once."""
+    adj, bits = g.adj_masks, [1 << v for v in range(g.n)]
+    leaves = b"".join(leaf_nullities(GF2, [[row, row ^ bit] if toggled else [row]
+                                           for a, bit in zip(adj, bits) if xmask & bit
+                                           for row in (a & xmask,)])
+                      for xmask in xmasks)
+    return {n: leaves.count(n) for n in range(g.n + 1)}
 
 
 def interlace(g) -> Polynomial:
@@ -210,6 +208,8 @@ def global_interlace(g) -> Polynomial:
 
 
 def bracket(g) -> Polynomial:
-    """Loop-toggle nullity polynomial over the full vertex set."""
+    """Loop-toggle nullity polynomial over the full vertex set: one walk
+    whose level v is the row of v, plus that row with the loop at v flipped."""
     check_size(g.n, VERTEX_INTERLACE, "bracket")
-    return Polynomial(_toggle_histogram(g, [(1 << g.n) - 1], True).values())
+    leaves = leaf_nullities(GF2, [[row, row ^ 1 << v] for v, row in enumerate(g.adj_masks)])
+    return Polynomial(map(leaves.count, range(g.n + 1)))

@@ -252,3 +252,5 @@ def test_graph_polynomial_bounds():
         interlace(Graph(13, []))
     with pytest.raises(TooLarge):
         global_interlace(Graph(10, []))
+    with pytest.raises(TooLarge):
+        bracket(Graph(13, []))

@@ -8,7 +8,9 @@ _scale_row and rank_of_vectors.  The nullity walk (fields.leaf_nullities)
 is checked against one full elimination per leaf, and the sums read from it
 (Multimatroid.nullity_histogram, which slices the table the walk writes, and
 the graph polynomials) against one rank-oracle nullity per transversal and
-one Graph.nullity_mask per (vertex mask, loop toggle).  The span walk
+one Graph.nullity_mask per (vertex mask, loop toggle); counting tests pin
+one walk per vertex mask for the graph polynomials and no table indexing
+for unbanned, unweighted sums.  The span walk
 (conftest.span_masks, an oracle route for the closure tables) is checked
 against one rank_of_vectors per leaf and target, on levels and targets of
 unequal widths.  The circuit walk (fields.circuit_picks, behind the
@@ -22,12 +24,13 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (KINDS, build, closure_in_class, random_graph, random_standard_form,
                       span_masks)
-from mmlab import catalog
+from mmlab import catalog, multimatroids, orienting, polynomials
 from mmlab.fields import (GF2, GF4, GFMatrix, _doubled, _scale_row, circuit_picks,
                           leaf_nullities, rank_of_vectors)
 from mmlab.matroids import Matroid, minimal_sets
@@ -163,9 +166,45 @@ def test_emptied_class_gives_zero(kind, seed, n):
     assert z.nullity_histogram(z.carrier.skew_class(c), w) == [0] * (z.order + 1)
 
 
+@given(st.sampled_from(KINDS), seeds, st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_unweighted_histogram_counts_what_unit_weights_sum(kind, seed, n):
+    # the byte counts of the table (or its slice) equal the sums of unit
+    # weight products, entry for entry and as ints: with no bans, random
+    # bans and an emptied class
+    rng = random.Random(seed)
+    z = build(kind, rng, n)
+    ones = {e: 1 for e in z.carrier.elements()}
+    bans = [(), [e for e in z.carrier.elements() if rng.random() < 0.3]]
+    if z.order:
+        bans.append(z.carrier.skew_class(rng.randrange(z.order)))
+    for banned in bans:
+        got = z.nullity_histogram(banned)
+        assert got == z.nullity_histogram(banned, ones)
+        assert len(got) == z.order + 1 and all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unbanned_sums_count_the_table_without_indexing_it(monkeypatch, kind):
+    rng = random.Random(11)
+    z = build(kind, rng, 3)
+    want = Polynomial(reference_histogram(z))
+    calls = []
+    indices = multimatroids._table_indices
+    monkeypatch.setattr(multimatroids, "_table_indices",
+                        lambda *args: calls.append(args) or indices(*args))
+    assert q1(z) == want
+    assert orienting._q1_eval(z, (2, -1)) == [want(2), want(-1)]
+    assert calls == []
+    # a ban slices the table: one index list
+    assert q1_avoiding(z, [(0, 0)]) == Polynomial(reference_histogram(z, [(0, 0)]))
+    assert len(calls) == 1
+
+
 def test_order_zero():
     z = Multimatroid(Carrier(()), circuits=[])
     assert z.nullity_histogram() == [1]
+    assert type(z.nullity_histogram()[0]) is int
     assert z.nullity_histogram(weights={}) == [1]
     assert leaf_nullities(GF2, []) == leaf_nullities(GF4, []) == bytes(1)
 
@@ -215,6 +254,36 @@ def test_graph_polynomials_match_nullity_mask_sums(seed, n):
     assert interlace(g) == power_expand(plain, -1)
     assert global_interlace(g) == power_expand(toggled, -2)
     assert bracket(g) == power_expand(loops, 0)
+
+
+def test_graph_polynomials_walk_each_vertex_mask(monkeypatch):
+    # criterion 4 checks these against q1 and q1_avoiding, so they keep the
+    # masked graph-side form: interlace and global_interlace walk each vertex
+    # mask X once, with |X| levels of rows inside X (one candidate, or the
+    # row and its loop toggle); bracket walks the full vertex set once
+    walks = []
+    walk = polynomials.leaf_nullities
+
+    def counted(field, levels):
+        walks.append((field, [list(level) for level in levels]))
+        return walk(field, levels)
+
+    monkeypatch.setattr(polynomials, "leaf_nullities", counted)
+    rng = random.Random(5)
+    for n in list(range(7)) * 3:
+        g = random_graph(rng, n, loops=True, p=rng.choice((0.25, 0.5, 0.75)))
+        for poly, width in ((interlace, 1), (global_interlace, 2)):
+            walks.clear()
+            poly(g)
+            assert len(walks) == 1 << n
+            for xmask, (field, levels) in zip(range(1 << n), walks):
+                assert field == GF2 and len(levels) == xmask.bit_count()
+                assert all(len(level) == width and all(row & ~xmask == 0 for row in level)
+                           for level in levels)
+        walks.clear()
+        bracket(g)
+        assert len(walks) == 1
+        assert walks[0][0] == GF2 and [len(level) for level in walks[0][1]] == [2] * n
 
 
 @given(st.dictionaries(st.integers(0, 7),
