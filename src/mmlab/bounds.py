@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import TooLarge
+from .errors import TooLarge, decimal
 
 MAX_CLASS_SIZE = 4
 ISO_CLASS_SIZE = 3
@@ -42,7 +42,7 @@ def order_limit(default: int) -> int:
     if raw is None or raw == "":
         return default
     try:
-        return int(raw)
+        return decimal(raw)
     except ValueError:
         raise TooLarge(f"MMLAB_MAX_ORDER is not an integer: {raw!r}")
 

@@ -15,8 +15,8 @@ from .bounds import (ORDER_CLASSIFY, ORDER_EXTENSION, ORDER_MINOR_SCAN,
 from .errors import (Degenerate, GroundMismatch, InternalInconsistency,
                      NoBasis, NotClassUnion, NotTight, NotTriple, UnknownElement)
 from .fields import GF2, GF4, GFMatrix
-from .isotropic import IsotropicBuild, isotropic_multimatroid, pair_multimatroid
-from .matroids import Matroid, minimal_sets
+from .isotropic import IsotropicBuild, isotropic_multimatroid, pair_multimatroid, z_quaternary
+from .matroids import Matroid
 from .multimatroids import (Carrier, Element, Multimatroid, _nullity_table, _rank_table,
                             _rank_table_index, _table_indices, as_subtransversal,
                             carrier_elements, check_iso_bounds, dual_pair, is_tight,
@@ -83,32 +83,22 @@ def u24_quaternary() -> Matroid:
     return Matroid.from_matrix(mat)
 
 
-def fixture_z_u24() -> Multimatroid:
-    return dual_pair(u24_quaternary())
-
-
 def fixture_z_u24_triple() -> IsotropicBuild:
-    from .isotropic import z_quaternary
     return z_quaternary(u24_quaternary())
 
 
-FIXTURE_NAMES = ("s1", "s2", "s3", "s4", "s5", "h33", "z-u24", "z-u24-3")
+_FIXTURES = {
+    "s1": fixture_s1, "s2": fixture_s2, "s3": fixture_s3, "s4": fixture_s4, "s5": fixture_s5,
+    "h33": lambda: fixture_h33().multimatroid, "z-u24": lambda: dual_pair(u24_quaternary()),
+    "z-u24-3": lambda: fixture_z_u24_triple().multimatroid,
+}
+FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def fixture(name: str) -> Multimatroid:
-    builders = {
-        "s1": fixture_s1, "s2": fixture_s2, "s3": fixture_s3,
-        "s4": fixture_s4, "s5": fixture_s5,
-    }
-    if name in builders:
-        return builders[name]()
-    if name == "h33":
-        return fixture_h33().multimatroid
-    if name == "z-u24":
-        return fixture_z_u24()
-    if name == "z-u24-3":
-        return fixture_z_u24_triple().multimatroid
-    raise UnknownElement(f"no fixture named {name!r}")
+    if name not in _FIXTURES:
+        raise UnknownElement(f"no fixture named {name!r}")
+    return _FIXTURES[name]()
 
 
 # -- minor scanning ---------------------------------------------------------------
@@ -290,101 +280,71 @@ def tight_extension(z: Multimatroid) -> Multimatroid | None:
     """Search for the tight 3-matroid whose third-slot deletion equals the
     given nondegenerate 2-matroid.
 
-    Works over integer rank functions: on a triple carrier, tightness plus
-    the one-changing-element exclusion force the three extension nullities
-    of every near-transversal into the pattern {m, m, m+1}, so the
-    transversal nullity function of any extension is determined level by
-    level in the number of new elements used.  The propagated function is
-    then verified against the full rank-function axioms (unit increments,
-    local exchange per transversal, the exclusion at every subtransversal,
-    tightness, agreement with the given ranks); any failure means no tight
-    extension exists.  Returns a circuit-list multimatroid or None.
+    On a triple carrier, tightness plus the one-changing-element exclusion
+    force the three nullities over a near-transversal into the pattern
+    {m, m, m+1}, so the transversal nullities of any extension follow from
+    z's.  They sit in one flat table laid out like _rank_table on the triple
+    carrier (Carrier.subtransversals order: slot s of class c adds
+    (s + 1) * 4**(ell-1-c), an absent class 0), filled in three passes:
+    forcing in increasing order, where slots 0 and 1 of a class precede its
+    third; one-class minima in decreasing order, as every completion of a
+    subtransversal passes through its first absent class; then one pass of
+    the rank-function checks (agreement with z, unit steps, the exclusion,
+    tightness at near-transversals, local exchange).  Any failure means no
+    tight extension exists.  Once the steps are monotone units, the circuits
+    are the entries of nullity 1 whose one-element deletions all have
+    nullity 0.  Returns a circuit-list multimatroid or None.
     """
     if not z.is_nondegenerate():
         raise Degenerate("tight extension needs a nondegenerate multimatroid")
     if not z.carrier.is_uniform(2):
         raise GroundMismatch("tight extension lifts a 2-matroid")
     check_order(z.order, ORDER_EXTENSION, "tight_extension")
-    ell = z.order
-    carrier = Carrier.uniform(ell, 3)
-
-    def elems_of(code):
-        return tuple((c, s) for c, s in enumerate(code) if s >= 0)
-
-    # ell - r(S) for every subtransversal S of z, read from one table
-    ranks = dict(zip(product(range(-1, 2), repeat=ell), _rank_table(z)))
-
-    # transversal nullities, propagated by the number of new slots used
-    nu: dict[tuple, int] = {}
-    by_level: dict[int, list[tuple]] = {}
-    for code in product(range(3), repeat=ell):
-        by_level.setdefault(sum(s == 2 for s in code), []).append(code)
-    for code in by_level.get(0, []):
-        nu[code] = ranks[code]
-    for level in range(1, ell + 1):
-        for code in by_level.get(level, []):
-            forced = None
-            for c, s in enumerate(code):
-                if s != 2:
-                    continue
-                va = nu[code[:c] + (0,) + code[c + 1:]]
-                vb = nu[code[:c] + (1,) + code[c + 1:]]
+    ell, ranks = z.order, _rank_table(z)  # ell - r(S) at the codes of z, those with no 3
+    codes = list(product(range(4), repeat=ell))  # code[c] - 1 is the slot of class c
+    strides = [4 ** (ell - 1 - c) for c in range(ell)]
+    null, given = [0] * len(codes), iter(ranks)
+    for i, code in enumerate(codes):  # forcing
+        n = None if 3 in code else next(given)
+        if 0 in code:
+            continue
+        wants = set()
+        for c, d in enumerate(code):
+            if d == 3:
+                va, vb = null[i - 2 * strides[c]], null[i - strides[c]]
                 if abs(va - vb) > 1:
                     return None
-                want = va + 1 if va == vb else min(va, vb)
-                if forced is None:
-                    forced = want
-                elif forced != want:
-                    return None
-            nu[code] = forced
-
-    # derive all subtransversal nullities: every completion passes through
-    # any fixed absent class, so a one-class minimum suffices
-    null: dict[tuple, int] = {}
-    for code in sorted(product(range(-1, 3), repeat=ell),
-                       key=lambda cd: -sum(s >= 0 for s in cd)):
-        if all(s >= 0 for s in code):
-            null[code] = nu[code]
-            continue
-        c = next(i for i, s in enumerate(code) if s < 0)
-        null[code] = min(null[code[:c] + (s,) + code[c + 1:]] for s in range(3))
-
-    def extensions(code):
-        for c, s in enumerate(code):
-            if s < 0:
-                for s2 in range(3):
-                    yield c, s2, code[:c] + (s2,) + code[c + 1:]
-
-    for code, n_s in null.items():
-        size = sum(s >= 0 for s in code)
-        if code in ranks and n_s != size - ell + ranks[code]:  # agreement with z
+                wants.add(va + 1 if va == vb else min(va, vb))
+        if len(wants) > 1:
             return None
-        raising: dict[int, list[tuple]] = {}
-        for c, s2, ext in extensions(code):
-            step = null[ext] - n_s
-            if step not in (0, 1):  # unit increments
+        null[i] = n if n is not None else wants.pop()
+    for i in reversed(range(len(codes))):  # minima
+        if 0 in codes[i]:
+            step = strides[codes[i].index(0)]
+            null[i] = min(null[i + step], null[i + 2 * step], null[i + 3 * step])
+    given, circuits = iter(ranks), []
+    for i, code in enumerate(codes):  # checks
+        n = null[i]
+        if 3 not in code and n != next(given) - code.count(0):  # agreement with z
+            return None
+        raising = []
+        for c, d in enumerate(code):
+            if d == 0:
+                steps = [null[i + e * strides[c]] - n for e in (1, 2, 3)]
+                if any(step not in (0, 1) for step in steps):  # unit increments
+                    return None
+                if steps.count(1) > 1:  # one-changing-element exclusion
+                    return None
+                if 1 in steps:
+                    raising.append(i + (steps.index(1) + 1) * strides[c])
+                elif code.count(0) == 1:  # tightness at near-transversals
+                    return None
+        for a, b in combinations(raising, 2):  # local exchange
+            if null[a + b - i] != n + 2:
                 return None
-            if step == 1:
-                raising.setdefault(c, []).append(ext)
-        for c, exts in raising.items():
-            if len(exts) > 1:  # one-changing-element exclusion
-                return None
-        if size == ell - 1:  # tightness at near-transversals
-            c = next(i for i, s in enumerate(code) if s < 0)
-            if c not in raising:
-                return None
-        # local exchange: rank-flat extensions (nullity up) stay flat jointly
-        flat = [(c, exts[0]) for c, exts in raising.items()]
-        for (c1, e1), (c2, e2) in combinations(flat, 2):
-            joint = e1[:c2] + (e2[c2],) + e1[c2 + 1:]
-            if null[joint] != n_s + 2:
-                return None
-
-    # nullity only grows along extensions (checked above), so the minimal
-    # sets of positive nullity are the circuits
-    by_set = {frozenset(elems_of(code)): n for code, n in null.items()}
-    circuits = minimal_sets(s for s, n in by_set.items() if n > 0)
-    ext = Multimatroid(carrier, circuits=circuits, validate=False)
+        if n == 1 and all(null[i - d * strides[c]] == 0 for c, d in enumerate(code) if d):
+            circuits.append(frozenset((c, d - 1) for c, d in enumerate(code) if d))
+    ext = Multimatroid(Carrier.uniform(ell, 3), circuits=circuits, validate=False)
     third = [(c, 2) for c in range(ell)]
     if not tight_quick(ext) or not same_rank_oracle(ext.delete(third), z):
         raise InternalInconsistency("extension search produced a bad witness")

@@ -16,12 +16,12 @@ import sys
 from fractions import Fraction
 
 from . import catalog, isotropic, orienting, polynomials, serialize
-from .errors import MalformedInput, MMLabError, UnknownElement
+from .errors import DECIMAL, MalformedInput, MMLabError, UnknownElement, decimal
 from .matroids import Matroid
 from .multimatroids import (Multimatroid, element_label, near_transversal_scan,
                             parse_element_label)
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(f"^{DECIMAL}(/[1-9][0-9]*)?$")
 
 
 def _read_text(path: str) -> str:
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with multimatroids: transition "
                     "polynomial evaluations, orienting transversals, and "
                     "excluded-minor classification.")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    parser.add_argument("--threads", type=decimal, default=os.cpu_count() or 1,
                         help="worker cap, at least 1; enumeration is serial, so "
                              "output and speed are the same at any value")
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -6,6 +6,18 @@ Every domain-level failure raises a subclass of MMLabError carrying a stable
 
 from __future__ import annotations
 
+import re
+
+DECIMAL = "[+-]?[0-9]+"  # an integer in the text formats and flags
+
+
+def decimal(text: str) -> int:
+    """int(text) when text is ASCII decimal digits after an optional sign;
+    ValueError otherwise, also on the `1_0` and other scripts' digits int() reads."""
+    if re.fullmatch(DECIMAL, text.strip()) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
 
 class MMLabError(Exception):
     """Base class for all mmlab domain errors."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import FieldMismatch, MalformedInput
+from .errors import FieldMismatch, MalformedInput, decimal
 
 GF2 = 2
 GF4 = 4
@@ -426,7 +426,7 @@ def parse_gfmat(text: str) -> GFMatrix:
     if len(dims) != 2:
         raise MalformedInput(f"gfmat: bad dimension line {lines[1]!r}")
     try:
-        rows, cols = int(dims[0]), int(dims[1])
+        rows, cols = decimal(dims[0]), decimal(dims[1])
     except ValueError:
         raise MalformedInput(f"gfmat: bad dimension line {lines[1]!r}")
     if rows < 0 or cols < 0:

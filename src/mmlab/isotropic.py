@@ -15,7 +15,7 @@ from typing import Iterable
 from . import fields
 from .bounds import GRAPH_VERTICES, VERTEX_EULERIAN, VERTEX_ORT_EULERIAN, check_size
 from .errors import (ConstructionMismatch, HasLoops, InternalInconsistency,
-                     MalformedInput, NotInvSymmetric, NotSymmetric)
+                     MalformedInput, NotInvSymmetric, NotSymmetric, decimal)
 from .fields import GF2, GF4, GFMatrix
 from .matroids import Matroid
 from .multimatroids import (Carrier, Element, Multimatroid, dual_pair, is_tight,
@@ -89,7 +89,7 @@ def parse_graph(text: str) -> Graph:
     if not lines:
         raise MalformedInput("graph: empty input")
     try:
-        n = int(lines[0])
+        n = decimal(lines[0])
     except ValueError:
         raise MalformedInput(f"graph: bad vertex count {lines[0]!r}")
     if n < 0:
@@ -101,7 +101,7 @@ def parse_graph(text: str) -> Graph:
         if len(toks) != 2:
             raise MalformedInput(f"graph: bad edge line {ln!r}")
         try:
-            u, v = int(toks[0]), int(toks[1])
+            u, v = decimal(toks[0]), decimal(toks[1])
         except ValueError:
             raise MalformedInput(f"graph: bad edge line {ln!r}")
         edges.append((u, v))

@@ -6,9 +6,9 @@ import pytest
 from conftest import (KINDS, basis_transversals, binary_sheltering_exists, build,
                       is_binary_matroid_oracle, random_graph,
                       random_standard_form, random_symmetric)
-from mmlab import catalog, fields, serialize
-from mmlab.errors import (Degenerate, GroundMismatch, NotClassUnion,
-                          NotTight, NotTriple, TooLarge)
+from mmlab import catalog, fields, multimatroids, serialize
+from mmlab.errors import (Degenerate, GroundMismatch, InternalInconsistency,
+                          NotClassUnion, NotTight, NotTriple, TooLarge)
 from mmlab.fields import GF2, GF4, GFMatrix
 from mmlab.isotropic import from_graph, isotropic_multimatroid, pair_multimatroid
 from mmlab.matroids import Matroid
@@ -212,6 +212,23 @@ def test_tight_extension_strongly_binary_equals_block_build(rng):
         assert same_rank_oracle(ext, expected)
 
 
+def test_tight_extension_inverts_every_slot_deletion(rng):
+    # deleting slot s of every class of a tight 3-matroid leaves a 2-matroid
+    # whose tight extension is that 3-matroid with slot s moved to slot 2,
+    # from the packed deletion and from its circuit list alike
+    for n in (1, 2, 3, 4, 4):
+        for kind in ("gf2", "gf4"):
+            z3 = build(kind, rng, n)
+            for s in range(3):
+                moved = [t for t in range(3) if t != s] + [s]  # new slot j is old moved[j]
+                want = Multimatroid(z3.carrier, circuits=[
+                    frozenset((c, moved.index(t)) for c, t in circ) for circ in z3.circuits()])
+                pair = z3.delete(transversal_slot(z3, s))
+                for z in (pair, Multimatroid(pair.carrier, circuits=pair.circuits())):
+                    ext = catalog.tight_extension(z)
+                    assert ext is not None and same_rank_oracle(ext, want), (kind, n, s)
+
+
 def test_tight_extension_reads_the_ranks_of_z_from_one_table(rng, monkeypatch):
     # a packed 2-matroid's ranks come from one leaf_nullities walk, with no
     # rank_of_vectors elimination, and the answer is the circuit list's
@@ -355,6 +372,27 @@ def test_tight_extension_matches_brute_force_order_2():
                 assert ext is None
             checked += 1
     assert checked >= 10
+
+
+def test_tight_extension_refusals():
+    # s2 and s4 (test_tight_extension_fixtures) refuse while forcing; a
+    # circuit list that is no multimatroid forces an extension whose
+    # one-class minima disagree with z, here at the empty set
+    both_loops = Multimatroid(Carrier.uniform(1, 2), circuits=[{(0, 0)}, {(0, 1)}])
+    assert catalog.tight_extension(both_loops) is None
+    with pytest.raises(GroundMismatch):
+        catalog.tight_extension(catalog.fixture("h33"))
+    with pytest.raises(TooLarge):
+        catalog.tight_extension(Multimatroid(Carrier.uniform(5, 2), circuits=[]))
+
+
+def test_tight_extension_checks_its_witness_against_z(monkeypatch):
+    # a search that read s3's ranks for s1 builds the extension of s3, whose
+    # third-slot deletion, by the witness's own oracle, is not s1
+    s1, s3 = catalog.fixture("s1"), catalog.fixture("s3")
+    monkeypatch.setattr(catalog, "_rank_table", lambda z: multimatroids._rank_table(s3))
+    with pytest.raises(InternalInconsistency, match="bad witness"):
+        catalog.tight_extension(s1)
 
 
 def test_tight_extension_rejects_degenerate():

@@ -279,6 +279,33 @@ def test_huge_vertex_count_is_too_large(tmp_path, capsys):
         "code": "TooLarge", "message": "graph: size 10000000000000000000 exceeds bound 65536"}
 
 
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["poly", "interlace", "--graph", "-"], "1_0\n0 1\n"),
+    (["poly", "interlace", "--graph", "-"], "2\n\u0660 1\n"),
+    (["--threads", "\u0662", "catalog", "list"], None),
+    (["--threads", "1_0", "catalog", "list"], None),
+    (["tutte", "--matroid", "-", "--x", "1", "--y", "1"], "field 2\n1 1_0\n" + "1 " * 10),
+    (["tutte", "--matroid", "-", "--x", "\u0661", "--y", "1"], U24_GFMAT),
+    (["tutte", "--matroid", "-", "--x", "1", "--y", "1/1\u0663"], U24_GFMAT),
+], ids=["graph_count_underscore", "graph_edge_arabic_indic", "threads_arabic_indic",
+        "threads_underscore", "gfmat_dimension_underscore", "tutte_x_arabic_indic",
+        "tutte_y_denominator_arabic_indic"])
+def test_integers_are_ascii_decimal(capsys, monkeypatch, argv, stdin_text):
+    # int() reads each of these as a number; the text formats and flags do not
+    code, out, err = run_cli(argv, stdin_text, capsys, monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith("mmlab: ") and err.count("\n") == 1
+
+
+def test_max_order_env_is_ascii_decimal(k2_file, capsys, monkeypatch):
+    monkeypatch.setenv("MMLAB_MAX_ORDER", "1_0")
+    code = main(["ort", "--graph", k2_file])
+    out, _ = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "TooLarge", "message": "MMLAB_MAX_ORDER is not an integer: '1_0'"}
+
+
 def test_max_order_env_guard(k2_file, capsys, monkeypatch):
     monkeypatch.setenv("MMLAB_MAX_ORDER", "1")
     code = main(["ort", "--graph", k2_file])
